@@ -9,19 +9,28 @@ here also works from a shell; this script just keeps the walkthrough
 runnable and self-cleaning.
 """
 
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import fusetrack
 from fusetrack.fileio import save_yaml
 from fusetrack.simulator import crossing_scenario
+
+# The commands run in a temporary directory, where a relative PYTHONPATH
+# entry (PYTHONPATH=src) would not resolve: the children get the directory
+# of the package imported here first, and every other entry made absolute.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(fusetrack.__file__)))
+ENTRIES = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([PACKAGE_ROOT] + [p for p in ENTRIES if p != PACKAGE_ROOT]))
 
 
 def cli(*args, cwd, quiet=False):
     cmd = [sys.executable, "-m", "fusetrack", *map(str, args)]
     print(f"\n$ fusetrack {' '.join(map(str, args))}")
-    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, env=CHILD_ENV)
     if proc.stdout and not quiet:
         print(proc.stdout, end="")
     if proc.returncode != 0:

@@ -198,10 +198,9 @@ def pairwise_cost(det: Detection, trk: Track, weights: CostWeights) -> float:
     """
     if det.class_id != trk.class_id:
         return math.inf
-    pixel = (det.u - trk.u) ** 2 + (det.v - trk.v) ** 2
-    depth = (det.depth - trk.depth) ** 2
-    velocity = (det.vx - trk.vx) ** 2 + (det.vy - trk.vy) ** 2
-    return weights.alpha * pixel + weights.beta * depth + weights.delta * velocity
+    # x * x as in cost_matrix: +inf on overflow, where float ** 2 raises.
+    du, dv, dd, dvx, dvy = det.u - trk.u, det.v - trk.v, det.depth - trk.depth, det.vx - trk.vx, det.vy - trk.vy
+    return weights.alpha * (du * du + dv * dv) + weights.beta * (dd * dd) + weights.delta * (dvx * dvx + dvy * dvy)
 
 
 def processing_order(dets: Sequence[Detection]) -> List[int]:

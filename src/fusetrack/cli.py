@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
     ev.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0, help="match gate, meters")
     ev.add_argument("--classes", help="comma-separated names for class ids 0..n-1; other ids are hidden")
-    ev.add_argument("--workers", type=int, default=1, help="threads for per-threshold counting")
+    ev.add_argument("--workers", type=int, default=1, help="threads over the ground-truth classes")
     ev.add_argument("--out", help="write the report here instead of stdout")
     ev.set_defaults(func=_cmd_evaluate)
 

@@ -19,6 +19,17 @@ square-root rounding.
 The raw MOTAR formula can exceed 1 when the achieved recall overshoots the
 target (discrete confidences), so the value is clamped into [0, 1]; without
 the upper clamp a perfect tracker would not score AMOTA = 1.
+
+Every distinct confidence of a class is a floor. amota walks the floors
+once per class, highest first, with the counts of a full replay at each.
+Candidate pairs (same class, in the gate) are sorted once per frame. A
+frame's outcome depends only on its kept predictions and the sticky map it
+starts with, and a lower floor adds predictions only in the frames holding
+that confidence. So a floor replays from its first changed frame until an
+unchanged frame starts with the map stored for it at the previous floor;
+the frames up to the next changed one then repeat their stored outcomes.
+The cost follows the frames a floor changes, not floors x frames. Distances
+are summed (math.fsum, order-independent) only at the floors reported.
 """
 
 from __future__ import annotations
@@ -26,7 +37,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,54 @@ class MetricsReport:
             raise ValueError("AMOTA and MOTAR must lie in [0, 1]")
 
 
+def _prepare(gts, preds, dist_threshold: float):
+    """One frame's inputs to _match at any floor: (gts, preds, candidate
+    pairs as (gt index, pred index, distance) sorted by (d2, gt index, pred
+    index), their distances by (gt index, pred index)). A candidate pair is
+    same-class with d2 = dx * dx + dy * dy <= dist_threshold^2 in float64."""
+    if not (dist_threshold > 0):
+        raise ValueError("dist_threshold must be positive")
+    g = np.array([(o.x, o.y) for o in gts], dtype=float).reshape(-1, 2)
+    p = np.array([(o.x, o.y) for o in preds], dtype=float).reshape(-1, 2)
+    dx, dy = g[:, :1] - p[:, 0], g[:, 1:] - p[:, 1]
+    d2 = dx * dx + dy * dy
+    gi, pj = np.nonzero(d2 <= dist_threshold * dist_threshold)  # in (gt, pred) order, kept by the stable sort
+    order = np.argsort(d2[gi, pj], kind="stable")
+    gi, pj = gi[order], pj[order]
+    dist = np.sqrt(d2[gi, pj]).tolist()
+    pairs = [(i, j, d) for i, j, d in zip(gi.tolist(), pj.tolist(), dist) if gts[i].class_id == preds[j].class_id]
+    return gts, preds, pairs, {(i, j): d for i, j, d in pairs}
+
+
+def _match(frame, dropped: List[bool], sticky: Mapping[int, int]):
+    """One frame at one floor: (matches as (gt index, pred index, distance)
+    in order, ids, fp, fn, matched distances, sticky map on exit). Dropped
+    predictions take no part. Pass 1, ground truth in input order, keeps
+    the remembered pair (sticky maps gt_id -> track id; the first kept
+    prediction with that id) when both are free and it is a candidate pair.
+    Pass 2 takes the remaining candidate pairs greedily. The map on entry
+    is never modified, and is the exit map when no id changed."""
+    gts, preds, pairs, near = frame
+    gt_taken = [False] * len(gts)
+    pred_taken = list(dropped)
+    matches = []
+    first = {preds[j].track_id: j for j in range(len(preds) - 1, -1, -1) if not dropped[j]} if sticky else {}
+    for i, gt in enumerate(gts if sticky else ()):
+        j = first.get(sticky.get(gt.gt_id))
+        dist = None if j is None or pred_taken[j] else near.get((i, j))
+        if dist is not None:
+            matches.append((i, j, dist))
+            gt_taken[i] = pred_taken[j] = True
+    for i, j, dist in pairs:
+        if not (gt_taken[i] or pred_taken[j]):
+            matches.append((i, j, dist))
+            gt_taken[i] = pred_taken[j] = True
+    changes = {gts[i].gt_id: preds[j].track_id for i, j, _ in matches if sticky.get(gts[i].gt_id) != preds[j].track_id}
+    ids = len(changes.keys() & sticky.keys())  # switches: changed ids that were remembered
+    fp, fn = dropped.count(False) - len(matches), len(gts) - len(matches)
+    return matches, ids, fp, fn, tuple(d for _, _, d in matches), {**sticky, **changes} if changes else sticky
+
+
 def match_frame(
     pred_objects: Sequence[PredictedObject],
     gt_frame: GroundTruthFrame,
@@ -144,63 +206,14 @@ def match_frame(
     with (distance, gt input index, pred input index) as the deterministic
     order. Pairs beyond dist_threshold or across classes never match.
     """
-    if not (dist_threshold > 0):
-        raise ValueError("dist_threshold must be positive")
-    sticky = sticky or {}
-    gts = gt_frame.objects
-    gate2 = dist_threshold * dist_threshold
-
-    def dist2(gt: GroundTruthObject, pred: PredictedObject) -> float:
-        dx = gt.x - pred.x
-        dy = gt.y - pred.y
-        return dx * dx + dy * dy
-
-    matches: List[Tuple[int, int, float]] = []
-    gt_taken = [False] * len(gts)
-    pred_taken = [False] * len(pred_objects)
-    pred_by_id: Dict[int, int] = {}
-    for j, p in enumerate(pred_objects):
-        pred_by_id.setdefault(p.track_id, j)
-
-    # Pass 1: keep remembered correspondences that still hold.
-    for i, gt in enumerate(gts):
-        want = sticky.get(gt.gt_id)
-        if want is None:
-            continue
-        j = pred_by_id.get(want)
-        if j is None or pred_taken[j]:
-            continue
-        pred = pred_objects[j]
-        if pred.class_id != gt.class_id:
-            continue
-        d2 = dist2(gt, pred)
-        if d2 <= gate2:
-            matches.append((gt.gt_id, pred.track_id, math.sqrt(d2)))
-            gt_taken[i] = True
-            pred_taken[j] = True
-
-    # Pass 2: greedy over the remaining pairs by ascending distance.
-    pairs = []
-    for i, gt in enumerate(gts):
-        if gt_taken[i]:
-            continue
-        for j, pred in enumerate(pred_objects):
-            if pred_taken[j] or pred.class_id != gt.class_id:
-                continue
-            d2 = dist2(gt, pred)
-            if d2 <= gate2:
-                pairs.append((d2, i, j))
-    pairs.sort()
-    for d2, i, j in pairs:
-        if gt_taken[i] or pred_taken[j]:
-            continue
-        matches.append((gts[i].gt_id, pred_objects[j].track_id, math.sqrt(d2)))
-        gt_taken[i] = True
-        pred_taken[j] = True
-
-    fp = tuple(p.track_id for j, p in enumerate(pred_objects) if not pred_taken[j])
-    fn = tuple(g.gt_id for i, g in enumerate(gts) if not gt_taken[i])
-    return FrameMatches(tuple(matches), fp, fn)
+    gts, preds = gt_frame.objects, tuple(pred_objects)
+    matches, *_ = _match(_prepare(gts, preds, dist_threshold), [False] * len(preds), sticky or {})
+    gt_taken, pred_taken = {i for i, _, _ in matches}, {j for _, j, _ in matches}
+    return FrameMatches(
+        tuple((gts[i].gt_id, preds[j].track_id, d) for i, j, d in matches),
+        tuple(p.track_id for j, p in enumerate(preds) if j not in pred_taken),
+        tuple(g.gt_id for i, g in enumerate(gts) if i not in gt_taken),
+    )
 
 
 def _check_alignment(pred_frames, gt_frames):
@@ -224,23 +237,53 @@ def count_sequence_errors(
     id it was matched to the last time it was matched (gaps allowed).
     """
     _check_alignment(pred_frames, gt_frames)
-    last_id: Dict[int, int] = {}
-    ids = fp = fn = 0
+    sticky: Dict[int, int] = {}
+    ids = fp = fn = total_gt = 0
     distances: List[float] = []
-    total_gt = 0
-    for pred_frame, gt_frame in zip(pred_frames, gt_frames):
-        total_gt += len(gt_frame.objects)
-        kept = [p for p in pred_frame.objects if p.confidence >= confidence_floor]
-        result = match_frame(kept, gt_frame, dist_threshold, sticky=last_id)
-        for gt_id, track_id, dist in result.matches:
-            if gt_id in last_id and last_id[gt_id] != track_id:
-                ids += 1
-            last_id[gt_id] = track_id
-            distances.append(dist)
-        fp += len(result.false_positive_ids)
-        fn += len(result.false_negative_ids)
+    for p, g in zip(pred_frames, gt_frames):
+        dropped = [not (o.confidence >= confidence_floor) for o in p.objects]
+        _, f_ids, f_fp, f_fn, f_dist, sticky = _match(_prepare(g.objects, p.objects, dist_threshold), dropped, sticky)
+        ids, fp, fn, total_gt = ids + f_ids, fp + f_fp, fn + f_fn, total_gt + len(g.objects)
+        distances.extend(f_dist)
     recall = (total_gt - fn) / total_gt if total_gt else 0.0
     return ErrorCounts(ids, fp, fn, recall, tuple(distances), confidence_floor)
+
+
+def _walk_floors(frames, dist_threshold: float):
+    """Yields (floor, ids, fp, fn, per-frame matched distances) at each floor
+    of (ground-truth objects, predictions) frames, walked as the module
+    docstring describes."""
+    floors = sorted({p.confidence for _, preds in frames for p in preds}, reverse=True)
+    rank = {floor: k for k, floor in enumerate(floors)}
+    ranks = [[rank[p.confidence] for p in preds] for _, preds in frames]
+    changed: List[List[int]] = [[] for _ in floors]
+    for t, frame_ranks in enumerate(ranks):
+        for k in set(frame_ranks):
+            changed[k].append(t)
+    prepared = [_prepare(gts, preds, dist_threshold) for gts, preds in frames]
+    # Per frame, as of the previous floor (at first one above the highest,
+    # where nothing is kept): sticky map on entry, ids, fp, fn, distances.
+    entry: List[Dict[int, int]] = [{}] * len(frames)
+    f_ids, f_fp, f_fn = [0] * len(frames), [0] * len(frames), [len(gts) for gts, _ in frames]
+    f_dist: List[Tuple[float, ...]] = [()] * len(frames)
+    ids, fp, fn = 0, 0, sum(f_fn)
+    for k, floor in enumerate(floors):
+        t = 0  # frames before t are settled at this floor
+        for start in changed[k]:
+            if start < t:  # already replayed on the way from an earlier one
+                continue
+            t, sticky = start, entry[start]
+            while True:
+                dropped = [r > k for r in ranks[t]]
+                entry[t] = sticky
+                _, a, b, c, f_dist[t], sticky = _match(prepared[t], dropped, sticky)
+                ids, fp, fn = ids + a - f_ids[t], fp + b - f_fp[t], fn + c - f_fn[t]
+                f_ids[t], f_fp[t], f_fn[t] = a, b, c
+                t += 1
+                # Converged: the frames up to the next changed one repeat.
+                if t == len(frames) or (k not in ranks[t] and sticky == entry[t]):
+                    break
+        yield floor, ids, fp, fn, list(f_dist)
 
 
 def motar(counts: ErrorCounts, r: float, num_gt: int) -> float:
@@ -259,47 +302,36 @@ def motar(counts: ErrorCounts, r: float, num_gt: int) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _class_metrics(pred_frames, gt_frames, num_thresholds, dist_threshold, counts_by_floor, num_gt):
-    """Assemble one class's metrics from precomputed per-floor counts."""
-    floors = sorted(counts_by_floor, reverse=True)
+def _class_metrics(walk, num_thresholds: int, num_gt: int) -> ClassMetrics:
+    """One class's metrics from its floors, highest first: each recall
+    threshold r takes the first floor whose recall reaches it, MOTA the first
+    floor with the highest value. Only the floors chosen gather distances."""
+
+    def counts(row) -> ErrorCounts:
+        ids, fp, fn, recall, distances, floor = row
+        return ErrorCounts(ids, fp, fn, recall, tuple(chain.from_iterable(distances)), floor)
+
+    steps = num_thresholds - 1
     amota_terms: List[float] = []
     amotp_terms: List[float] = []
-    steps = num_thresholds - 1
-    for k in range(1, steps + 1):
-        r = k / steps
-        chosen = None
-        for floor in floors:  # highest floor first
-            if counts_by_floor[floor].recall >= r:
-                chosen = counts_by_floor[floor]
-                break
-        if chosen is None:
-            amota_terms.append(0.0)
-            amotp_terms.append(0.0)
-        else:
-            amota_terms.append(motar(chosen, r, num_gt))
+    best_mota, best = 0.0, (0, 0, num_gt, 0.0, (), math.inf)
+    for n, (floor, ids, fp, fn, distances) in enumerate(walk):
+        recall, mota = (num_gt - fn) / num_gt, 1.0 - (ids + fp + fn) / num_gt
+        row = (ids, fp, fn, recall, distances, floor)
+        if n == 0 or mota > best_mota:
+            best_mota, best = mota, row
+        while len(amota_terms) < steps and recall >= (len(amota_terms) + 1) / steps:
+            chosen = counts(row)
+            amota_terms.append(motar(chosen, (len(amota_terms) + 1) / steps, num_gt))
             amotp_terms.append(chosen.motp)
-    amota_value = math.fsum(amota_terms) / steps
-    amotp_value = math.fsum(amotp_terms) / steps
-
-    best = None
-    for floor in floors:
-        counts = counts_by_floor[floor]
-        mota = 1.0 - (counts.ids + counts.fp + counts.fn) / num_gt
-        key = (mota, floor)
-        if best is None or key > best[0]:
-            best = (key, counts)
-    if best is None:
-        empty = ErrorCounts(0, 0, num_gt, 0.0, (), math.inf)
-        best = ((1.0 - float(num_gt) / num_gt, math.inf), empty)
-    (best_mota, _), best_counts = best
-    best_motar = motar(best_counts, best_counts.recall, num_gt) if best_counts.recall > 0 else 0.0
-    return ClassMetrics(
-        amota=amota_value,
-        amotp=amotp_value,
-        motar=best_motar,
+    best = counts(best)
+    return ClassMetrics(  # thresholds never reached add 0 to the sums
+        amota=math.fsum(amota_terms) / steps,
+        amotp=math.fsum(amotp_terms) / steps,
+        motar=motar(best, best.recall, num_gt) if best.recall > 0 else 0.0,
         mota=best_mota,
-        motp=best_counts.motp,
-        recall=best_counts.recall,
+        motp=best.motp,
+        recall=best.recall,
         num_gt=num_gt,
     )
 
@@ -315,10 +347,9 @@ def amota(
     their unweighted means over the classes present in the ground truth.
 
     num_thresholds is the n of the recall ladder {1/(n-1), ..., 1}; floors
-    are the distinct prediction confidences. Per-floor counting is
+    are the distinct prediction confidences of each class. Classes are
     independent work and may be spread over threads; results are assembled
-    in fixed (class, floor) order so the report is identical for any worker
-    count.
+    in class order so the report is identical for any worker count.
     """
     if num_thresholds < 2:
         raise ValueError("num_thresholds must be >= 2")
@@ -327,49 +358,19 @@ def amota(
     if not class_ids:
         raise ValueError("ground truth contains no objects")
 
-    jobs = []  # (class_id, floor, pred subset, gt subset)
-    per_class_frames = {}
-    for class_id in class_ids:
-        gt_c = [GroundTruthFrame(g.frame_index, tuple(o for o in g.objects if o.class_id == class_id)) for g in gt_frames]
-        pred_c = [PredictedFrame(p.frame_index, tuple(o for o in p.objects if o.class_id == class_id)) for p in pred_frames]
-        per_class_frames[class_id] = (pred_c, gt_c)
-        floors = sorted({o.confidence for p in pred_c for o in p.objects}, reverse=True)
-        for floor in floors:
-            jobs.append((class_id, floor, pred_c, gt_c))
+    def run(class_id: int) -> ClassMetrics:
+        frames = [
+            ([o for o in g.objects if o.class_id == class_id], [o for o in p.objects if o.class_id == class_id])
+            for p, g in zip(pred_frames, gt_frames)
+        ]
+        return _class_metrics(_walk_floors(frames, dist_threshold), num_thresholds, sum(len(g) for g, _ in frames))
 
-    def run(job):
-        class_id, floor, pred_c, gt_c = job
-        return class_id, floor, count_sequence_errors(pred_c, gt_c, floor, dist_threshold)
-
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(class_ids) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
+            per_class = dict(zip(class_ids, pool.map(run, class_ids)))
     else:
-        outcomes = [run(job) for job in jobs]
+        per_class = {class_id: run(class_id) for class_id in class_ids}
 
-    counts: Dict[int, Dict[float, ErrorCounts]] = {c: {} for c in class_ids}
-    for class_id, floor, result in outcomes:
-        counts[class_id][floor] = result
-
-    per_class: Dict[int, ClassMetrics] = {}
-    for class_id in class_ids:
-        pred_c, gt_c = per_class_frames[class_id]
-        num_gt = sum(len(g.objects) for g in gt_c)
-        per_class[class_id] = _class_metrics(
-            pred_c, gt_c, num_thresholds, dist_threshold, counts[class_id], num_gt
-        )
-
-    def mean(values):
-        return math.fsum(values) / len(values)
-
-    return MetricsReport(
-        per_class=per_class,
-        amota=mean([m.amota for m in per_class.values()]),
-        amotp=mean([m.amotp for m in per_class.values()]),
-        motar=mean([m.motar for m in per_class.values()]),
-        mota=mean([m.mota for m in per_class.values()]),
-        motp=mean([m.motp for m in per_class.values()]),
-        recall=mean([m.recall for m in per_class.values()]),
-        num_thresholds=num_thresholds,
-        num_gt=sum(len(g.objects) for g in gt_frames),
-    )
+    fields = ("amota", "amotp", "motar", "mota", "motp", "recall")
+    means = {f: math.fsum(getattr(m, f) for m in per_class.values()) / len(per_class) for f in fields}
+    return MetricsReport(per_class, **means, num_thresholds=num_thresholds, num_gt=sum(len(g.objects) for g in gt_frames))

@@ -5,7 +5,11 @@ Everything here is written with plain loops and its own projection math
 cross-check, not the same code twice. The one exception is
 ReferenceTracker: it calls the library's association and fusion functions
 and checks what the tracker builds around them (fusion write-back, track
-lifecycle, snapshots), one object at a time.
+lifecycle, snapshots), one object at a time. reference_match_frame,
+reference_count_sequence_errors and reference_amota are the object-based
+matcher and the one-replay-per-floor evaluation that the library's
+incremental floor walk replaced; they share only the result types and
+motar with it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,17 @@ import numpy as np
 from fusetrack.association import AssociationResult, Detection, Track, greedy_associate
 from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, associate_boxes, expand_pillars
 from fusetrack.geometry import image_to_vehicle
-from fusetrack.metrics import ErrorCounts, GroundTruthFrame, PredictedFrame
+from fusetrack.metrics import (
+    ClassMetrics,
+    ErrorCounts,
+    FrameMatches,
+    GroundTruthFrame,
+    GroundTruthObject,
+    MetricsReport,
+    PredictedFrame,
+    PredictedObject,
+    motar,
+)
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
 
 
@@ -252,6 +266,159 @@ def recount_metrics(
     return ErrorCounts(ids, fp, fn, recall, tuple(distances), confidence_floor)
 
 
+def reference_match_frame(
+    pred_objects: Sequence[PredictedObject],
+    gt_frame: GroundTruthFrame,
+    dist_threshold: float,
+    sticky: Optional[Dict[int, int]] = None,
+) -> FrameMatches:
+    """The object-based matcher that fusetrack.metrics.match_frame replaced:
+    pass 1 keeps remembered pairs, pass 2 sorts the (d2, gt index, pred
+    index) triples of the remaining gated same-class pairs and takes them
+    greedily."""
+    if not (dist_threshold > 0):
+        raise ValueError("dist_threshold must be positive")
+    sticky = sticky or {}
+    gts = gt_frame.objects
+    gate2 = dist_threshold * dist_threshold
+
+    def dist2(gt, pred):
+        dx = gt.x - pred.x
+        dy = gt.y - pred.y
+        return dx * dx + dy * dy
+
+    matches: List[Tuple[int, int, float]] = []
+    gt_taken = [False] * len(gts)
+    pred_taken = [False] * len(pred_objects)
+    pred_by_id: Dict[int, int] = {}
+    for j, p in enumerate(pred_objects):
+        pred_by_id.setdefault(p.track_id, j)
+
+    for i, gt in enumerate(gts):
+        want = sticky.get(gt.gt_id)
+        if want is None:
+            continue
+        j = pred_by_id.get(want)
+        if j is None or pred_taken[j]:
+            continue
+        pred = pred_objects[j]
+        if pred.class_id != gt.class_id:
+            continue
+        d2 = dist2(gt, pred)
+        if d2 <= gate2:
+            matches.append((gt.gt_id, pred.track_id, math.sqrt(d2)))
+            gt_taken[i] = True
+            pred_taken[j] = True
+
+    pairs = []
+    for i, gt in enumerate(gts):
+        if gt_taken[i]:
+            continue
+        for j, pred in enumerate(pred_objects):
+            if pred_taken[j] or pred.class_id != gt.class_id:
+                continue
+            d2 = dist2(gt, pred)
+            if d2 <= gate2:
+                pairs.append((d2, i, j))
+    pairs.sort()
+    for d2, i, j in pairs:
+        if gt_taken[i] or pred_taken[j]:
+            continue
+        matches.append((gts[i].gt_id, pred_objects[j].track_id, math.sqrt(d2)))
+        gt_taken[i] = True
+        pred_taken[j] = True
+
+    fp = tuple(p.track_id for j, p in enumerate(pred_objects) if not pred_taken[j])
+    fn = tuple(g.gt_id for i, g in enumerate(gts) if not gt_taken[i])
+    return FrameMatches(tuple(matches), fp, fn)
+
+
+def reference_count_sequence_errors(pred_frames, gt_frames, confidence_floor, dist_threshold) -> ErrorCounts:
+    """The sequence replay that fusetrack.metrics.count_sequence_errors
+    replaced: reference_match_frame on each frame's kept predictions."""
+    if len(pred_frames) != len(gt_frames):
+        raise ValueError("prediction and ground-truth sequences differ in length")
+    last_id: Dict[int, int] = {}
+    ids = fp = fn = 0
+    distances: List[float] = []
+    total_gt = 0
+    for pred_frame, gt_frame in zip(pred_frames, gt_frames):
+        if pred_frame.frame_index != gt_frame.frame_index:
+            raise ValueError("misaligned frames")
+        total_gt += len(gt_frame.objects)
+        kept = [p for p in pred_frame.objects if p.confidence >= confidence_floor]
+        result = reference_match_frame(kept, gt_frame, dist_threshold, sticky=last_id)
+        for gt_id, track_id, dist in result.matches:
+            if gt_id in last_id and last_id[gt_id] != track_id:
+                ids += 1
+            last_id[gt_id] = track_id
+            distances.append(dist)
+        fp += len(result.false_positive_ids)
+        fn += len(result.false_negative_ids)
+    recall = (total_gt - fn) / total_gt if total_gt else 0.0
+    return ErrorCounts(ids, fp, fn, recall, tuple(distances), confidence_floor)
+
+
+def reference_amota(pred_frames, gt_frames, num_thresholds=40, dist_threshold=2.0) -> MetricsReport:
+    """The per-floor evaluation that fusetrack.metrics.amota replaced: one
+    full reference_count_sequence_errors replay per class and distinct
+    confidence, then the recall ladder and the best-MOTA floor."""
+    if num_thresholds < 2:
+        raise ValueError("num_thresholds must be >= 2")
+    class_ids = sorted({o.class_id for g in gt_frames for o in g.objects})
+    if not class_ids:
+        raise ValueError("ground truth contains no objects")
+    per_class: Dict[int, ClassMetrics] = {}
+    for class_id in class_ids:
+        gt_c = [GroundTruthFrame(g.frame_index, tuple(o for o in g.objects if o.class_id == class_id)) for g in gt_frames]
+        pred_c = [PredictedFrame(p.frame_index, tuple(o for o in p.objects if o.class_id == class_id)) for p in pred_frames]
+        num_gt = sum(len(g.objects) for g in gt_c)
+        floors = sorted({o.confidence for p in pred_c for o in p.objects}, reverse=True)
+        by_floor = {f: reference_count_sequence_errors(pred_c, gt_c, f, dist_threshold) for f in floors}
+
+        steps = num_thresholds - 1
+        amota_terms: List[float] = []
+        amotp_terms: List[float] = []
+        for k in range(1, steps + 1):
+            r = k / steps
+            chosen = next((by_floor[f] for f in floors if by_floor[f].recall >= r), None)
+            amota_terms.append(0.0 if chosen is None else motar(chosen, r, num_gt))
+            amotp_terms.append(0.0 if chosen is None else chosen.motp)
+        best = None
+        for f in floors:
+            counts = by_floor[f]
+            key = (1.0 - (counts.ids + counts.fp + counts.fn) / num_gt, f)
+            if best is None or key > best[0]:
+                best = (key, counts)
+        if best is None:
+            best = ((0.0, math.inf), ErrorCounts(0, 0, num_gt, 0.0, (), math.inf))
+        (best_mota, _), best_counts = best
+        per_class[class_id] = ClassMetrics(
+            amota=math.fsum(amota_terms) / steps,
+            amotp=math.fsum(amotp_terms) / steps,
+            motar=motar(best_counts, best_counts.recall, num_gt) if best_counts.recall > 0 else 0.0,
+            mota=best_mota,
+            motp=best_counts.motp,
+            recall=best_counts.recall,
+            num_gt=num_gt,
+        )
+
+    def mean(values):
+        return math.fsum(values) / len(values)
+
+    return MetricsReport(
+        per_class=per_class,
+        amota=mean([m.amota for m in per_class.values()]),
+        amotp=mean([m.amotp for m in per_class.values()]),
+        motar=mean([m.motar for m in per_class.values()]),
+        mota=mean([m.mota for m in per_class.values()]),
+        motp=mean([m.motp for m in per_class.values()]),
+        recall=mean([m.recall for m in per_class.values()]),
+        num_thresholds=num_thresholds,
+        num_gt=sum(len(g.objects) for g in gt_frames),
+    )
+
+
 def random_micro_scene(rng):
     """Tiny tracking scene for recount cross-checks: <= 10 frames, <= 4
     objects per frame per side, with jittered matches, dropouts, clutter,
@@ -316,6 +483,60 @@ def random_micro_scene(rng):
             )
         gt_frames.append(GroundTruthFrame(k, tuple(gts)))
         pred_frames.append(PredictedFrame(k, tuple(preds)))
+    return pred_frames, gt_frames
+
+
+def random_scored_scene(rng, max_frames=24, max_per_frame=None):
+    """Seeded evaluation scene whose predictions carry their own scores.
+
+    rng is a random.Random. Positions and offsets lie on a 0.25 m grid, so
+    distances are exact and some predictions sit exactly on the 2 m gate.
+    Scores come from a small set (ties inside and across frames) or from two
+    decimals. The scene mixes empty frames on either side, mid-sequence
+    track-id swaps, a second prediction reusing a track id in the same
+    frame, clutter, and predictions of class 2, which the ground truth
+    never holds. max_per_frame caps each side of a frame (for
+    recount_metrics). Returns (pred_frames, gt_frames).
+    """
+    cap = max_per_frame or 1000
+    n_frames = rng.randrange(1, max_frames + 1)
+    coarse = rng.random() < 0.5
+
+    def score():
+        return rng.choice((0.25, 0.5, 0.75, 1.0)) if coarse else round(rng.uniform(0.05, 1.0), 2)
+
+    def grid(lo, hi):
+        return rng.randrange(int(lo * 4), int(hi * 4) + 1) / 4
+
+    objects = [
+        {"gt_id": g, "x": grid(-6, 6), "y": grid(-6, 6), "vx": grid(-0.5, 0.5), "vy": grid(-0.5, 0.5),
+         "class_id": rng.randrange(2), "track_id": 100 + g}
+        for g in range(rng.randrange(1, min(cap, 6) + 1))
+    ]
+    pred_frames, gt_frames = [], []
+    for k in range(n_frames):
+        if len(objects) > 1 and rng.random() < 0.15:  # two tracks swap identities
+            a, b = rng.sample(objects, 2)
+            a["track_id"], b["track_id"] = b["track_id"], a["track_id"]
+        gts, preds = [], []
+        no_gt, no_pred = rng.random() < 0.1, rng.random() < 0.1
+        for obj in objects:
+            x, y = obj["x"] + obj["vx"] * k, obj["y"] + obj["vy"] * k
+            if not no_gt and rng.random() < 0.9:
+                gts.append(GroundTruthObject(obj["gt_id"], x, y, obj["class_id"]))
+            if no_pred or rng.random() < 0.2:
+                continue
+            dx, dy = rng.choice(((2.0, 0.0), (0.0, -2.0), (2.25, 0.0), (grid(-1, 1), grid(-1, 1))))
+            cls = obj["class_id"] if rng.random() < 0.9 else 2
+            preds.append(PredictedObject(obj["track_id"], x + dx, y + dy, cls, score()))
+        if preds and rng.random() < 0.2:  # the same track id twice in one frame
+            twin = rng.choice(preds)
+            copy = PredictedObject(twin.track_id, twin.x + grid(-2, 2), twin.y, twin.class_id, score())
+            preds.insert(rng.randrange(len(preds) + 1), copy)
+        if not no_pred and rng.random() < 0.3:  # clutter
+            preds.append(PredictedObject(900 + rng.randrange(5), grid(-8, 8), grid(-8, 8), rng.randrange(3), score()))
+        gt_frames.append(GroundTruthFrame(k, tuple(gts[:cap])))
+        pred_frames.append(PredictedFrame(k, tuple(preds[:cap])))
     return pred_frames, gt_frames
 
 

@@ -247,6 +247,21 @@ def test_matches_slow_reference_with_infinite_costs():
         assert greedy_associate(dets, tracks, weights) == _slow_greedy(dets, tracks, weights)
 
 
+def test_matches_slow_reference_when_squares_overflow():
+    # A depth of 1e155 against 10 m squares past the float range. The scalar
+    # cost is +inf, as in cost_matrix, instead of raising, so the slow
+    # reference can check such frames: the far detection takes the other
+    # far track, the near one the near track.
+    weights = CostWeights()
+    tracks = [trk(1, 100.0, 100.0, depth=10.0), trk(2, 104.0, 100.0, depth=1e155)]
+    dets = [det(101.0, 100.0, depth=1e155, conf=0.9), det(103.0, 100.0, depth=10.0, conf=0.8)]
+    assert pairwise_cost(dets[0], tracks[0], weights) == math.inf
+    assert cost_matrix(dets, tracks, weights)[0, 0] == math.inf
+    res = greedy_associate(dets, tracks, weights)
+    assert res.matches == ((0, 2), (1, 1))
+    assert res == _slow_greedy(dets, tracks, weights)
+
+
 def test_result_is_injective_and_gated():
     rng = random.Random(303)
     weights = CostWeights(radius=60.0)

@@ -2,9 +2,17 @@
 
 import math
 import random
+from itertools import chain
 
 import pytest
-from reference import random_micro_scene, recount_metrics
+from reference import (
+    random_micro_scene,
+    random_scored_scene,
+    recount_metrics,
+    reference_amota,
+    reference_count_sequence_errors,
+    reference_match_frame,
+)
 
 from fusetrack.metrics import (
     ErrorCounts,
@@ -12,6 +20,7 @@ from fusetrack.metrics import (
     GroundTruthObject,
     PredictedFrame,
     PredictedObject,
+    _walk_floors,
     amota,
     count_sequence_errors,
     match_frame,
@@ -313,3 +322,89 @@ def test_recount_agrees_on_random_micro_scenes():
         fast = count_sequence_errors(pf, gf, floor, 2.0)
         slow = recount_metrics(pf, gf, floor, 2.0)
         assert fast == slow
+
+
+# ------------------------------------------- incremental floor walk vs replay
+
+def class_split(pf, gf, class_id):
+    """amota's view of one class: (gt objects, predictions) per frame, plus
+    the same frames as PredictedFrame/GroundTruthFrame for the references."""
+    frames = [
+        (tuple(o for o in g.objects if o.class_id == class_id), tuple(o for o in p.objects if o.class_id == class_id))
+        for p, g in zip(pf, gf)
+    ]
+    pred_c = [PredictedFrame(p.frame_index, preds) for p, (_, preds) in zip(pf, frames)]
+    gt_c = [GroundTruthFrame(g.frame_index, gts) for g, (gts, _) in zip(gf, frames)]
+    return frames, pred_c, gt_c
+
+
+def walked_counts(frames, num_gt):
+    """ErrorCounts at every floor of the incremental walk, highest first."""
+    return [
+        ErrorCounts(ids, fp, fn, (num_gt - fn) / num_gt if num_gt else 0.0, tuple(chain.from_iterable(dist)), floor)
+        for floor, ids, fp, fn, dist in _walk_floors(frames, 2.0)
+    ]
+
+
+def test_floor_walk_matches_reference_replay_at_every_floor():
+    # Every floor of every class, the amota report, whole-sequence counts
+    # and single frames against the object-based references.
+    rng = random.Random(2024)
+    for _ in range(150):
+        pf, gf = random_scored_scene(rng)
+        for class_id in (0, 1, 2):
+            frames, pred_c, gt_c = class_split(pf, gf, class_id)
+            walked = walked_counts(frames, sum(len(g.objects) for g in gt_c))
+            floors = sorted({o.confidence for p in pred_c for o in p.objects}, reverse=True)
+            assert [c.confidence_floor for c in walked] == floors
+            for counts in walked:
+                assert counts == reference_count_sequence_errors(pred_c, gt_c, counts.confidence_floor, 2.0)
+        if any(g.objects for g in gf):
+            assert amota(pf, gf, num_thresholds=11) == reference_amota(pf, gf, num_thresholds=11)
+        for floor in (0.0, 0.5, 0.75, 1.0):
+            assert count_sequence_errors(pf, gf, floor, 2.0) == reference_count_sequence_errors(pf, gf, floor, 2.0)
+        sticky = {}
+        for p, g in zip(pf, gf):
+            result = match_frame(p.objects, g, 2.0, sticky=sticky)
+            assert result == reference_match_frame(p.objects, g, 2.0, sticky=sticky)
+            sticky.update((gt_id, track_id) for gt_id, track_id, _ in result.matches)
+
+
+def test_floor_walk_matches_recount_on_micro_scenes():
+    rng = random.Random(4711)
+    for _ in range(200):
+        pf, gf = random_scored_scene(rng, max_frames=10, max_per_frame=4)
+        for class_id in (0, 1, 2):
+            frames, pred_c, gt_c = class_split(pf, gf, class_id)
+            for counts in walked_counts(frames, sum(len(g.objects) for g in gt_c)):
+                assert counts == recount_metrics(pred_c, gt_c, counts.confidence_floor, 2.0)
+        for floor in sorted({o.confidence for p in pf for o in p.objects}):
+            assert count_sequence_errors(pf, gf, floor, 2.0) == recount_metrics(pf, gf, floor, 2.0)
+
+
+def test_floor_walk_edge_frames():
+    # A prediction exactly on the gate, a repeated track id whose first
+    # copy is below the floor, a class absent from the ground truth, and
+    # frames empty on either side.
+    gt_rows = [[gt(1, 0.0)], [], [gt(1, 0.0), gt(2, 5.0)], [gt(1, 0.0)]]
+    pred_rows = [
+        [pred(7, 2.0, conf=0.5)],
+        [pred(7, 0.0, conf=0.9)],
+        [],
+        [pred(8, 0.5, conf=0.6), pred(7, 9.0, conf=0.3), pred(7, 1.0, conf=0.8), pred(9, 0.0, cls=3, conf=1.0)],
+    ]
+    pf, gf = frames(gt_rows, pred_rows)
+    frames_0, pred_c, gt_c = class_split(pf, gf, 0)
+    walked = walked_counts(frames_0, 4)
+    assert [c.confidence_floor for c in walked] == [0.9, 0.8, 0.6, 0.5, 0.3]
+    for counts in walked:
+        assert counts == reference_count_sequence_errors(pred_c, gt_c, counts.confidence_floor, 2.0)
+        assert counts == recount_metrics(pred_c, gt_c, counts.confidence_floor, 2.0)
+    # gt 1 takes track 7 on the gate in frame 0. In frame 3 at floor 0.5 the
+    # copy of track 7 at 1 m is the first kept one and keeps the identity;
+    # at 0.3 the first is the one at 9 m, out of the gate, so gt 1 goes to
+    # track 8 and counts a switch.
+    by_floor = {c.confidence_floor: c for c in walked}
+    assert (by_floor[0.5].ids, by_floor[0.5].fp, by_floor[0.5].fn) == (0, 2, 2)
+    assert (by_floor[0.3].ids, by_floor[0.3].fp, by_floor[0.3].fn) == (1, 3, 2)
+    assert amota(pf, gf, num_thresholds=5) == reference_amota(pf, gf, num_thresholds=5)
