@@ -7,14 +7,7 @@ opens a frustum (its image box swept through a +-25% depth window), and
 the nearest pillar inside the frustum donates its depth and velocity.
 """
 
-from fusetrack.fusion import (
-    PillarDims,
-    PreliminaryDetection,
-    RadarPoint,
-    build_frustum,
-    expand_pillars,
-    frustum_associate,
-)
+from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, expand_pillars, frustum_associate
 from fusetrack.geometry import CameraModel, image_to_vehicle
 
 cam = CameraModel.forward_facing(1000.0, 1000.0, 400.0, 224.0, 800, 448)
@@ -24,8 +17,8 @@ cam = CameraModel.forward_facing(1000.0, 1000.0, 400.0, 224.0, 800, 448)
 det = PreliminaryDetection(
     bbox2d=(370.0, 200.0, 430.0, 250.0), est_depth=20.0, class_id=0, confidence=0.9
 )
-fr = build_frustum(det, cam, depth_tolerance=0.25)
-print(f"frustum depth window: [{fr.depth_min:.1f}, {fr.depth_max:.1f}] m")
+tolerance = 0.25
+print(f"frustum depth window: [{det.est_depth * (1 - tolerance):.1f}, {det.est_depth * (1 + tolerance):.1f}] m")
 
 # three radar returns: one on target (truth 18.5 m), one on a neighbor
 # lane, one far downrange outside the depth window
@@ -42,7 +35,7 @@ points = [
 pillars = expand_pillars(points, PillarDims(width_y=0.5, height_z=1.5, depth_x=0.5))
 print("pillars:", len(pillars))
 
-[match] = frustum_associate([det], pillars, cam, depth_tolerance=0.25)
+[match] = frustum_associate([det], pillars, cam, depth_tolerance=tolerance)
 print(f"matched pillar depth {match.depth:.3f} m, velocity ({match.vx}, {match.vy})")
 print(f"monocular estimate was {det.est_depth} m, radar corrected it")
 
@@ -53,9 +46,9 @@ pair = expand_pillars(
     [RadarPoint(*map(float, far), vx=9.0, vy=0.0), RadarPoint(*map(float, near), vx=4.0, vy=0.0)],
     PillarDims(),
 )
-[winner] = frustum_associate([det], pair, cam, 0.25)
+[winner] = frustum_associate([det], pair, cam, tolerance)
 print(f"two in-window returns: kept vx={winner.vx} at {winner.depth:.2f} m (the closer one)")
 
 # detections with no pillar in their frustum simply keep their estimate
 lonely = PreliminaryDetection((50.0, 50.0, 90.0, 90.0), est_depth=40.0, class_id=0, confidence=0.5)
-print("no radar in frustum ->", frustum_associate([lonely], pillars, cam, 0.25)[0])
+print("no radar in frustum ->", frustum_associate([lonely], pillars, cam, tolerance)[0])

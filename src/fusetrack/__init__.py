@@ -4,16 +4,15 @@ The package provides the building blocks of a camera-first 3D tracking
 pipeline that consumes per-frame center detections (pixel position, depth,
 velocity, displacement) together with sparse radar returns:
 
-* :mod:`fusetrack.geometry` - pinhole projection between vehicle frame and image.
+* :mod:`fusetrack.geometry` - batched pinhole projection and back-projection
+  between vehicle frame and image.
 * :mod:`fusetrack.heatmap` - center heatmaps, peak decoding, penalty-shaped focal loss.
-* :mod:`fusetrack.fusion` - radar pillars, detection frustums, depth/velocity fusion.
+* :mod:`fusetrack.fusion` - radar pillars, frustum association, depth/velocity fusion.
 * :mod:`fusetrack.association` - displacement-guided greedy matching with a
   pixel/depth/velocity cost.
 * :mod:`fusetrack.tracker` - online track lifecycle around the association step.
 * :mod:`fusetrack.metrics` - CLEAR-style counts, MOTAR, AMOTA/AMOTP evaluation.
 * :mod:`fusetrack.simulator` - seeded synthetic scenes with noisy detections and radar.
-* :mod:`fusetrack.oracle` - brute-force reference implementations used to
-  cross-check association and metrics.
 * :mod:`fusetrack.fileio` / :mod:`fusetrack.cli` - JSONL replay/result files,
   YAML configs, and the command-line front end.
 """
@@ -21,26 +20,8 @@ velocity, displacement) together with sparse radar returns:
 __version__ = "0.1.0"
 
 from .association import AssociationResult, CostWeights, Detection, Track, cost_matrix, greedy_associate
-from .fusion import (
-    Frustum,
-    Pillar,
-    PillarDims,
-    PreliminaryDetection,
-    RadarMatch,
-    RadarPoint,
-    build_frustum,
-    expand_pillars,
-    frustum_associate,
-)
-from .geometry import (
-    CameraModel,
-    ImagePoint,
-    backproject_ray,
-    image_to_vehicle,
-    project_point,
-    project_points,
-    project_to_image,
-)
+from .fusion import Pillar, PillarDims, PreliminaryDetection, RadarMatch, RadarPoint, expand_pillars, frustum_associate
+from .geometry import CameraModel, image_to_vehicle, project_points
 from .heatmap import FocalParams, Heatmap, HeatmapConfig, Peak, extract_peaks, focal_loss, render_gaussian
 from .metrics import (
     ErrorCounts,
@@ -60,12 +41,8 @@ __all__ = [
     "__version__",
     # geometry
     "CameraModel",
-    "ImagePoint",
-    "backproject_ray",
     "image_to_vehicle",
-    "project_point",
     "project_points",
-    "project_to_image",
     # heatmap
     "FocalParams",
     "Heatmap",
@@ -75,13 +52,11 @@ __all__ = [
     "focal_loss",
     "render_gaussian",
     # fusion
-    "Frustum",
     "Pillar",
     "PillarDims",
     "PreliminaryDetection",
     "RadarMatch",
     "RadarPoint",
-    "build_frustum",
     "expand_pillars",
     "frustum_associate",
     # association

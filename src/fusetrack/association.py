@@ -7,7 +7,8 @@ gated position. Among candidates, a weighted sum of squared pixel, depth,
 and velocity differences picks the match; class mismatches are infinitely
 expensive. Detections claim tracks greedily in descending confidence order,
 which is cheap, deterministic, and at desk scale indistinguishable from the
-optimal assignment (the oracle module exists to check exactly that).
+optimal assignment (``fusetrack sweep`` reports the gap to it, and the test
+suite checks it against an exhaustive reference).
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ class Detection:
     vehicle-frame m/s. du, dv point backward in time: (u - du, v - dv) is
     the estimated previous-frame center of the same object, and the match
     gate is evaluated there. bbox is the optional raw image box
-    (u_min, v_min, u_max, v_max) used only by radar fusion. class_id must
-    fit in a signed 64-bit integer, the type association stores it in;
-    a larger one raises OverflowError when the detection is associated.
+    (u_min, v_min, u_max, v_max) used only by radar fusion; when given it
+    holds exactly 4 values. class_id must fit in a signed 64-bit integer,
+    the type association stores it in; a larger one raises OverflowError
+    when the detection is associated.
     """
 
     u: float
@@ -53,6 +55,8 @@ class Detection:
             raise ValueError("detection depth must be positive")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError("confidence must lie in [0, 1]")
+        if self.bbox is not None and len(self.bbox) != 4:
+            raise ValueError(f"bbox must hold 4 values (u_min, v_min, u_max, v_max), got {len(self.bbox)}")
 
 
 @dataclass(slots=True)
@@ -188,21 +192,6 @@ class AssociationResult:
     pairs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
-def pairwise_cost(det: Detection, trk: Track, weights: CostWeights) -> float:
-    """Association cost between a detection and a track.
-
-    Infinite across classes; otherwise
-        alpha * ((du)^2 + (dv)^2) + beta * (dd)^2 + delta * ((dvx)^2 + (dvy)^2)
-    on the raw center/depth/velocity differences (the displacement only
-    shifts the gate, never the cost).
-    """
-    if det.class_id != trk.class_id:
-        return math.inf
-    # x * x as in cost_matrix: +inf on overflow, where float ** 2 raises.
-    du, dv, dd, dvx, dvy = det.u - trk.u, det.v - trk.v, det.depth - trk.depth, det.vx - trk.vx, det.vy - trk.vy
-    return weights.alpha * (du * du + dv * dv) + weights.beta * (dd * dd) + weights.delta * (dvx * dvx + dvy * dvy)
-
-
 def processing_order(dets: Sequence[Detection]) -> List[int]:
     """Descending confidence, ties by input index."""
     return _processing_order(np.array([d.confidence for d in dets], dtype=float)).tolist()
@@ -218,8 +207,8 @@ def _feasible_pairs(
     """Every pair the matcher may use: (det rows, track rows, costs), in no
     particular order. A pair is feasible when the classes agree and the track center
     lies within the gate radius of the displacement-compensated detection
-    center. Costs are computed only for feasible pairs, elementwise with the
-    same arithmetic as pairwise_cost."""
+    center. Costs are computed only for feasible pairs, elementwise; a
+    square that overflows makes the cost +inf."""
     gated_u = dets.u - dets.du
     gated_v = dets.v - dets.dv
     trk_u, trk_v = tracks.u, tracks.v
@@ -272,10 +261,11 @@ def _feasible_pairs(
     if ii.size == 0:
         return ii, jj, np.empty(0)
 
-    pixel = (dets.u[ii] - trk_u[jj]) ** 2 + (dets.v[ii] - trk_v[jj]) ** 2
-    depth = (dets.depth[ii] - tracks.depth[jj]) ** 2
-    velocity = (dets.vx[ii] - tracks.vx[jj]) ** 2 + (dets.vy[ii] - tracks.vy[jj]) ** 2
-    costs = weights.alpha * pixel + weights.beta * depth + weights.delta * velocity
+    with np.errstate(over="ignore"):
+        pixel = (dets.u[ii] - trk_u[jj]) ** 2 + (dets.v[ii] - trk_v[jj]) ** 2
+        depth = (dets.depth[ii] - tracks.depth[jj]) ** 2
+        velocity = (dets.vx[ii] - tracks.vx[jj]) ** 2 + (dets.vy[ii] - tracks.vy[jj]) ** 2
+        costs = weights.alpha * pixel + weights.beta * depth + weights.delta * velocity
     return ii, jj, costs
 
 

@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .association import CostWeights, cost_matrix
 from .fileio import (
     ParseError,
@@ -38,7 +40,6 @@ from .fileio import (
 from .fusion import PillarDims
 from .geometry import CameraModel
 from .metrics import MetricsReport, amota
-from .oracle import _MAX_ASSIGNMENT_SIZE, matching_cost, optimal_assignment
 from .simulator import ScenarioConfig, generate
 from .tracker import Tracker, TrackerConfig, run_sequence
 
@@ -237,23 +238,45 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _optimal_pairs(matrix: np.ndarray) -> List[Tuple[int, int]]:
+    """A best matching of a cost matrix with +inf marking forbidden pairs:
+    the most pairs, and among those the least total cost.
+
+    linear_sum_assignment minimizes cost over min(rows, columns) pairs, so
+    cardinality comes first through a shift: forbidden pairs cost 0 and
+    every allowed cost drops by K = 1 + 2 * (sum of |finite costs|). One
+    more allowed pair then lowers the total by more than any spread of the
+    real costs can raise it. Assigned forbidden pairs are dropped. Costs
+    above 1 are first scaled down by a power of two, which keeps K finite
+    and, being exact, changes none of the solver's choices.
+    """
+    # Imported here, for sweep only: scipy.optimize adds about 23 MB to the
+    # peak memory of every other command.
+    from scipy.optimize import linear_sum_assignment
+
+    allowed = np.isfinite(matrix)
+    scale = 2.0 ** -max(int(np.frexp(np.abs(matrix[allowed]).max(initial=0.0))[1]), 0)
+    scaled = matrix * scale
+    shift = scale + 2.0 * math.fsum(np.abs(scaled[allowed]).tolist())
+    rows, cols = linear_sum_assignment(np.where(allowed, scaled - shift, 0.0))
+    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if allowed[i, j]]
+
+
 def _association_gap(tracker: Tracker, weights: CostWeights, gaps: List[float]) -> int:
     """After a step: greedy total cost minus the optimal total on the same
     cost matrix. Appends the gap when both matchings keep the same number of
-    pairs and the frame fits the exact solver; returns 1 on a cardinality
-    shortfall, 0 otherwise. Frames with nothing to match on either side are
-    skipped outright."""
+    pairs; returns 1 on a cardinality shortfall, 0 otherwise. Frames with
+    nothing to match on either side are skipped outright."""
     dets, tracks, assoc = tracker.last_association
     if not dets or not tracks:
         return 0
-    if len(dets) > _MAX_ASSIGNMENT_SIZE or len(tracks) > _MAX_ASSIGNMENT_SIZE:
-        return 0
     matrix = cost_matrix(dets, tracks, weights)
     greedy_pairs = assoc.pairs.tolist()
-    optimal_total, optimal_pairs = optimal_assignment(matrix)
+    optimal_pairs = _optimal_pairs(matrix)
     if len(optimal_pairs) != len(greedy_pairs):
         return 1
-    gaps.append(matching_cost(matrix, greedy_pairs) - optimal_total)
+    greedy_total = math.fsum(matrix[i, j] for i, j in greedy_pairs)
+    gaps.append(greedy_total - math.fsum(matrix[i, j] for i, j in optimal_pairs))
     return 0
 
 

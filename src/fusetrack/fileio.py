@@ -21,7 +21,8 @@ Parse errors name the offending line number.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import fields
+from typing import Dict, List, Optional, Sequence
 
 import yaml
 
@@ -398,10 +399,23 @@ def tracker_config_to_dict(config: TrackerConfig) -> Dict:
     }
 
 
+def _config_section(data: Dict, name: str, cls):
+    """Build cls from the mapping under data[name] (defaults when absent),
+    naming the section and key in the error for anything else."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be a mapping, got {type(section).__name__}")
+    known = {f.name for f in fields(cls)}
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in config section {name!r} (expected one of {sorted(known)})")
+    return cls(**section)
+
+
 def tracker_config_from_dict(data: Dict) -> TrackerConfig:
     return TrackerConfig(
-        weights=CostWeights(**data.get("weights", {})),
-        pillar_dims=PillarDims(**data.get("pillar_dims", {})),
+        weights=_config_section(data, "weights", CostWeights),
+        pillar_dims=_config_section(data, "pillar_dims", PillarDims),
         depth_tolerance=float(data.get("depth_tolerance", 0.25)),
         max_age=int(data.get("max_age", 3)),
         min_confidence=float(data.get("min_confidence", 0.0)),

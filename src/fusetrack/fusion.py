@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import CameraModel, backproject_ray, project_points
+from .geometry import CameraModel, project_points
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class RadarPoint:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.vx, self.vy)):
             raise ValueError("radar point fields must be finite")
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 @dataclass(frozen=True)
@@ -66,25 +62,12 @@ class Pillar:
     base: RadarPoint
     dims: PillarDims
 
-    def corner_points(self) -> np.ndarray:
-        """The 8 box corners, shape (8, 3)."""
-        hx = 0.5 * self.dims.depth_x
-        hy = 0.5 * self.dims.width_y
-        xs = (self.base.x - hx, self.base.x + hx)
-        ys = (self.base.y - hy, self.base.y + hy)
-        zs = (self.base.z, self.base.z + self.dims.height_z)
-        return np.array([(x, y, z) for x in xs for y in ys for z in zs])
-
-    def test_points(self) -> np.ndarray:
-        """Base point followed by the 8 corners, shape (9, 3)."""
-        return np.vstack([self.base.position, self.corner_points()])
-
 
 @dataclass(frozen=True)
 class PreliminaryDetection:
     """A detected object before radar fusion: its image box, the estimated
-    depth the frustum is centered on, and its class. Confidence only matters
-    in exclusive association mode (higher confidence claims pillars first)."""
+    depth the frustum is centered on, and its class. confidence is kept so
+    callers can carry it along; association does not read it."""
 
     bbox2d: Tuple[float, float, float, float]
     est_depth: float
@@ -99,46 +82,8 @@ class PreliminaryDetection:
             raise ValueError("est_depth must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Frustum:
-    """The view volume behind a detection box, clipped to a depth window.
-
-    corner_rays are unit directions (vehicle frame) through the four bbox
-    corners; origin/axis are the camera center and optical axis so that
-    containment can be tested without the camera at hand.
-    """
-
-    corner_rays: np.ndarray  # (4, 3), order: top-left, top-right, bottom-right, bottom-left
-    depth_min: float
-    depth_max: float
-    origin: np.ndarray  # camera center, vehicle frame
-    axis: np.ndarray  # unit optical axis, vehicle frame
-
-    def __post_init__(self):
-        if not (0.0 < self.depth_min < self.depth_max):
-            raise ValueError("frustum depth window must satisfy 0 < depth_min < depth_max")
-
-    def contains_point(self, point) -> bool:
-        """True when the vehicle-frame point lies inside the frustum volume
-        (closed bounds on both the side planes and the depth window)."""
-        q = np.asarray(point, dtype=float) - self.origin
-        depth = float(self.axis @ q)
-        if not (self.depth_min <= depth <= self.depth_max):
-            return False
-        rays = self.corner_rays
-        mean_ray = rays.sum(axis=0)
-        for i in range(4):
-            normal = np.cross(rays[i], rays[(i + 1) % 4])
-            if normal @ mean_ray < 0:
-                normal = -normal
-            if normal @ q < -1e-12:
-                return False
-        return True
-
-
-# Offsets of the 9 test points of a pillar (base, then the corners in the
-# order corner_points builds them), in units of its half depth, half width
-# and height.
+# Offsets of the 9 test points of a pillar (the base, then the 8 corners of
+# its box), in units of its half depth, half width and height.
 _TEST_POINT_SIGNS = np.array(
     [(0.0, 0.0, 0.0)] + [(sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (0.0, 1.0)]
 )
@@ -159,42 +104,22 @@ def expand_pillars(points: Sequence[RadarPoint], dims: PillarDims | Tuple[float,
     return [Pillar(p, dims) for p in points]
 
 
-def build_frustum(det: PreliminaryDetection, camera: CameraModel, depth_tolerance: float) -> Frustum:
-    """Frustum of a detection: rays through its bbox corners and the depth
-    window est_depth * (1 -+ depth_tolerance)."""
-    if not (0.0 < depth_tolerance < 1.0):
-        raise ValueError("depth_tolerance must lie in (0, 1)")
-    u_min, v_min, u_max, v_max = det.bbox2d
-    corners = [(u_min, v_min), (u_max, v_min), (u_max, v_max), (u_min, v_max)]
-    rays = np.array([backproject_ray(u, v, camera) for u, v in corners])
-    return Frustum(
-        corner_rays=rays,
-        depth_min=det.est_depth * (1.0 - depth_tolerance),
-        depth_max=det.est_depth * (1.0 + depth_tolerance),
-        origin=camera.center,
-        axis=camera.rotation[2].copy(),
-    )
-
-
 def associate_boxes(
     boxes: np.ndarray,
     est_depths: np.ndarray,
-    confidences: np.ndarray,
     pillars: Sequence[Pillar],
     camera: CameraModel,
     depth_tolerance: float,
-    exclusive: bool = False,
 ) -> List[Optional[RadarMatch]]:
     """Array-level core of frustum_associate: boxes is (D, 4) rows of
-    (u_min, v_min, u_max, v_max), est_depths and confidences are (D,).
-    Inputs are not validated here."""
+    (u_min, v_min, u_max, v_max), est_depths is (D,). Inputs are not
+    validated here."""
     results: List[Optional[RadarMatch]] = [None] * len(boxes)
     if len(boxes) == 0 or not pillars:
         return results
 
-    # Batched equivalent of stacking p.test_points(): row 0 is the base,
-    # rows 1..8 the corners, offsets signed exactly as corner_points builds
-    # them so the arithmetic matches point for point.
+    # The 9 test points of every pillar: row 0 is the base, rows 1..8 the
+    # corners.
     flat = [
         x
         for p in pillars
@@ -244,25 +169,8 @@ def associate_boxes(
         some = inside.any(axis=1)
         hit_di, hit_pj = di[some], pj[some]
 
-    if exclusive:
-        hit = np.zeros((len(boxes), len(pillars)), dtype=bool)
-        hit[hit_di, hit_pj] = True
-        order = sorted(range(len(boxes)), key=lambda i: (-confidences[i], i))
-        used = np.zeros(len(pillars), dtype=bool)
-        for i in order:
-            candidates = np.nonzero(hit[i] & ~used)[0]
-            if candidates.size == 0:
-                continue
-            # argmin returns the first minimum; candidates are in ascending
-            # input order, which is exactly the documented tie-break.
-            best = int(candidates[np.argmin(base_depth[candidates])])
-            pillar = pillars[best]
-            results[i] = RadarMatch(float(base_depth[best]), pillar.base.vx, pillar.base.vy)
-            used[best] = True
-        return results
-
-    # Independent picks: per detection the smallest hit depth wins, exact
-    # depth ties to the lowest pillar index (lexsort keys, minor to major).
+    # Per detection the smallest hit depth wins, exact depth ties to the
+    # lowest pillar index (lexsort keys, minor to major).
     if hit_di.size:
         order = np.lexsort((hit_pj, base_depth[hit_pj], hit_di))
         di_sorted = hit_di[order]
@@ -280,7 +188,6 @@ def frustum_associate(
     pillars: Sequence[Pillar],
     camera: CameraModel,
     depth_tolerance: float,
-    exclusive: bool = False,
 ) -> List[Optional[RadarMatch]]:
     """Associate at most one pillar to every detection.
 
@@ -289,11 +196,8 @@ def frustum_associate(
     camera-axis depth falls in [est_depth*(1-tol), est_depth*(1+tol)].
     Among inside pillars the smallest base depth wins; exact depth ties go
     to the lowest pillar input index. Detections with no inside pillar get
-    None.
-
-    With ``exclusive=True`` detections claim pillars greedily in descending
-    confidence order (input order on ties) and a pillar serves at most one
-    detection. The default mirrors the independent per-detection behavior.
+    None. Each detection picks independently, so one pillar may serve
+    several overlapping detections.
     """
     if not (0.0 < depth_tolerance < 1.0):
         raise ValueError("depth_tolerance must lie in (0, 1)")
@@ -301,5 +205,4 @@ def frustum_associate(
         return [None] * len(dets)
     boxes = np.array([d.bbox2d for d in dets])
     est = np.array([d.est_depth for d in dets])
-    conf = np.array([d.confidence for d in dets])
-    return associate_boxes(boxes, est, conf, pillars, camera, depth_tolerance, exclusive)
+    return associate_boxes(boxes, est, pillars, camera, depth_tolerance)

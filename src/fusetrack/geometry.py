@@ -25,8 +25,7 @@ the left of the image is baked into the rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +42,6 @@ _FORWARD_REMAP = np.array(
         [1.0, 0.0, 0.0],
     ]
 )
-
-
-class ImagePoint(NamedTuple):
-    """A projected point: pixel position plus camera-axis depth in meters."""
-
-    u: float
-    v: float
-    depth: float
 
 
 @dataclass(frozen=True)
@@ -155,43 +146,17 @@ class CameraModel:
         )
 
 
-def project_point(point, camera: CameraModel) -> Optional[ImagePoint]:
-    """Project a vehicle-frame point onto the image plane, ignoring bounds.
-
-    Returns None for points on or behind the camera plane (depth <= 0).
-    Use :func:`project_to_image` when off-sensor points should be culled.
-    """
-    p_cam = camera.rotation @ np.asarray(point, dtype=float) + camera.translation
-    depth = p_cam[2]
-    if depth <= 0.0:
-        return None
-    u = camera.cx + camera.fx * p_cam[0] / depth
-    v = camera.cy + camera.fy * p_cam[1] / depth
-    return ImagePoint(float(u), float(v), float(depth))
-
-
-def project_to_image(point, camera: CameraModel) -> Optional[ImagePoint]:
-    """Project a vehicle-frame point; None if behind the camera or off-sensor.
-
-    Bounds are closed: a point landing exactly on the image border is kept.
-    """
-    ip = project_point(point, camera)
-    if ip is None:
-        return None
-    if not (0.0 <= ip.u <= camera.image_width and 0.0 <= ip.v <= camera.image_height):
-        return None
-    return ip
-
-
 def project_points(points: np.ndarray, camera: CameraModel):
-    """Vectorized projection of an (N, 3) array of vehicle-frame points.
+    """Project vehicle-frame points onto the image plane; the one projection
+    of the package. points is (N, 3) or a single (3,) point.
 
     Returns ``(uv, depth, in_image)`` where uv is (N, 2), depth is (N,), and
     in_image marks points with depth > 0 landing inside the closed image
-    bounds. uv/depth entries for points behind the camera are NaN.
+    bounds. uv/depth entries for points on or behind the camera plane
+    (depth <= 0) are NaN.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    p_cam = pts @ camera.rotation.T + camera.translation
+    p_cam = np.matvec(camera.rotation, pts) + camera.translation
     depth = p_cam[:, 2].copy()
     front = depth > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -204,23 +169,18 @@ def project_points(points: np.ndarray, camera: CameraModel):
     return uv, depth, in_image
 
 
-def backproject_ray(u: float, v: float, camera: CameraModel) -> np.ndarray:
-    """Unit direction in the vehicle frame of the ray through pixel (u, v).
-
-    The ray starts at ``camera.center``; every point ``center + t * direction``
-    with t > 0 projects back onto (u, v).
-    """
-    d_cam = np.array([(u - camera.cx) / camera.fx, (v - camera.cy) / camera.fy, 1.0])
-    d_veh = camera.rotation.T @ d_cam
-    return d_veh / np.linalg.norm(d_veh)
-
-
-def image_to_vehicle(u: float, v: float, depth: float, camera: CameraModel) -> np.ndarray:
+def image_to_vehicle(u, v, depth, camera: CameraModel) -> np.ndarray:
     """Invert the projection: the vehicle point at pixel (u, v) and the given
-    camera-axis depth (meters, > 0)."""
-    if depth <= 0.0:
+    camera-axis depth (meters, > 0); the one back-projection of the package.
+
+    u, v and depth are floats, giving a (3,) point, or 1-D arrays of one
+    length, giving (N, 3) points. Every point of one pixel lies on the ray
+    from ``camera.center`` through that pixel.
+    """
+    depth = np.asarray(depth, dtype=float)
+    if np.count_nonzero(depth <= 0.0):
         raise ValueError("depth must be positive")
-    d_cam = np.array([(u - camera.cx) / camera.fx, (v - camera.cy) / camera.fy, 1.0])
-    # Scale so the camera-frame z component equals the requested depth.
-    p_cam = d_cam * depth
-    return camera.rotation.T @ (p_cam - camera.translation)
+    # Camera-frame points, scaled so their z component equals the depth;
+    # rows times the rotation apply its transpose, the inverse, to each.
+    p_cam = np.array(((u - camera.cx) / camera.fx * depth, (v - camera.cy) / camera.fy * depth, depth)).T
+    return (p_cam - camera.translation) @ camera.rotation

@@ -25,15 +25,14 @@ on any platform, any number of times, in any order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .association import Detection
 from .fusion import RadarPoint
-from .geometry import CameraModel, image_to_vehicle, project_point, project_to_image
+from .geometry import CameraModel, image_to_vehicle, project_points
 from .metrics import GroundTruthFrame, GroundTruthObject
 from .tracker import FrameInput
 
@@ -210,22 +209,6 @@ class Scene:
     provenance: Tuple[Tuple[int, ...], ...]
 
 
-def _project_box(center: np.ndarray, size: Tuple[float, float], camera: CameraModel):
-    """True image box of an object: the bounding rectangle of its four
-    outer corners (y +- w/2, z +- h/2 around the center). None when any
-    corner falls behind the camera."""
-    w, h = size
-    us, vs = [], []
-    for dy in (-0.5 * w, 0.5 * w):
-        for dz in (-0.5 * h, 0.5 * h):
-            p = project_point(center + np.array([0.0, dy, dz]), camera)
-            if p is None:
-                return None
-            us.append(p.u)
-            vs.append(p.v)
-    return (min(us), min(vs), max(us), max(vs))
-
-
 def _iou(a, b) -> float:
     ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
     iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
@@ -250,6 +233,22 @@ def generate(cfg: ScenarioConfig) -> Scene:
     # stream so a noise-free static scene emits identical detections).
     confidences = _stream(cfg.seed, 0, _CONF).uniform(0.5, 1.0, size=n_obj)
 
+    # Object states as columns, and the offsets of the four outer box corners
+    # (y +- w/2, z +- h/2 around the center) of every object.
+    position = np.array([obj.position for obj in cfg.objects], dtype=float).reshape(n_obj, 3)
+    velocity = np.array([obj.velocity for obj in cfg.objects], dtype=float).reshape(n_obj, 3)
+    half = np.array([obj.size for obj in cfg.objects], dtype=float).reshape(n_obj, 2) * 0.5
+    corner_offsets = np.zeros((n_obj, 4, 3))
+    corner_offsets[:, :, 1] = half[:, [0]] * (-1.0, -1.0, 1.0, 1.0)
+    corner_offsets[:, :, 2] = half[:, [1]] * (-1.0, 1.0, -1.0, 1.0)
+
+    clutter_bounds = (
+        (0.0, camera.image_width),
+        (0.0, camera.image_height),
+        _CLUTTER_DEPTH_RANGE,
+        _CLUTTER_SPEED_RANGE,
+        _CLUTTER_SPEED_RANGE,
+    )
     pts = cfg.radar.points_per_object
     frames: List[FrameInput] = []
     gt_frames: List[GroundTruthFrame] = []
@@ -266,13 +265,26 @@ def generate(cfg: ScenarioConfig) -> Scene:
         radar_vel_noise = _stream(cfg.seed, k, _RADAR_VEL).standard_normal((n_obj, pts, 2)) * cfg.radar.velocity_sigma_mps
         clutter_rng = _stream(cfg.seed, k, _CLUTTER)
 
-        centers = [obj.center_at(t) for obj in cfg.objects]
-        image_pts = [project_to_image(c, camera) for c in centers]
-        visible = [p is not None for p in image_pts]
+        # One projection per frame: the centers, the box corners and the
+        # previous-frame centers of every object.
+        centers = position + velocity * t
+        corners = centers[:, None, :] + corner_offsets
+        previous = position + velocity * (t - cfg.frame_dt)
+        uv, depth, in_image = project_points(np.concatenate([centers, corners.reshape(-1, 3), previous]), camera)
+        center_uv, center_depth = uv[:n_obj], depth[:n_obj]
+        corner_uv = uv[n_obj : 5 * n_obj].reshape(n_obj, 4, 2)
+        has_previous = ~np.isnan(uv[5 * n_obj :, 0])
+        displacement = center_uv - uv[5 * n_obj :]
+        # True image box of a visible object: the bounding rectangle of its
+        # four outer corners; None when any corner falls behind the camera
+        # (NaN corners make the minimum NaN).
+        box_lo = corner_uv.min(axis=1)
+        boxed = in_image[:n_obj] & ~np.isnan(box_lo).any(axis=1)
         boxes = [
-            _project_box(c, obj.size, camera) if vis else None
-            for c, obj, vis in zip(centers, cfg.objects, visible)
+            tuple(box) if ok else None
+            for box, ok in zip(np.hstack([box_lo, corner_uv.max(axis=1)]).tolist(), boxed.tolist())
         ]
+        visible = in_image[:n_obj].tolist()
 
         # Occlusion on true boxes: the farther of an overlapping pair loses
         # its detection (radar still returns).
@@ -283,7 +295,7 @@ def generate(cfg: ScenarioConfig) -> Scene:
                     if boxes[i] is None or boxes[j] is None:
                         continue
                     if _iou(boxes[i], boxes[j]) > cfg.occlusion.iou_threshold:
-                        di, dj = image_pts[i].depth, image_pts[j].depth
+                        di, dj = center_depth[i], center_depth[j]
                         occluded[j if dj >= di else i] = True
 
         gts = []
@@ -310,21 +322,17 @@ def generate(cfg: ScenarioConfig) -> Scene:
             if occluded[i] or dropout_draw[i] < cfg.dropout:
                 continue
 
-            true_uv = np.array([image_pts[i].u, image_pts[i].v])
-            if k == 0:
+            true_uv = center_uv[i]
+            if k == 0 or not has_previous[i]:
                 du = dv = 0.0
             else:
-                prev = project_point(obj.center_at(t - cfg.frame_dt), camera)
-                if prev is None:
-                    du = dv = 0.0
-                else:
-                    du = float(true_uv[0] - prev.u + disp_noise[i, 0])
-                    dv = float(true_uv[1] - prev.v + disp_noise[i, 1])
+                du = float(displacement[i, 0] + disp_noise[i, 0])
+                dv = float(displacement[i, 1] + disp_noise[i, 1])
             dets.append(
                 Detection(
                     u=float(true_uv[0] + center_noise[i, 0]),
                     v=float(true_uv[1] + center_noise[i, 1]),
-                    depth=max(1e-3, float(image_pts[i].depth + depth_noise[i])),
+                    depth=max(1e-3, float(center_depth[i] + depth_noise[i])),
                     vx=float(obj.velocity[0] + vel_noise[i, 0]),
                     vy=float(obj.velocity[1] + vel_noise[i, 1]),
                     class_id=obj.class_id,
@@ -336,14 +344,12 @@ def generate(cfg: ScenarioConfig) -> Scene:
             )
             frame_prov.append(i)
 
-        for _ in range(cfg.radar.clutter_per_frame):
-            u = clutter_rng.uniform(0.0, camera.image_width)
-            v = clutter_rng.uniform(0.0, camera.image_height)
-            depth = clutter_rng.uniform(*_CLUTTER_DEPTH_RANGE)
-            vx = clutter_rng.uniform(*_CLUTTER_SPEED_RANGE)
-            vy = clutter_rng.uniform(*_CLUTTER_SPEED_RANGE)
-            pos = image_to_vehicle(float(u), float(v), float(depth), camera)
-            radar.append(RadarPoint(float(pos[0]), float(pos[1]), float(pos[2]), float(vx), float(vy)))
+        # Clutter: per point u, v, depth, vx, vy, drawn in that order.
+        clutter = np.array(
+            [[clutter_rng.uniform(*bounds) for bounds in clutter_bounds] for _ in range(cfg.radar.clutter_per_frame)]
+        ).reshape(-1, 5)
+        pos = image_to_vehicle(clutter[:, 0], clutter[:, 1], clutter[:, 2], camera)
+        radar.extend(RadarPoint(x, y, z, vx, vy) for (x, y, z), (vx, vy) in zip(pos.tolist(), clutter[:, 3:].tolist()))
 
         frames.append(FrameInput(k, t, tuple(dets), tuple(radar)))
         gt_frames.append(GroundTruthFrame(k, tuple(gts)))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .association import AssociationResult, CostWeights, Detection, DetectionBatch, Track, TrackTable, greedy_associate
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
-from .geometry import CameraModel
+from .geometry import CameraModel, image_to_vehicle
 from .heatmap import Heatmap, HeatmapConfig, render_gaussian
 
 
@@ -201,7 +201,6 @@ class Tracker:
         matches = associate_boxes(
             dets.bbox[boxed],
             dets.depth[boxed],
-            dets.confidence[boxed],
             pillars,
             self.camera,
             self.config.depth_tolerance,
@@ -276,13 +275,7 @@ class Tracker:
         if self.camera is None:
             positions = [None] * seen.size
         else:
-            cam = self.camera
-            d_cam = np.empty((seen.size, 3))
-            d_cam[:, 0] = (u - cam.cx) / cam.fx
-            d_cam[:, 1] = (v - cam.cy) / cam.fy
-            d_cam[:, 2] = 1.0
-            p_veh = (d_cam * depth[:, None] - cam.translation) @ cam.rotation
-            positions = list(zip(*p_veh.T.tolist()))
+            positions = list(zip(*image_to_vehicle(u, v, depth, self.camera).T.tolist()))
         columns = [
             column.tolist()
             for column in (

@@ -5,11 +5,13 @@ Everything here is written with plain loops and its own projection math
 cross-check, not the same code twice. The one exception is
 ReferenceTracker: it calls the library's association and fusion functions
 and checks what the tracker builds around them (fusion write-back, track
-lifecycle, snapshots), one object at a time. reference_match_frame,
-reference_count_sequence_errors and reference_amota are the object-based
-matcher and the one-replay-per-floor evaluation that the library's
-incremental floor walk replaced; they share only the result types and
-motar with it.
+lifecycle, snapshots), one object at a time. pairwise_cost and
+optimal_assignment are the scalar association cost and the exhaustive
+assignment that the greedy matcher and the sweep's assignment solver are
+checked against. reference_match_frame, reference_count_sequence_errors
+and reference_amota are the object-based matcher and the
+one-replay-per-floor evaluation that the library's incremental floor walk
+replaced; they share only the result types and motar with it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from fusetrack.association import AssociationResult, Detection, Track, greedy_associate
+from fusetrack.association import AssociationResult, CostWeights, Detection, Track, greedy_associate
 from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, associate_boxes, expand_pillars
 from fusetrack.geometry import image_to_vehicle
 from fusetrack.metrics import (
@@ -35,6 +37,105 @@ from fusetrack.metrics import (
     motar,
 )
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
+
+
+def pairwise_cost(det: Detection, trk: Track, weights: CostWeights) -> float:
+    """Association cost between a detection and a track.
+
+    Infinite across classes; otherwise
+        alpha * ((du)^2 + (dv)^2) + beta * (dd)^2 + delta * ((dvx)^2 + (dvy)^2)
+    on the raw center/depth/velocity differences (the displacement only
+    shifts the gate, never the cost).
+    """
+    if det.class_id != trk.class_id:
+        return math.inf
+    # x * x as in cost_matrix: +inf on overflow, where float ** 2 raises.
+    du, dv, dd, dvx, dvy = det.u - trk.u, det.v - trk.v, det.depth - trk.depth, det.vx - trk.vx, det.vy - trk.vy
+    return weights.alpha * (du * du + dv * dv) + weights.beta * (dd * dd) + weights.delta * (dvx * dvx + dvy * dvy)
+
+
+_MAX_ASSIGNMENT_SIZE = 10
+
+
+def matching_cost(cost: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> float:
+    """Exact total cost of a matching (order-independent fsum)."""
+    return math.fsum(float(cost[i, j]) for i, j in pairs)
+
+
+def optimal_assignment(cost_matrix) -> Tuple[float, Tuple[Tuple[int, int], ...]]:
+    """Best injective detection-to-track matching of a cost matrix.
+
+    Rows are detections, columns tracks. +inf marks a forbidden pair;
+    unmatched rows and columns contribute nothing. "Best" means maximum
+    number of matched pairs, and among those the minimum total cost.
+    Returns (total cost, pairs sorted by detection index); ties are broken
+    deterministically toward the lowest track index at each detection.
+
+    The search is a dynamic program over track subsets that visits every
+    feasible matching, so it is exact but limited to at most 10 detections
+    and 10 tracks; it raises on larger inputs instead of degrading.
+    """
+    m = np.asarray(cost_matrix, dtype=float)
+    if m.size == 0:
+        return 0.0, ()
+    if m.ndim != 2:
+        raise ValueError("cost matrix must be 2-dimensional")
+    if np.isnan(m).any() or np.isneginf(m).any():
+        raise ValueError("cost entries must be finite or +inf")
+    n_det, n_trk = m.shape
+    if n_det > _MAX_ASSIGNMENT_SIZE or n_trk > _MAX_ASSIGNMENT_SIZE:
+        raise ValueError(
+            f"exhaustive assignment is capped at {_MAX_ASSIGNMENT_SIZE}x{_MAX_ASSIGNMENT_SIZE}; "
+            f"got {n_det}x{n_trk}"
+        )
+
+    # memo[(i, mask)] = best (pairs, cost) achievable for rows i.. with the
+    # tracks in mask already taken. Lexicographic order: more pairs wins,
+    # then lower cost.
+    memo: Dict[Tuple[int, int], Tuple[int, float]] = {}
+
+    def solve(i: int, mask: int) -> Tuple[int, float]:
+        if i == n_det:
+            return (0, 0.0)
+        key = (i, mask)
+        if key in memo:
+            return memo[key]
+        best = None
+        for j in range(n_trk):
+            if mask >> j & 1 or math.isinf(m[i, j]):
+                continue
+            sub_pairs, sub_cost = solve(i + 1, mask | (1 << j))
+            cand = (sub_pairs + 1, m[i, j] + sub_cost)
+            if best is None or (-cand[0], cand[1]) < (-best[0], best[1]):
+                best = cand
+        skip = solve(i + 1, mask)
+        if best is None or (-skip[0], skip[1]) < (-best[0], best[1]):
+            best = skip
+        memo[key] = best
+        return best
+
+    solve(0, 0)
+
+    # Walk the memo forward, re-testing options in the fixed order
+    # "track 0, track 1, ..., skip" and taking the first that reproduces
+    # the optimal value. Exact float equality holds because the same
+    # arithmetic is replayed.
+    pairs: List[Tuple[int, int]] = []
+    mask = 0
+    for i in range(n_det):
+        target = memo[(i, mask)]
+        chosen = None
+        for j in range(n_trk):
+            if mask >> j & 1 or math.isinf(m[i, j]):
+                continue
+            sub_pairs, sub_cost = solve(i + 1, mask | (1 << j))
+            if (sub_pairs + 1, m[i, j] + sub_cost) == target:
+                chosen = j
+                break
+        if chosen is not None:
+            pairs.append((i, chosen))
+            mask |= 1 << chosen
+    return matching_cost(m, pairs), tuple(pairs)
 
 
 def homogeneous_project(point, camera):
@@ -580,8 +681,7 @@ class ReferenceTracker:
         pillars = expand_pillars(radar, self.config.pillar_dims)
         boxes = np.array([d.bbox for _, d in boxed])
         est = np.array([d.depth for _, d in boxed])
-        conf = np.array([d.confidence for _, d in boxed])
-        matches = associate_boxes(boxes, est, conf, pillars, self.camera, self.config.depth_tolerance)
+        matches = associate_boxes(boxes, est, pillars, self.camera, self.config.depth_tolerance)
         for (i, det), match in zip(boxed, matches):
             if match is None:
                 continue

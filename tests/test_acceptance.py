@@ -35,7 +35,7 @@ from fusetrack.metrics import (
     count_sequence_errors,
     motar,
 )
-from fusetrack.oracle import matching_cost, optimal_assignment
+from reference import matching_cost, optimal_assignment
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import FrameInput, LatencyStats, Tracker, TrackerConfig
 

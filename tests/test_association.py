@@ -13,9 +13,10 @@ from fusetrack.association import (
     Track,
     cost_matrix,
     greedy_associate,
-    pairwise_cost,
     processing_order,
 )
+
+from reference import pairwise_cost
 
 UNIT = CostWeights(alpha=1.0, beta=1.0, delta=1.0, radius=1e9)
 
@@ -131,6 +132,15 @@ def test_empty_inputs():
     assert res.unmatched_detections == (1, 0)  # processing order
 
 
+@pytest.mark.parametrize("box", [(90.0, 310.0, 110.0), (90.0, 310.0, 110.0, 330.0, 5.0), ()])
+def test_bbox_must_hold_four_values(box):
+    # A short and a long box in one frame would otherwise shift into each
+    # other's rows when the detections are stacked into columns.
+    with pytest.raises(ValueError, match="bbox must hold 4 values"):
+        Detection(100.0, 320.0, 20.0, 0.0, 0.0, 0, 0.9, bbox=box)
+    assert Detection(100.0, 320.0, 20.0, 0.0, 0.0, 0, 0.9, bbox=(90.0, 310.0, 110.0, 330.0)).bbox[3] == 330.0
+
+
 def test_weight_rescaling_keeps_matching():
     # Scaling all three weights by the same factor cannot change any argmin.
     rng = random.Random(11)
@@ -214,6 +224,8 @@ def test_matches_slow_reference_on_random_instances():
         assert greedy_associate(dets, tracks, weights) == _slow_greedy(dets, tracks, weights)
 
 
+# +inf is a documented cost here, not a numeric accident: no warning may fire.
+@pytest.mark.filterwarnings("error")
 def test_matches_slow_reference_with_infinite_costs():
     # With a huge depth weight any depth difference of a metre or more
     # costs +inf while the pair stays inside the gate. Infinite costs must
@@ -247,6 +259,8 @@ def test_matches_slow_reference_with_infinite_costs():
         assert greedy_associate(dets, tracks, weights) == _slow_greedy(dets, tracks, weights)
 
 
+# +inf is a documented cost here, not a numeric accident: no warning may fire.
+@pytest.mark.filterwarnings("error")
 def test_matches_slow_reference_when_squares_overflow():
     # A depth of 1e155 against 10 m squares past the float range. The scalar
     # cost is +inf, as in cost_matrix, instead of raising, so the slow

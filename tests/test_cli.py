@@ -197,6 +197,28 @@ def test_config_file_with_flag_override(workdir, tmp_path):
     assert open(out, "rb").read() == open(ref, "rb").read()
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ("weights:\n  gama: 1.0\n", ["'weights'", "'gama'"]),
+        ("pillar_dims:\n  width: 0.5\n", ["'pillar_dims'", "'width'"]),
+        ("pillar_dims: [1, 2]\n", ["'pillar_dims'", "mapping"]),
+        ("weights: 0.5\n", ["'weights'", "mapping"]),
+    ],
+    ids=["unknown-weights-key", "unknown-pillar-key", "pillar-dims-list", "weights-scalar"],
+)
+def test_bad_config_section_is_a_clean_error(workdir, tmp_path, capsys, config, named):
+    cfg_path = tmp_path / "tracker.yaml"
+    cfg_path.write_text(config)
+    track = ["track", replay_path(workdir), "--no-fusion", "--config", str(cfg_path)]
+    sweep = ["sweep", replay_path(workdir), gt_path(workdir), "--scene", scenario_path(workdir), "--config", str(cfg_path)]
+    for argv in (track, sweep):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(word in err for word in named)
+
+
 # ------------------------------------------------------------------ evaluate
 
 def write_jsonl(path, records):
@@ -354,6 +376,31 @@ def test_sweep_workers_do_not_change_output(workdir, tmp_path):
     assert main(args + ["--out", serial]) == 0
     assert main(args + ["--workers", "3", "--out", threaded]) == 0
     assert open(serial, "rb").read() == open(threaded, "rb").read()
+
+
+def test_sweep_gap_covers_frames_over_ten_detections(tmp_path, capsys):
+    # 14 static, noise-free objects on a grid: every frame after the first
+    # matches 14 detections to 14 tracks, beyond any 10x10 exhaustive search.
+    objects = tuple(
+        ObjectSpec(class_id=0, position=(30.0, 8.0 - 2.5 * (i % 7), 1.0 - 2.0 * (i // 7)), velocity=(0.0, 0.0, 0.0))
+        for i in range(14)
+    )
+    camera = crossing_scenario().camera
+    scenario = ScenarioConfig(
+        seed=0, num_frames=5, frame_dt=0.1, camera=camera, objects=objects,
+        noise=NoiseModel.none(), radar=RadarModel(clutter_per_frame=0),
+    )
+    scenario_file = str(tmp_path / "grid.yaml")
+    save_yaml(scenario_file, scenario.to_dict())
+    assert main(["simulate", scenario_file, "--out", str(tmp_path / "scene")]) == 0
+    replay, gt = str(tmp_path / "scene" / "replay.jsonl"), str(tmp_path / "scene" / "ground_truth.jsonl")
+    assert all(len(json.loads(line)["detections"]) == 14 for line in open(replay))
+    capsys.readouterr()
+    assert main(["sweep", replay, gt, "--scene", scenario_file]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    gap_mean, frames, shortfall = row.split()[-3:]
+    assert float(gap_mean) == 0.0  # static and noise-free: greedy is optimal
+    assert (frames, shortfall) == ("4", "0")
 
 
 # ------------------------------------------------------------------- plumbing

@@ -141,6 +141,20 @@ def test_detection_bbox_optional():
     assert replay_from_records(records) == [frame]
 
 
+@pytest.mark.parametrize("box", [[90.0, 310.0, 110.0], [90.0, 310.0, 110.0, 330.0, 5.0]])
+def test_replay_bbox_of_wrong_length_names_line(tmp_path, box):
+    good = {"u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class": 0, "confidence": 0.9}
+    frames = [
+        {"frame": 0, "time": 0.0, "detections": [{**good, "bbox": [90.0, 310.0, 110.0, 330.0]}], "radar": []},
+        {"frame": 1, "time": 0.1, "detections": [good, {**good, "bbox": box}], "radar": []},
+    ]
+    path = tmp_path / "replay.jsonl"
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(ParseError, match="bbox must hold 4 values") as err:
+        read_replay(str(path))
+    assert str(err.value).startswith(f"{path}:2: ")
+
+
 def test_results_to_predictions_positions(results, scene):
     preds = results_to_predictions(results)
     assert [p.frame_index for p in preds] == [f.frame_index for f in scene.frames]

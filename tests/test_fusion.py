@@ -6,15 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fusetrack.fusion import (
-    PillarDims,
-    PreliminaryDetection,
-    RadarPoint,
-    build_frustum,
-    expand_pillars,
-    frustum_associate,
-)
-from fusetrack.geometry import CameraModel, image_to_vehicle, project_point
+from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, expand_pillars, frustum_associate
+from fusetrack.geometry import CameraModel, image_to_vehicle
 
 from reference import brute_force_radar_association, homogeneous_project, random_radar_scene
 
@@ -39,16 +32,22 @@ def test_expand_pillars_empty_and_order():
 
 
 def test_pillar_extents_and_grounding():
-    pillar = expand_pillars([RadarPoint(10.0, 2.0, 0.5, 0.0, 0.0)], (0.5, 1.5, 0.5))[0]
-    corners = pillar.corner_points()
-    assert corners.shape == (8, 3)
-    # Centered in x and y, grounded in z.
-    assert corners[:, 0].min() == pytest.approx(10.0 - 0.25)
-    assert corners[:, 0].max() == pytest.approx(10.0 + 0.25)
-    assert corners[:, 1].min() == pytest.approx(2.0 - 0.25)
-    assert corners[:, 1].max() == pytest.approx(2.0 + 0.25)
-    assert corners[:, 2].min() == pytest.approx(0.5)
-    assert corners[:, 2].max() == pytest.approx(0.5 + 1.5)
+    # 1 m is 50 px at 20 m. Box rows 190..230 span z = 0.68 .. -0.12 m.
+    det = _det(380, 190, 420, 230, depth=20.0)
+
+    def hit(u, v):
+        pillars = expand_pillars([_point_at_pixel(u, v, 20.0)], (0.5, 1.5, 0.5))
+        return frustum_associate([det], pillars, CAM, 0.25)[0] is not None
+
+    # Grounded at the point and growing upward: a base 1 m below the center
+    # row (v = 274) reaches into the box with its top at z = 0.5, while a
+    # base 1 m above it (v = 174) rises away from the box.
+    assert hit(400, 274)
+    assert not hit(400, 174)
+    # Centered in y: half a width (0.25 m, about 12.6 px) reaches into the
+    # box from 8 px outside its left edge, not from 20 px outside.
+    assert hit(372, 210)
+    assert not hit(360, 210)
 
 
 def test_non_positive_dims_rejected():
@@ -59,37 +58,50 @@ def test_non_positive_dims_rejected():
 
 
 def test_frustum_depth_window():
+    # est_depth 20 with tolerance 0.25: the window is [15, 25], both ends closed.
     det = _det(390, 214, 410, 234, depth=20.0)
-    frustum = build_frustum(det, CAM, depth_tolerance=0.25)
-    assert frustum.depth_min == pytest.approx(15.0)
-    assert frustum.depth_max == pytest.approx(25.0)
+    for depth, inside in ((14.9, False), (15.0, True), (20.0, True), (25.0, True), (25.1, False)):
+        pillars = expand_pillars([_point_at_pixel(400, 224, depth)], PillarDims())
+        [match] = frustum_associate([det], pillars, CAM, depth_tolerance=0.25)
+        assert (match is not None) == inside
+        if inside:
+            assert match.depth == depth
 
 
 def test_frustum_point_containment_matches_projection():
     det = _det(390, 214, 410, 234, depth=20.0)
-    frustum = build_frustum(det, CAM, depth_tolerance=0.25)
-    inside = image_to_vehicle(400.0, 224.0, 20.0, CAM)
-    assert frustum.contains_point(inside)
+
+    def hit(u, v, depth):
+        pillars = expand_pillars([_point_at_pixel(u, v, depth)], PillarDims())
+        return frustum_associate([det], pillars, CAM, 0.25)[0] is not None
+
+    assert hit(400.0, 224.0, 20.0)
     # Same pixel, depth outside the window.
-    assert not frustum.contains_point(image_to_vehicle(400.0, 224.0, 30.0, CAM))
-    # In-window depth, pixel outside the box.
-    assert not frustum.contains_point(image_to_vehicle(420.0, 224.0, 20.0, CAM))
+    assert not hit(400.0, 224.0, 30.0)
+    # In-window depth, the whole pillar projecting right of the box.
+    assert not hit(440.0, 224.0, 20.0)
 
 
 def test_frustum_containment_agrees_with_bbox_test_on_random_points():
+    # A vanishing pillar (1 nm on every side) projects to its base pixel, so
+    # the rule reduces to the closed bbox test on the base projection plus
+    # the depth window; points within 1e-3 px of a box edge are skipped.
     rng = np.random.default_rng(47)
     det = _det(250.0, 120.0, 520.0, 300.0, depth=30.0)
-    frustum = build_frustum(det, CAM, depth_tolerance=0.25)
-    for _ in range(500):
-        point = rng.uniform([-5.0, -25.0, -5.0], [60.0, 25.0, 8.0])
-        ip = project_point(point, CAM)
-        expected = (
-            ip is not None
-            and det.bbox2d[0] <= ip.u <= det.bbox2d[2]
-            and det.bbox2d[1] <= ip.v <= det.bbox2d[3]
-            and frustum.depth_min <= ip.depth <= frustum.depth_max
-        )
-        assert frustum.contains_point(point) == expected
+    u_min, v_min, u_max, v_max = det.bbox2d
+    points = rng.uniform([-5.0, -25.0, -5.0], [60.0, 25.0, 8.0], size=(500, 3))
+    pillars = expand_pillars([RadarPoint(*map(float, p), 0.0, 0.0) for p in points], (1e-9, 1e-9, 1e-9))
+    checked = 0
+    for pillar in pillars:
+        x, y, w = homogeneous_project((pillar.base.x, pillar.base.y, pillar.base.z), CAM)
+        if w > 0:
+            u, v = x / w, y / w
+            if min(abs(u - u_min), abs(u - u_max), abs(v - v_min), abs(v - v_max)) < 1e-3:
+                continue
+        expected = w > 0 and u_min <= u <= u_max and v_min <= v <= v_max and 22.5 <= w <= 37.5
+        assert (frustum_associate([det], [pillar], CAM, 0.25)[0] is not None) == expected
+        checked += expected
+    assert checked > 10
 
 
 def test_single_pillar_at_bbox_center_is_associated():
@@ -146,16 +158,15 @@ def test_association_is_permutation_invariant_for_distinct_depths():
                 assert b.depth == pytest.approx(a.depth, abs=1e-12)
 
 
-def test_exclusive_mode_gives_each_pillar_to_one_detection():
-    # One pillar visible to two overlapping detections.
+def test_overlapping_detections_share_a_pillar():
+    # One pillar visible to two overlapping detections: each detection picks
+    # on its own, whatever the confidences.
     det_low = _det(380, 204, 420, 244, 20.0, confidence=0.4)
     det_high = _det(385, 209, 425, 249, 20.0, confidence=0.9)
     pillars = expand_pillars([_point_at_pixel(400, 226, 20.0, vx=7.0)], PillarDims())
     shared = frustum_associate([det_low, det_high], pillars, CAM, 0.25)
-    assert shared[0] is not None and shared[1] is not None  # default: both see it
-    exclusive = frustum_associate([det_low, det_high], pillars, CAM, 0.25, exclusive=True)
-    assert exclusive[1] is not None and exclusive[1].vx == 7.0
-    assert exclusive[0] is None
+    assert shared[0] is not None and shared[0].vx == 7.0
+    assert shared[1] is not None and shared[1].vx == 7.0
 
 
 def test_association_matches_brute_force_on_random_scenes():

@@ -13,14 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fusetrack.geometry import (
-    CameraModel,
-    backproject_ray,
-    image_to_vehicle,
-    project_point,
-    project_points,
-    project_to_image,
-)
+from fusetrack.geometry import CameraModel, image_to_vehicle, project_points
 
 
 def _default_camera(**kwargs) -> CameraModel:
@@ -66,115 +59,142 @@ def _project_homogeneous(point, camera):
     return x[0] / x[2], x[1] / x[2], x[2]
 
 
+def _project_one(point, camera):
+    """(u, v, depth, in_image) of a single point through project_points."""
+    uv, depth, in_image = project_points(point, camera)
+    return uv[0, 0], uv[0, 1], depth[0], bool(in_image[0])
+
+
 def test_forward_camera_centerline_point():
     cam = _default_camera()
-    ip = project_to_image((10.0, 0.0, 0.0), cam)
-    assert ip is not None
-    assert ip.u == pytest.approx(400.0, abs=1e-12)
-    assert ip.v == pytest.approx(224.0, abs=1e-12)
-    assert ip.depth == pytest.approx(10.0, abs=1e-12)
+    u, v, depth, visible = _project_one((10.0, 0.0, 0.0), cam)
+    assert visible
+    assert u == pytest.approx(400.0, abs=1e-12)
+    assert v == pytest.approx(224.0, abs=1e-12)
+    assert depth == pytest.approx(10.0, abs=1e-12)
 
 
 def test_forward_camera_point_to_the_left_moves_image_left():
     # 1 m to the left at 10 m: u = 400 - 1000 * (1 / 10) = 300.
     cam = _default_camera()
-    ip = project_to_image((10.0, 1.0, 0.0), cam)
-    assert ip is not None
-    assert ip.u == pytest.approx(300.0, abs=1e-12)
-    assert ip.v == pytest.approx(224.0, abs=1e-12)
+    u, v, _, visible = _project_one((10.0, 1.0, 0.0), cam)
+    assert visible
+    assert u == pytest.approx(300.0, abs=1e-12)
+    assert v == pytest.approx(224.0, abs=1e-12)
 
 
 def test_projection_matches_homogeneous_reference():
     rng = np.random.default_rng(7)
     checked = 0
-    for _ in range(500):
+    for _ in range(50):
         cam = _random_camera(rng)
-        point = rng.uniform(-40, 40, size=3)
-        expected = _project_homogeneous(point, cam)
-        got = project_point(point, cam)
-        if expected is None:
-            assert got is None
-            continue
-        assert got is not None
-        assert got.u == pytest.approx(expected[0], rel=1e-12, abs=1e-9)
-        assert got.v == pytest.approx(expected[1], rel=1e-12, abs=1e-9)
-        assert got.depth == pytest.approx(expected[2], rel=1e-12, abs=1e-9)
-        checked += 1
+        points = rng.uniform(-40, 40, size=(10, 3))
+        uv, depth, in_image = project_points(points, cam)
+        for i, point in enumerate(points):
+            expected = _project_homogeneous(point, cam)
+            if expected is None:
+                assert np.isnan(uv[i]).all() and math.isnan(depth[i]) and not in_image[i]
+                continue
+            assert uv[i, 0] == pytest.approx(expected[0], rel=1e-12, abs=1e-9)
+            assert uv[i, 1] == pytest.approx(expected[1], rel=1e-12, abs=1e-9)
+            assert depth[i] == pytest.approx(expected[2], rel=1e-12, abs=1e-9)
+            visible = 0 <= expected[0] <= cam.image_width and 0 <= expected[1] <= cam.image_height
+            assert in_image[i] == visible
+            checked += 1
     assert checked > 100
 
 
-def test_point_behind_camera_is_none():
+def test_point_behind_camera_is_nan():
     cam = _default_camera()
-    assert project_point((-5.0, 0.0, 0.0), cam) is None
-    assert project_to_image((-5.0, 0.0, 0.0), cam) is None
-    # Exactly on the camera plane counts as not visible.
-    assert project_point((0.0, 1.0, 0.0), cam) is None
+    # Behind the camera, then exactly on the camera plane: neither projects.
+    uv, depth, in_image = project_points([(-5.0, 0.0, 0.0), (0.0, 1.0, 0.0)], cam)
+    assert np.isnan(uv).all()
+    assert np.isnan(depth).all()
+    assert not in_image.any()
 
 
 def test_image_bounds_are_closed():
     cam = _default_camera()
     # u = 400 - 1000 * y / 10 = 0  =>  y = 4.
-    on_border = project_to_image((10.0, 4.0, 0.0), cam)
-    assert on_border is not None
-    assert on_border.u == pytest.approx(0.0, abs=1e-12)
-    beyond = project_to_image((10.0, 4.01, 0.0), cam)
-    assert beyond is None
+    u, _, _, on_border = _project_one((10.0, 4.0, 0.0), cam)
+    assert on_border
+    assert u == pytest.approx(0.0, abs=1e-12)
+    assert not _project_one((10.0, 4.01, 0.0), cam)[3]
 
 
 def test_backprojected_ray_direction():
-    # Pixel (300, 224) looks 0.1 rad-ish left: direction ~ (1, 0.1, 0).
-    cam = _default_camera()
-    direction = backproject_ray(300.0, 224.0, cam)
+    # Pixel (300, 224) looks 0.1 rad-ish left: every depth lands on the ray
+    # from the camera center along (1, 0.1, 0).
+    cam = _default_camera(position=(1.5, -0.3, 1.6))
+    depths = np.array([0.5, 3.0, 10.0, 40.0])
+    points = image_to_vehicle(np.full(4, 300.0), np.full(4, 224.0), depths, cam)
+    offsets = points - cam.center
     expected = np.array([1.0, 0.1, 0.0]) / math.sqrt(1.01)
-    np.testing.assert_allclose(direction, expected, atol=1e-12)
-    assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(offsets / np.linalg.norm(offsets, axis=1)[:, None], np.tile(expected, (4, 1)), atol=1e-12)
+    # Camera-axis depth is the forward distance here, so the range grows
+    # by the same factor as the depth.
+    np.testing.assert_allclose(np.linalg.norm(offsets, axis=1), depths * math.sqrt(1.01), rtol=1e-12)
 
 
 def test_ray_points_project_back_to_the_pixel():
+    # One pixel back-projected at several depths: the points are collinear
+    # with the camera center and all project back onto the pixel.
     rng = np.random.default_rng(11)
+    depths = np.array([0.5, 3.0, 40.0])
     for _ in range(200):
         cam = _random_camera(rng)
         u = rng.uniform(0, cam.image_width)
         v = rng.uniform(0, cam.image_height)
-        direction = backproject_ray(u, v, cam)
-        for t in (0.5, 3.0, 40.0):
-            ip = project_point(cam.center + t * direction, cam)
-            assert ip is not None
-            assert abs(ip.u - u) <= 1e-6
-            assert abs(ip.v - v) <= 1e-6
+        points = image_to_vehicle(np.full(3, u), np.full(3, v), depths, cam)
+        offsets = points - cam.center
+        direction = offsets[0] / np.linalg.norm(offsets[0])
+        for offset in offsets[1:]:
+            assert np.linalg.norm(np.cross(direction, offset)) <= 1e-9 * np.linalg.norm(offset)
+            assert direction @ offset > 0
+        uv, depth, in_image = project_points(points, cam)
+        assert np.abs(uv - (u, v)).max() <= 1e-6
+        np.testing.assert_allclose(depth, depths, rtol=1e-9)
 
 
 def test_pixel_depth_round_trip():
     rng = np.random.default_rng(13)
-    for _ in range(500):
+    for _ in range(50):
         cam = _random_camera(rng)
-        u = rng.uniform(0, cam.image_width)
-        v = rng.uniform(0, cam.image_height)
-        depth = rng.uniform(0.5, 80.0)
-        point = image_to_vehicle(u, v, depth, cam)
-        ip = project_to_image(point, cam)
-        assert ip is not None
-        assert abs(ip.u - u) <= 1e-6
-        assert abs(ip.v - v) <= 1e-6
-        assert ip.depth == pytest.approx(depth, rel=1e-9)
+        u = rng.uniform(0, cam.image_width, 10)
+        v = rng.uniform(0, cam.image_height, 10)
+        depth = rng.uniform(0.5, 80.0, 10)
+        uv, got_depth, in_image = project_points(image_to_vehicle(u, v, depth, cam), cam)
+        assert in_image.all()
+        assert np.abs(uv[:, 0] - u).max() <= 1e-6
+        assert np.abs(uv[:, 1] - v).max() <= 1e-6
+        np.testing.assert_allclose(got_depth, depth, rtol=1e-9)
+
+
+def test_back_projection_rejects_non_positive_depth():
+    cam = _default_camera()
+    for depth in (0.0, -1.0, np.array([5.0, 0.0])):
+        with pytest.raises(ValueError, match="depth must be positive"):
+            image_to_vehicle(np.full(np.size(depth), 400.0), np.full(np.size(depth), 224.0), depth, cam)
 
 
 def test_batch_projection_matches_scalar():
+    # Whole batches give the same bits as one point or one pixel at a time,
+    # and a scalar back-projection is a (3,) point.
     rng = np.random.default_rng(17)
     cam = _random_camera(rng)
     pts = rng.uniform(-30, 60, size=(300, 3))
     uv, depth, in_image = project_points(pts, cam)
     for i, p in enumerate(pts):
-        ip = project_point(p, cam)
-        if ip is None:
-            assert not in_image[i]
-            assert math.isnan(depth[i])
-        else:
-            assert uv[i, 0] == pytest.approx(ip.u, abs=1e-9)
-            assert uv[i, 1] == pytest.approx(ip.v, abs=1e-9)
-            assert depth[i] == pytest.approx(ip.depth, abs=1e-12)
-            expected_visible = project_to_image(p, cam) is not None
-            assert in_image[i] == expected_visible
+        one_uv, one_depth, one_in = project_points(p, cam)
+        np.testing.assert_array_equal(one_uv[0], uv[i])
+        np.testing.assert_array_equal(one_depth[0], depth[i])
+        assert one_in[0] == in_image[i]
+    u, v, d = rng.uniform(0, 800, 300), rng.uniform(0, 448, 300), rng.uniform(0.5, 80, 300)
+    batch = image_to_vehicle(u, v, d, cam)
+    for i in range(300):
+        point = image_to_vehicle(float(u[i]), float(v[i]), float(d[i]), cam)
+        assert point.shape == (3,)
+        np.testing.assert_array_equal(point, batch[i])
 
 
 def test_rotation_stays_orthonormal_under_composition():

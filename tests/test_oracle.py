@@ -1,4 +1,6 @@
-"""Exact assignment reference: fixtures, cross-checks, greedy comparison."""
+"""The exhaustive assignment reference in tests/reference.py: fixtures,
+cross-checks, greedy comparison, and the sweep's assignment solver checked
+against it."""
 
 import math
 import random
@@ -8,7 +10,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from fusetrack.association import CostWeights, Detection, Track, cost_matrix, greedy_associate
-from fusetrack.oracle import matching_cost, optimal_assignment
+from fusetrack.cli import _optimal_pairs
+
+from reference import matching_cost, optimal_assignment
 
 INF = math.inf
 
@@ -111,6 +115,33 @@ def test_agrees_with_scipy_on_finite_matrices():
         rows, cols = linear_sum_assignment(m)
         assert len(pairs) == len(rows)
         assert cost == matching_cost(m, zip(rows, cols))
+
+
+def test_sweep_solver_agrees_with_exhaustive_search():
+    # The sweep's shifted linear_sum_assignment against the subset search:
+    # same number of pairs and the same total, with forbidden pairs and
+    # costs spread over nine orders of magnitude within one matrix.
+    rng = random.Random(31)
+    for _ in range(1000):
+        n, k = rng.randrange(1, 9), rng.randrange(1, 9)
+        inf_prob = rng.choice((0.0, 0.2, 0.5, 0.8))
+        m = np.array([
+            [INF if rng.random() < inf_prob else rng.uniform(0, 10) * 10.0 ** rng.randrange(-4, 5) for _ in range(k)]
+            for _ in range(n)
+        ])
+        pairs = _optimal_pairs(m)
+        cost, expected = optimal_assignment(m)
+        assert len(pairs) == len(expected)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        assert all(math.isfinite(m[i, j]) for i, j in pairs)
+        assert matching_cost(m, pairs) == pytest.approx(cost, rel=1e-12, abs=1e-12)
+
+
+def test_sweep_solver_keeps_cardinality_first_near_float_max():
+    # The finite costs sum past the float range; the cardinality shift must
+    # stay finite and still prefer two pairs over one cheaper pair.
+    m = np.array([[1e308, 1e308, INF], [1.0, INF, INF], [INF, INF, 1e-300]])
+    assert _optimal_pairs(m) == [(0, 1), (1, 0), (2, 2)]
 
 
 def _finite_instance(rng, n_det, n_trk):

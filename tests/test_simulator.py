@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fusetrack.geometry import CameraModel, project_to_image
+from fusetrack.geometry import CameraModel, project_points
 from fusetrack.simulator import (
     NoiseModel,
     ObjectSpec,
@@ -57,19 +57,18 @@ def test_static_noise_free_object_repeats_exactly():
         assert frame.detections == (first,)
     assert (first.du, first.dv) == (0.0, 0.0)
     assert first.depth == 20.0
-    expected = project_to_image(np.array([20.0, 0.0, 0.0]), CAM)
-    assert (first.u, first.v) == (expected.u, expected.v)
+    uv, _, in_image = project_points(np.array([20.0, 0.0, 0.0]), CAM)
+    assert in_image[0]
+    assert (first.u, first.v) == tuple(uv[0].tolist())
     assert 0.5 <= first.confidence < 1.0
 
 
 def test_noise_free_displacement_is_exact_center_offset():
     cfg = quiet(objects=(ObjectSpec(0, (30.0, 3.0, 0.0), (2.0, -1.5, 0.0)),), num_frames=8)
     scene = generate(cfg)
-    uvs = []
-    for k in range(8):
-        c = cfg.objects[0].center_at(k * cfg.frame_dt)
-        p = project_to_image(c, CAM)
-        uvs.append((p.u, p.v))
+    uv, _, in_image = project_points(np.array([cfg.objects[0].center_at(k * cfg.frame_dt) for k in range(8)]), CAM)
+    assert in_image.all()
+    uvs = [tuple(p) for p in uv.tolist()]
     for k, frame in enumerate(scene.frames):
         (det,) = frame.detections
         assert (det.u, det.v) == uvs[k]
