@@ -49,7 +49,7 @@ class Detection:
 
     def __post_init__(self):
         values = (self.u, self.v, self.depth, self.vx, self.vy, self.confidence, self.du, self.dv)
-        if not all(math.isfinite(x) for x in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError("detection fields must be finite")
         if self.depth <= 0:
             raise ValueError("detection depth must be positive")

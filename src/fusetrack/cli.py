@@ -83,6 +83,17 @@ def _parse_grid(spec: Optional[str], fallback: float) -> List[float]:
     return values
 
 
+def _worker_count(text: str) -> int:
+    """The --workers value: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_tracker_flags(sp: argparse.ArgumentParser, weight_grids: bool) -> None:
     if weight_grids:
         sp.add_argument("--alpha", help="comma-separated pixel-term weights")
@@ -372,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
     ev.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0, help="match gate, meters")
     ev.add_argument("--classes", help="comma-separated names for class ids 0..n-1; other ids are hidden")
-    ev.add_argument("--workers", type=int, default=1, help="threads over the ground-truth classes")
+    ev.add_argument("--workers", type=_worker_count, default=1, help="threads over the ground-truth classes")
     ev.add_argument("--out", help="write the report here instead of stdout")
     ev.set_defaults(func=_cmd_evaluate)
 
@@ -384,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_tracker_flags(sw, weight_grids=True)
     sw.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
     sw.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0)
-    sw.add_argument("--workers", type=int, default=1, help="grid points evaluated in parallel")
+    sw.add_argument("--workers", type=_worker_count, default=1, help="grid points evaluated in parallel")
     sw.add_argument("--out", help="write the table here instead of stdout")
     sw.set_defaults(func=_cmd_sweep)
     return parser

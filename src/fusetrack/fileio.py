@@ -399,9 +399,10 @@ def tracker_config_to_dict(config: TrackerConfig) -> Dict:
     }
 
 
-def _config_section(data: Dict, name: str, cls):
+def config_section(data: Dict, name: str, cls):
     """Build cls from the mapping under data[name] (defaults when absent),
-    naming the section and key in the error for anything else."""
+    naming the section and key in the error for anything else. Shared by
+    the tracker and scenario configs."""
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a mapping, got {type(section).__name__}")
@@ -414,8 +415,8 @@ def _config_section(data: Dict, name: str, cls):
 
 def tracker_config_from_dict(data: Dict) -> TrackerConfig:
     return TrackerConfig(
-        weights=_config_section(data, "weights", CostWeights),
-        pillar_dims=_config_section(data, "pillar_dims", PillarDims),
+        weights=config_section(data, "weights", CostWeights),
+        pillar_dims=config_section(data, "pillar_dims", PillarDims),
         depth_tolerance=float(data.get("depth_tolerance", 0.25)),
         max_age=int(data.get("max_age", 3)),
         min_confidence=float(data.get("min_confidence", 0.0)),

@@ -36,7 +36,7 @@ class RadarPoint:
     vy: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.vx, self.vy)):
+        if not all(map(math.isfinite, (self.x, self.y, self.z, self.vx, self.vy))):
             raise ValueError("radar point fields must be finite")
 
 

@@ -14,9 +14,12 @@ depth. Visible objects produce:
   from random pixels.
 
 Two deterministic suppressions run before noise is applied: a visual
-occlusion rule (when two true boxes overlap with IoU above the threshold,
-the farther object loses its detection; radar is unaffected) and i.i.d.
-detection dropout. Confidence is drawn once per object in [0.5, 1).
+occlusion rule and i.i.d. detection dropout. Occlusion is one pairwise IoU
+matrix per frame over the objects that have a true box: for every pair
+i < j whose IoU is strictly above the threshold (an IoU of exactly 1.0
+never occludes at threshold 1.0), the farther object loses its detection,
+and on equal depth the later-listed one j. Radar is unaffected. Confidence
+is drawn once per object in [0.5, 1).
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, frame, channel), so the same config generates a bit-identical Scene
@@ -31,6 +34,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .association import Detection
+from .fileio import config_section
 from .fusion import RadarPoint
 from .geometry import CameraModel, image_to_vehicle, project_points
 from .metrics import GroundTruthFrame, GroundTruthObject
@@ -189,10 +193,10 @@ class ScenarioConfig:
                 )
                 for o in data["objects"]
             ),
-            noise=NoiseModel(**data.get("noise", {})),
+            noise=config_section(data, "noise", NoiseModel),
             dropout=float(data.get("dropout", 0.0)),
-            radar=RadarModel(**data.get("radar", {})),
-            occlusion=OcclusionRule(**data.get("occlusion", {})),
+            radar=config_section(data, "radar", RadarModel),
+            occlusion=config_section(data, "occlusion", OcclusionRule),
         )
 
 
@@ -209,17 +213,6 @@ class Scene:
     provenance: Tuple[Tuple[int, ...], ...]
 
 
-def _iou(a, b) -> float:
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    if inter == 0.0:
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
-
-
 def generate(cfg: ScenarioConfig) -> Scene:
     """Run the scripted scene; see the module docstring for the rules."""
     n_obj = len(cfg.objects)
@@ -231,7 +224,8 @@ def generate(cfg: ScenarioConfig) -> Scene:
 
     # Per-object confidence, fixed for the whole sequence (sequence-level
     # stream so a noise-free static scene emits identical detections).
-    confidences = _stream(cfg.seed, 0, _CONF).uniform(0.5, 1.0, size=n_obj)
+    confidences = _stream(cfg.seed, 0, _CONF).uniform(0.5, 1.0, size=n_obj).tolist()
+    class_ids = [obj.class_id for obj in cfg.objects]
 
     # Object states as columns, and the offsets of the four outer box corners
     # (y +- w/2, z +- h/2 around the center) of every object.
@@ -242,13 +236,10 @@ def generate(cfg: ScenarioConfig) -> Scene:
     corner_offsets[:, :, 1] = half[:, [0]] * (-1.0, -1.0, 1.0, 1.0)
     corner_offsets[:, :, 2] = half[:, [1]] * (-1.0, 1.0, -1.0, 1.0)
 
-    clutter_bounds = (
-        (0.0, camera.image_width),
-        (0.0, camera.image_height),
-        _CLUTTER_DEPTH_RANGE,
-        _CLUTTER_SPEED_RANGE,
-        _CLUTTER_SPEED_RANGE,
-    )
+    # Clutter bounds of u, v, depth, vx, vy, in the order of the draws.
+    clutter_lo, clutter_hi = np.array(
+        [(0.0, camera.image_width), (0.0, camera.image_height), _CLUTTER_DEPTH_RANGE, *[_CLUTTER_SPEED_RANGE] * 2]
+    ).T
     pts = cfg.radar.points_per_object
     frames: List[FrameInput] = []
     gt_frames: List[GroundTruthFrame] = []
@@ -263,7 +254,6 @@ def generate(cfg: ScenarioConfig) -> Scene:
         dropout_draw = _stream(cfg.seed, k, _DROPOUT).uniform(size=n_obj)
         radar_pos_noise = _stream(cfg.seed, k, _RADAR_POS).standard_normal((n_obj, pts, 2)) * cfg.radar.position_sigma_m
         radar_vel_noise = _stream(cfg.seed, k, _RADAR_VEL).standard_normal((n_obj, pts, 2)) * cfg.radar.velocity_sigma_mps
-        clutter_rng = _stream(cfg.seed, k, _CLUTTER)
 
         # One projection per frame: the centers, the box corners and the
         # previous-frame centers of every object.
@@ -280,74 +270,53 @@ def generate(cfg: ScenarioConfig) -> Scene:
         # (NaN corners make the minimum NaN).
         box_lo = corner_uv.min(axis=1)
         boxed = in_image[:n_obj] & ~np.isnan(box_lo).any(axis=1)
-        boxes = [
-            tuple(box) if ok else None
-            for box, ok in zip(np.hstack([box_lo, corner_uv.max(axis=1)]).tolist(), boxed.tolist())
-        ]
-        visible = in_image[:n_obj].tolist()
+        box = np.hstack([box_lo, corner_uv.max(axis=1)])
 
-        # Occlusion on true boxes: the farther of an overlapping pair loses
-        # its detection (radar still returns).
-        occluded = [False] * n_obj
+        # Occlusion on true boxes, one IoU matrix over the boxed objects with
+        # the arithmetic of a scalar IoU: the farther object of each pair
+        # i < j whose IoU exceeds the threshold loses its detection (radar
+        # still returns), the later-listed one on equal depth.
+        occluded = np.zeros(n_obj, dtype=bool)
         if cfg.occlusion.enabled:
-            for i in range(n_obj):
-                for j in range(i + 1, n_obj):
-                    if boxes[i] is None or boxes[j] is None:
-                        continue
-                    if _iou(boxes[i], boxes[j]) > cfg.occlusion.iou_threshold:
-                        di, dj = center_depth[i], center_depth[j]
-                        occluded[j if dj >= di else i] = True
+            rows = np.flatnonzero(boxed)
+            lo, hi = box[rows, :2], box[rows, 2:]
+            ixy = np.maximum(0.0, np.minimum(hi[:, None], hi) - np.maximum(lo[:, None], lo))
+            inter = ixy[..., 0] * ixy[..., 1]
+            area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
+            iou = np.divide(inter, (area[:, None] + area) - inter, out=np.zeros_like(inter), where=inter != 0.0)
+            i, j = np.nonzero(np.triu(iou > cfg.occlusion.iou_threshold, 1))
+            i, j = rows[i], rows[j]
+            occluded[np.where(center_depth[j] >= center_depth[i], j, i)] = True
 
-        gts = []
-        dets: List[Detection] = []
-        radar: List[RadarPoint] = []
-        frame_prov: List[int] = []
-        for i, obj in enumerate(cfg.objects):
-            if not visible[i]:
-                continue
-            c = centers[i]
-            gts.append(GroundTruthObject(i, float(c[0]), float(c[1]), obj.class_id))
-
-            for p in range(pts):
-                radar.append(
-                    RadarPoint(
-                        float(c[0] + radar_pos_noise[i, p, 0]),
-                        float(c[1] + radar_pos_noise[i, p, 1]),
-                        float(c[2]),
-                        float(obj.velocity[0] + radar_vel_noise[i, p, 0]),
-                        float(obj.velocity[1] + radar_vel_noise[i, p, 1]),
-                    )
-                )
-
-            if occluded[i] or dropout_draw[i] < cfg.dropout:
-                continue
-
-            true_uv = center_uv[i]
-            if k == 0 or not has_previous[i]:
-                du = dv = 0.0
-            else:
-                du = float(displacement[i, 0] + disp_noise[i, 0])
-                dv = float(displacement[i, 1] + disp_noise[i, 1])
-            dets.append(
-                Detection(
-                    u=float(true_uv[0] + center_noise[i, 0]),
-                    v=float(true_uv[1] + center_noise[i, 1]),
-                    depth=max(1e-3, float(center_depth[i] + depth_noise[i])),
-                    vx=float(obj.velocity[0] + vel_noise[i, 0]),
-                    vy=float(obj.velocity[1] + vel_noise[i, 1]),
-                    class_id=obj.class_id,
-                    confidence=float(confidences[i]),
-                    du=du,
-                    dv=dv,
-                    bbox=boxes[i],
-                )
+        # Every visible object gives ground truth and radar; a detection
+        # unless occluded or dropped. Built from columns, one list each.
+        seen = np.flatnonzero(in_image[:n_obj])
+        gt_x, gt_y = centers[seen, :2].T.tolist()
+        gts = [GroundTruthObject(i, x, y, class_ids[i]) for i, x, y in zip(seen.tolist(), gt_x, gt_y)]
+        radar_xy = (centers[seen, None, :2] + radar_pos_noise[seen]).reshape(-1, 2).T.tolist()
+        radar_v = (velocity[seen, None, :2] + radar_vel_noise[seen]).reshape(-1, 2).T.tolist()
+        radar = list(map(RadarPoint, *radar_xy, np.repeat(centers[seen, 2], pts).tolist(), *radar_v))
+        kept = np.flatnonzero(in_image[:n_obj] & ~occluded & ~(dropout_draw < cfg.dropout))
+        frame_prov = kept.tolist()
+        shifted = has_previous[kept, None] & (k > 0)
+        columns = (
+            *(center_uv[kept] + center_noise[kept]).T.tolist(),
+            [max(1e-3, d) for d in (center_depth[kept] + depth_noise[kept]).tolist()],
+            *(velocity[kept, :2] + vel_noise[kept]).T.tolist(),
+            *np.where(shifted, displacement[kept] + disp_noise[kept], 0.0).T.tolist(),
+            [tuple(b) if ok else None for b, ok in zip(box[kept].tolist(), boxed[kept].tolist())],
+        )
+        dets = [
+            Detection(
+                u=u, v=v, depth=d, vx=vx, vy=vy, class_id=class_ids[i], confidence=confidences[i], du=du, dv=dv, bbox=bbox
             )
-            frame_prov.append(i)
+            for i, u, v, d, vx, vy, du, dv, bbox in zip(frame_prov, *columns)
+        ]
 
-        # Clutter: per point u, v, depth, vx, vy, drawn in that order.
-        clutter = np.array(
-            [[clutter_rng.uniform(*bounds) for bounds in clutter_bounds] for _ in range(cfg.radar.clutter_per_frame)]
-        ).reshape(-1, 5)
+        # Clutter: per point u, v, depth, vx, vy, drawn in that order (one
+        # broadcast draw gives the values of one scalar draw per field).
+        clutter_rng = _stream(cfg.seed, k, _CLUTTER)
+        clutter = clutter_rng.uniform(clutter_lo, clutter_hi, size=(cfg.radar.clutter_per_frame, 5))
         pos = image_to_vehicle(clutter[:, 0], clutter[:, 1], clutter[:, 2], camera)
         radar.extend(RadarPoint(x, y, z, vx, vy) for (x, y, z), (vx, vy) in zip(pos.tolist(), clutter[:, 3:].tolist()))
 

@@ -12,6 +12,9 @@ checked against. reference_match_frame, reference_count_sequence_errors
 and reference_amota are the object-based matcher and the
 one-replay-per-floor evaluation that the library's incremental floor walk
 replaced; they share only the result types and motar with it.
+reference_generate is the simulator with a scalar IoU per pair of objects
+and one object built at a time; it shares the simulator's Philox streams,
+so the two must agree on every field of every frame.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from fusetrack.association import AssociationResult, CostWeights, Detection, Track, greedy_associate
 from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, associate_boxes, expand_pillars
-from fusetrack.geometry import image_to_vehicle
+from fusetrack.geometry import image_to_vehicle, project_points
 from fusetrack.metrics import (
     ClassMetrics,
     ErrorCounts,
@@ -35,6 +38,22 @@ from fusetrack.metrics import (
     PredictedFrame,
     PredictedObject,
     motar,
+)
+from fusetrack.simulator import (
+    _CENTER,
+    _CLUTTER,
+    _CLUTTER_DEPTH_RANGE,
+    _CLUTTER_SPEED_RANGE,
+    _CONF,
+    _DEPTH,
+    _DISP,
+    _DROPOUT,
+    _RADAR_POS,
+    _RADAR_VEL,
+    _VEL,
+    ScenarioConfig,
+    Scene,
+    _stream,
 )
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
 
@@ -858,3 +877,154 @@ def random_tracking_frames(rng, camera, num_frames, max_objects=12):
                 dets.append(Detection(float(u), float(v), float(rng.uniform(5, 70)), 0.0, 0.0, int(rng.integers(0, 3)), float(rng.uniform(0, 1))))
         frames.append(FrameInput(index, stamp, tuple(dets), tuple(radar)))
     return frames
+
+
+def _iou(a, b) -> float:
+    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    inter = ix * iy
+    if inter == 0.0:
+        return 0.0
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+def reference_generate(cfg: ScenarioConfig) -> Scene:
+    """The simulator object by object: one scalar IoU per pair of boxed
+    objects and one constructor call per ground-truth object, radar point
+    and detection, from numpy scalars."""
+    n_obj = len(cfg.objects)
+    camera = cfg.camera
+    for idx, obj in enumerate(cfg.objects):
+        depth0 = float(camera.rotation[2] @ np.asarray(obj.position) + camera.translation[2])
+        if depth0 <= 0:
+            raise ValueError(f"object {idx} starts behind the camera")
+
+    # Per-object confidence, fixed for the whole sequence (sequence-level
+    # stream so a noise-free static scene emits identical detections).
+    confidences = _stream(cfg.seed, 0, _CONF).uniform(0.5, 1.0, size=n_obj)
+
+    # Object states as columns, and the offsets of the four outer box corners
+    # (y +- w/2, z +- h/2 around the center) of every object.
+    position = np.array([obj.position for obj in cfg.objects], dtype=float).reshape(n_obj, 3)
+    velocity = np.array([obj.velocity for obj in cfg.objects], dtype=float).reshape(n_obj, 3)
+    half = np.array([obj.size for obj in cfg.objects], dtype=float).reshape(n_obj, 2) * 0.5
+    corner_offsets = np.zeros((n_obj, 4, 3))
+    corner_offsets[:, :, 1] = half[:, [0]] * (-1.0, -1.0, 1.0, 1.0)
+    corner_offsets[:, :, 2] = half[:, [1]] * (-1.0, 1.0, -1.0, 1.0)
+
+    clutter_bounds = (
+        (0.0, camera.image_width),
+        (0.0, camera.image_height),
+        _CLUTTER_DEPTH_RANGE,
+        _CLUTTER_SPEED_RANGE,
+        _CLUTTER_SPEED_RANGE,
+    )
+    pts = cfg.radar.points_per_object
+    frames: List[FrameInput] = []
+    gt_frames: List[GroundTruthFrame] = []
+    provenance: List[Tuple[int, ...]] = []
+
+    for k in range(cfg.num_frames):
+        t = k * cfg.frame_dt
+        center_noise = _stream(cfg.seed, k, _CENTER).standard_normal((n_obj, 2)) * cfg.noise.center_px
+        depth_noise = _stream(cfg.seed, k, _DEPTH).standard_normal(n_obj) * cfg.noise.depth_m
+        vel_noise = _stream(cfg.seed, k, _VEL).standard_normal((n_obj, 2)) * cfg.noise.velocity_mps
+        disp_noise = _stream(cfg.seed, k, _DISP).standard_normal((n_obj, 2)) * cfg.noise.displacement_px
+        dropout_draw = _stream(cfg.seed, k, _DROPOUT).uniform(size=n_obj)
+        radar_pos_noise = _stream(cfg.seed, k, _RADAR_POS).standard_normal((n_obj, pts, 2)) * cfg.radar.position_sigma_m
+        radar_vel_noise = _stream(cfg.seed, k, _RADAR_VEL).standard_normal((n_obj, pts, 2)) * cfg.radar.velocity_sigma_mps
+        clutter_rng = _stream(cfg.seed, k, _CLUTTER)
+
+        # One projection per frame: the centers, the box corners and the
+        # previous-frame centers of every object.
+        centers = position + velocity * t
+        corners = centers[:, None, :] + corner_offsets
+        previous = position + velocity * (t - cfg.frame_dt)
+        uv, depth, in_image = project_points(np.concatenate([centers, corners.reshape(-1, 3), previous]), camera)
+        center_uv, center_depth = uv[:n_obj], depth[:n_obj]
+        corner_uv = uv[n_obj : 5 * n_obj].reshape(n_obj, 4, 2)
+        has_previous = ~np.isnan(uv[5 * n_obj :, 0])
+        displacement = center_uv - uv[5 * n_obj :]
+        # True image box of a visible object: the bounding rectangle of its
+        # four outer corners; None when any corner falls behind the camera
+        # (NaN corners make the minimum NaN).
+        box_lo = corner_uv.min(axis=1)
+        boxed = in_image[:n_obj] & ~np.isnan(box_lo).any(axis=1)
+        boxes = [
+            tuple(box) if ok else None
+            for box, ok in zip(np.hstack([box_lo, corner_uv.max(axis=1)]).tolist(), boxed.tolist())
+        ]
+        visible = in_image[:n_obj].tolist()
+
+        # Occlusion on true boxes: the farther of an overlapping pair loses
+        # its detection (radar still returns).
+        occluded = [False] * n_obj
+        if cfg.occlusion.enabled:
+            for i in range(n_obj):
+                for j in range(i + 1, n_obj):
+                    if boxes[i] is None or boxes[j] is None:
+                        continue
+                    if _iou(boxes[i], boxes[j]) > cfg.occlusion.iou_threshold:
+                        di, dj = center_depth[i], center_depth[j]
+                        occluded[j if dj >= di else i] = True
+
+        gts = []
+        dets: List[Detection] = []
+        radar: List[RadarPoint] = []
+        frame_prov: List[int] = []
+        for i, obj in enumerate(cfg.objects):
+            if not visible[i]:
+                continue
+            c = centers[i]
+            gts.append(GroundTruthObject(i, float(c[0]), float(c[1]), obj.class_id))
+
+            for p in range(pts):
+                radar.append(
+                    RadarPoint(
+                        float(c[0] + radar_pos_noise[i, p, 0]),
+                        float(c[1] + radar_pos_noise[i, p, 1]),
+                        float(c[2]),
+                        float(obj.velocity[0] + radar_vel_noise[i, p, 0]),
+                        float(obj.velocity[1] + radar_vel_noise[i, p, 1]),
+                    )
+                )
+
+            if occluded[i] or dropout_draw[i] < cfg.dropout:
+                continue
+
+            true_uv = center_uv[i]
+            if k == 0 or not has_previous[i]:
+                du = dv = 0.0
+            else:
+                du = float(displacement[i, 0] + disp_noise[i, 0])
+                dv = float(displacement[i, 1] + disp_noise[i, 1])
+            dets.append(
+                Detection(
+                    u=float(true_uv[0] + center_noise[i, 0]),
+                    v=float(true_uv[1] + center_noise[i, 1]),
+                    depth=max(1e-3, float(center_depth[i] + depth_noise[i])),
+                    vx=float(obj.velocity[0] + vel_noise[i, 0]),
+                    vy=float(obj.velocity[1] + vel_noise[i, 1]),
+                    class_id=obj.class_id,
+                    confidence=float(confidences[i]),
+                    du=du,
+                    dv=dv,
+                    bbox=boxes[i],
+                )
+            )
+            frame_prov.append(i)
+
+        # Clutter: per point u, v, depth, vx, vy, drawn in that order.
+        clutter = np.array(
+            [[clutter_rng.uniform(*bounds) for bounds in clutter_bounds] for _ in range(cfg.radar.clutter_per_frame)]
+        ).reshape(-1, 5)
+        pos = image_to_vehicle(clutter[:, 0], clutter[:, 1], clutter[:, 2], camera)
+        radar.extend(RadarPoint(x, y, z, vx, vy) for (x, y, z), (vx, vy) in zip(pos.tolist(), clutter[:, 3:].tolist()))
+
+        frames.append(FrameInput(k, t, tuple(dets), tuple(radar)))
+        gt_frames.append(GroundTruthFrame(k, tuple(gts)))
+        provenance.append(tuple(frame_prov))
+
+    return Scene(cfg, tuple(frames), tuple(gt_frames), tuple(provenance))

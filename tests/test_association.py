@@ -15,6 +15,7 @@ from fusetrack.association import (
     greedy_associate,
     processing_order,
 )
+from fusetrack.fusion import RadarPoint
 
 from reference import pairwise_cost
 
@@ -359,3 +360,21 @@ def test_matches_slow_reference_on_dense_instances():
                     assert mat[i, j] == pairwise_cost(d, t, weights)
                 else:
                     assert math.isinf(mat[i, j])
+
+
+FINITE_FIELDS = [
+    (Detection, det(100.0, 50.0, conf=0.5), field, "detection fields must be finite")
+    for field in ("u", "v", "depth", "vx", "vy", "confidence", "du", "dv")
+] + [
+    (RadarPoint, RadarPoint(20.0, 1.0, 0.0, 2.0, -1.0), field, "radar point fields must be finite")
+    for field in ("x", "y", "z", "vx", "vy")
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls, valid, field, message", FINITE_FIELDS, ids=[f"{c.__name__}.{f}" for c, _, f, _ in FINITE_FIELDS]
+)
+def test_non_finite_field_is_rejected(cls, valid, field, message, bad):
+    with pytest.raises(ValueError, match=message):
+        replace(valid, **{field: bad})

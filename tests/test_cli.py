@@ -219,6 +219,41 @@ def test_bad_config_section_is_a_clean_error(workdir, tmp_path, capsys, config, 
         assert all(word in err for word in named)
 
 
+@pytest.mark.parametrize(
+    "section, value, named",
+    [
+        ("noise", {"center_pix": 1.0}, ["'center_pix'", "'noise'"]),
+        ("radar", {"points": 3}, ["'points'", "'radar'"]),
+        ("occlusion", {"iou": 0.5}, ["'iou'", "'occlusion'"]),
+        ("radar", 3, ["'radar'", "mapping"]),
+        ("noise", [1.0, 2.0], ["'noise'", "mapping"]),
+    ],
+    ids=["unknown-noise-key", "unknown-radar-key", "unknown-occlusion-key", "radar-scalar", "noise-list"],
+)
+def test_bad_scenario_section_is_a_clean_error(tmp_path, capsys, section, value, named):
+    data = crossing_scenario(10.0, seed=CROSSING_SEED).to_dict()
+    data[section] = value
+    path = tmp_path / "scenario.yaml"
+    save_yaml(str(path), data)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "scene")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(word in err for word in named)
+    assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize("count, message", [("0", "at least 1, got 0"), ("-1", "at least 1, got -1"), ("two", "integer")])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_worker_count_below_one_is_rejected(workdir, capsys, command, count, message):
+    argv = [command, "results.jsonl", gt_path(workdir), "--workers", count]
+    if command == "sweep":
+        argv[1:2] = [replay_path(workdir)]
+        argv += ["--scene", scenario_path(workdir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "argument --workers" in err and message in err
+
+
 # ------------------------------------------------------------------ evaluate
 
 def write_jsonl(path, records):

@@ -9,6 +9,8 @@ arithmetic twice.
 from __future__ import annotations
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -235,3 +237,14 @@ def test_camera_dict_round_trip():
     np.testing.assert_allclose(clone.translation, cam.translation, atol=0)
     assert (clone.fx, clone.fy, clone.cx, clone.cy) == (cam.fx, cam.fy, cam.cx, cam.cy)
     assert (clone.image_width, clone.image_height) == (cam.image_width, cam.image_height)
+
+
+def test_numpy_floor_covers_matvec():
+    """project_points calls np.matvec, which numpy added in 2.2; the
+    declared dependency must not admit an older numpy."""
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+    with open(pyproject) as fh:
+        floor = re.search(r'"numpy>=(\d+)\.(\d+)', fh.read())
+    assert floor is not None
+    assert (int(floor.group(1)), int(floor.group(2))) >= (2, 2)
+    assert hasattr(np, "matvec")

@@ -18,6 +18,8 @@ from fusetrack.simulator import (
     generate,
 )
 
+from reference import reference_generate
+
 CAM = CameraModel.forward_facing(1000.0, 1000.0, 400.0, 224.0, 800, 448)
 
 
@@ -192,3 +194,122 @@ def test_provenance_aligns_with_detections():
         assert set(prov) <= gt_ids
         for det, src in zip(frame.detections, prov):
             assert det.class_id == scene.config.objects[src].class_id
+
+
+def random_objects(rng, n):
+    """n objects in front of CAM, some leaving the view, with exact
+    duplicates (identical boxes at equal depth) and equal-depth neighbours
+    shifted sideways (overlapping boxes, the tie rule)."""
+    objects = []
+    while len(objects) < n:
+        position = (float(rng.uniform(5.0, 60.0)), float(rng.uniform(-20.0, 20.0)), float(rng.uniform(-1.0, 1.0)))
+        velocity = (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-10.0, 10.0)), 0.0)
+        size = (float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 3.0)))
+        spec = ObjectSpec(int(rng.integers(0, 3)), position, velocity, size)
+        objects.append(spec)
+        draw = rng.random()
+        if draw < 0.1:
+            objects.append(spec)
+        elif draw < 0.2:
+            shifted = (position[0], position[1] + float(rng.uniform(-0.5, 0.5)), position[2])
+            objects.append(ObjectSpec(spec.class_id, shifted, velocity, size))
+    return tuple(objects[:n])
+
+
+def random_scenario(seed, n, **kwargs):
+    rng = np.random.default_rng(seed)
+    base = dict(
+        seed=seed,
+        num_frames=12,
+        frame_dt=0.1,
+        camera=CAM,
+        objects=random_objects(rng, n),
+        dropout=float(rng.choice([0.0, 0.5])),
+        occlusion=OcclusionRule(float(rng.choice([0.2, 0.5, 0.7, 1.0]))),
+    )
+    base.update(kwargs)
+    return ScenarioConfig(**base)
+
+
+def pair(first, second, threshold, **kwargs):
+    """Two static objects at 20 m, noise-free, no dropout."""
+    return quiet(objects=(first, second), occlusion=OcclusionRule(threshold), **kwargs)
+
+
+YAWED = CameraModel.forward_facing(1000.0, 1000.0, 400.0, 224.0, 800, 448, yaw=0.5)
+NO_RADAR = RadarModel(points_per_object=0, clutter_per_frame=0)
+
+SCENARIOS = {
+    "no objects": random_scenario(1, 0),
+    "one object": random_scenario(2, 1),
+    "two objects": random_scenario(3, 2),
+    "300 objects": random_scenario(4, 300, num_frames=6),
+    "random 40": random_scenario(5, 40),
+    "random 40, threshold 1.0": random_scenario(6, 40, occlusion=OcclusionRule(1.0)),
+    "occlusion disabled": random_scenario(7, 40, occlusion=OcclusionRule(enabled=False)),
+    "dropout 0": random_scenario(8, 40, dropout=0.0),
+    "dropout 0.5": random_scenario(9, 40, dropout=0.5),
+    "no radar points, no clutter": random_scenario(10, 40, radar=NO_RADAR),
+    "clutter only": random_scenario(11, 20, radar=RadarModel(points_per_object=0, clutter_per_frame=4)),
+    "object radar only": random_scenario(12, 20, radar=RadarModel(points_per_object=2, clutter_per_frame=0)),
+    "depth noise below the 1 mm floor": random_scenario(14, 20, noise=NoiseModel(depth_m=40.0)),
+    "equal depth overlap": pair(
+        ObjectSpec(0, (20.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ObjectSpec(1, (20.0, 0.3, 0.0), (0.0, 0.0, 0.0)), 0.5
+    ),
+    "identical boxes, threshold 1.0": pair(
+        ObjectSpec(0, (20.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ObjectSpec(0, (20.0, 0.0, 0.0), (0.0, 0.0, 0.0)), 1.0
+    ),
+    "boxes touching along an edge": pair(
+        ObjectSpec(0, (20.0, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, 1.5)),
+        ObjectSpec(0, (20.0, 2.0, 0.0), (0.0, 0.0, 0.0), (2.0, 1.5)),
+        1e-9,
+    ),
+    "near wide object without a box": random_scenario(
+        13,
+        2,
+        camera=YAWED,
+        objects=(
+            ObjectSpec(0, (3.0, 1.0, 0.0), (1.0, 0.0, 0.0), (20.0, 1.5)),
+            ObjectSpec(1, (30.0, 10.0, 0.0), (0.0, -2.0, 0.0)),
+        ),
+    ),
+    "objects leaving the image": quiet(
+        objects=(ObjectSpec(0, (10.0, 0.0, 0.0), (0.0, 5.0, 0.0)), ObjectSpec(1, (10.0, 1.0, 0.0), (0.0, -5.0, 0.0))),
+        num_frames=14,
+        occlusion=OcclusionRule(0.1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_generate_matches_reference(name):
+    cfg = SCENARIOS[name]
+    fast, ref = generate(cfg), reference_generate(cfg)
+    assert len(fast.frames) == len(ref.frames) == cfg.num_frames
+    for a, b in zip(fast.frames, ref.frames):
+        assert a == b and repr(a) == repr(b), f"frame {b.frame_index}"
+    assert fast.ground_truth == ref.ground_truth and repr(fast.ground_truth) == repr(ref.ground_truth)
+    assert fast.provenance == ref.provenance
+
+
+def test_reference_cases_exercise_their_rule():
+    """The hand cases hit the rule their name promises, so agreement with
+    the reference says something."""
+    scene = generate(SCENARIOS["equal depth overlap"])
+    assert all(prov == (0,) for prov in scene.provenance)
+    scene = generate(SCENARIOS["identical boxes, threshold 1.0"])
+    assert all(prov == (0, 1) for prov in scene.provenance)
+    scene = generate(SCENARIOS["boxes touching along an edge"])
+    boxes = scene.frames[0].detections[0].bbox, scene.frames[0].detections[1].bbox
+    assert boxes[0][0] == boxes[1][2] or boxes[0][2] == boxes[1][0]
+    assert all(prov == (0, 1) for prov in scene.provenance)
+    scene = generate(SCENARIOS["near wide object without a box"])
+    assert any(det.bbox is None for frame in scene.frames for det in frame.detections)
+    scene = generate(SCENARIOS["objects leaving the image"])
+    assert len(scene.ground_truth[0].objects) == 2 and len(scene.ground_truth[-1].objects) == 0
+    scene = generate(SCENARIOS["depth noise below the 1 mm floor"])
+    assert any(det.depth == 1e-3 for frame in scene.frames for det in frame.detections)
+    cfg = SCENARIOS["300 objects"]
+    occluded = generate(cfg).frames
+    unoccluded = generate(dataclasses.replace(cfg, occlusion=OcclusionRule(enabled=False))).frames
+    assert sum(map(len, (f.detections for f in occluded))) < sum(map(len, (f.detections for f in unoccluded)))
