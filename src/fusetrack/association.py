@@ -192,15 +192,6 @@ class AssociationResult:
     pairs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
-def processing_order(dets: Sequence[Detection]) -> List[int]:
-    """Descending confidence, ties by input index."""
-    return _processing_order(np.array([d.confidence for d in dets], dtype=float)).tolist()
-
-
-def _processing_order(confidence: np.ndarray) -> np.ndarray:
-    return np.argsort(-confidence, kind="stable")
-
-
 def _feasible_pairs(
     dets: DetectionBatch, tracks: TrackTable, weights: CostWeights
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,7 +289,7 @@ def greedy_associate(dets: Detections, tracks: Tracks, weights: CostWeights) -> 
     if len(unique_ids) != len(ids):
         raise ValueError("track ids must be distinct")
 
-    order = _processing_order(dets.confidence)
+    order = np.argsort(-dets.confidence, kind="stable")  # descending confidence, ties by input index
     if not len(dets) or not len(tracks):
         pairs = np.empty((0, 2), dtype=np.intp)
         return AssociationResult((), tuple(order.tolist()), tuple(ids.tolist()), pairs)

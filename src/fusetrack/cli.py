@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -191,20 +190,6 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _check_sequences(preds, gts) -> None:
-    """Same-length, same-frame-index pairing, reported by the first frame
-    where the two sequences disagree."""
-    for p, g in zip(preds, gts):
-        if p.frame_index != g.frame_index:
-            raise ValueError(
-                f"misaligned sequences: results frame {p.frame_index} paired with ground-truth frame {g.frame_index}"
-            )
-    if len(preds) != len(gts):
-        longer, name = (preds, "results") if len(preds) > len(gts) else (gts, "ground truth")
-        first_extra = longer[min(len(preds), len(gts))].frame_index
-        raise ValueError(f"{name} has extra frames starting at frame {first_extra}")
-
-
 def _format_report(report: MetricsReport, names: Optional[List[str]], dist_threshold: float) -> str:
     lines = [
         f"match gate {dist_threshold:g} m, {report.num_thresholds} recall thresholds, "
@@ -232,14 +217,7 @@ def _cmd_evaluate(args) -> int:
     results = read_results(args.results)
     gt = read_ground_truth(args.gt)
     preds = results_to_predictions(results)
-    _check_sequences(preds, gt)
-    report = amota(
-        preds,
-        gt,
-        num_thresholds=args.num_thresholds,
-        dist_threshold=args.dist_threshold,
-        workers=args.workers,
-    )
+    report = amota(preds, gt, num_thresholds=args.num_thresholds, dist_threshold=args.dist_threshold)
     text = _format_report(report, _parse_class_names(args.classes), args.dist_threshold)
     if args.out:
         with open(args.out, "w") as f:
@@ -320,21 +298,14 @@ def _cmd_sweep(args) -> int:
             results.append(tracker.step(frame))
             shortfall += _association_gap(tracker, weights, gaps)
         preds = results_to_predictions(results)
-        _check_sequences(preds, gt)
         report = amota(
             preds, gt, num_thresholds=args.num_thresholds, dist_threshold=args.dist_threshold
         )
         gap_mean = math.fsum(gaps) / len(gaps) if gaps else None
         return combo, report, gap_mean, len(gaps), shortfall
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run_one, combos))
-    else:
-        rows = [run_one(c) for c in combos]
-
-    # Best AMOTA first; ties resolved by the grid values so the table is
-    # stable for any worker count.
+    rows = [run_one(c) for c in combos]
+    # Best AMOTA first; ties resolved by the grid values.
     rows.sort(key=lambda row: (-row[1].amota, row[0]))
 
     header = (
@@ -383,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
     ev.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0, help="match gate, meters")
     ev.add_argument("--classes", help="comma-separated names for class ids 0..n-1; other ids are hidden")
-    ev.add_argument("--workers", type=_worker_count, default=1, help="threads over the ground-truth classes")
+    ev.add_argument("--workers", type=_worker_count, default=1, help="accepted for compatibility; no longer changes anything")
     ev.add_argument("--out", help="write the report here instead of stdout")
     ev.set_defaults(func=_cmd_evaluate)
 
@@ -395,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_tracker_flags(sw, weight_grids=True)
     sw.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
     sw.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0)
-    sw.add_argument("--workers", type=_worker_count, default=1, help="grid points evaluated in parallel")
+    sw.add_argument("--workers", type=_worker_count, default=1, help="accepted for compatibility; no longer changes anything")
     sw.add_argument("--out", help="write the table here instead of stdout")
     sw.set_defaults(func=_cmd_sweep)
     return parser

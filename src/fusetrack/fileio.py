@@ -21,7 +21,7 @@ Parse errors name the offending line number.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence
 
 import yaml
@@ -92,7 +92,6 @@ def _detection_to_dict(det: Detection) -> Dict:
 
 def _detection_from_dict(data: Dict, path: str, line_number: int) -> Detection:
     try:
-        bbox = data.get("bbox")
         return Detection(
             u=float(_require(data, "u", path, line_number)),
             v=float(_require(data, "v", path, line_number)),
@@ -103,7 +102,7 @@ def _detection_from_dict(data: Dict, path: str, line_number: int) -> Detection:
             confidence=float(_require(data, "confidence", path, line_number)),
             du=float(data.get("du", 0.0)),
             dv=float(data.get("dv", 0.0)),
-            bbox=None if bbox is None else tuple(float(x) for x in bbox),
+            bbox=None if data.get("bbox") is None else tuple(float(x) for x in data["bbox"]),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
@@ -163,11 +162,8 @@ def replay_to_records(
 def replay_from_records(records: Sequence[Dict], path: str = "<memory>") -> List[FrameInput]:
     frames = []
     for number, record in enumerate(records, start=1):
-        dets = tuple(
-            _detection_from_dict(d, path, number)
-            for d in record.get("detections", [])
-        )
         try:
+            dets = tuple(_detection_from_dict(d, path, number) for d in record.get("detections", []))
             radar = tuple(
                 RadarPoint(
                     float(_require(p, "x", path, number)),
@@ -381,17 +377,8 @@ def save_yaml(path: str, data: Dict) -> None:
 
 def tracker_config_to_dict(config: TrackerConfig) -> Dict:
     return {
-        "weights": {
-            "alpha": config.weights.alpha,
-            "beta": config.weights.beta,
-            "delta": config.weights.delta,
-            "radius": config.weights.radius,
-        },
-        "pillar_dims": {
-            "width_y": config.pillar_dims.width_y,
-            "height_z": config.pillar_dims.height_z,
-            "depth_x": config.pillar_dims.depth_x,
-        },
+        "weights": asdict(config.weights),
+        "pillar_dims": asdict(config.pillar_dims),
         "depth_tolerance": config.depth_tolerance,
         "max_age": config.max_age,
         "min_confidence": config.min_confidence,

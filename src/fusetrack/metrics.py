@@ -35,7 +35,6 @@ are summed (math.fsum, order-independent) only at the floors reported.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -217,11 +216,17 @@ def match_frame(
 
 
 def _check_alignment(pred_frames, gt_frames):
-    if len(pred_frames) != len(gt_frames):
-        raise ValueError("prediction and ground-truth sequences differ in length")
+    """Same-length, same-frame-index pairing, reported by the first frame
+    where the two sequences disagree."""
     for p, g in zip(pred_frames, gt_frames):
         if p.frame_index != g.frame_index:
-            raise ValueError(f"misaligned frames: prediction {p.frame_index} vs ground truth {g.frame_index}")
+            raise ValueError(
+                f"misaligned sequences: results frame {p.frame_index} paired with ground-truth frame {g.frame_index}"
+            )
+    if len(pred_frames) != len(gt_frames):
+        longer, name = (pred_frames, "results") if len(pred_frames) > len(gt_frames) else (gt_frames, "ground truth")
+        first_extra = longer[min(len(pred_frames), len(gt_frames))].frame_index
+        raise ValueError(f"{name} has extra frames starting at frame {first_extra}")
 
 
 def count_sequence_errors(
@@ -341,15 +346,13 @@ def amota(
     gt_frames: Sequence[GroundTruthFrame],
     num_thresholds: int = 40,
     dist_threshold: float = 2.0,
-    workers: int = 1,
 ) -> MetricsReport:
     """Full evaluation: per-class AMOTA/AMOTP/MOTAR/MOTA/MOTP/Recall plus
     their unweighted means over the classes present in the ground truth.
 
     num_thresholds is the n of the recall ladder {1/(n-1), ..., 1}; floors
     are the distinct prediction confidences of each class. Classes are
-    independent work and may be spread over threads; results are assembled
-    in class order so the report is identical for any worker count.
+    scored one after another, in class order.
     """
     if num_thresholds < 2:
         raise ValueError("num_thresholds must be >= 2")
@@ -365,11 +368,7 @@ def amota(
         ]
         return _class_metrics(_walk_floors(frames, dist_threshold), num_thresholds, sum(len(g) for g, _ in frames))
 
-    if workers > 1 and len(class_ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_class = dict(zip(class_ids, pool.map(run, class_ids)))
-    else:
-        per_class = {class_id: run(class_id) for class_id in class_ids}
+    per_class = {class_id: run(class_id) for class_id in class_ids}
 
     fields = ("amota", "amotp", "motar", "mota", "motp", "recall")
     means = {f: math.fsum(getattr(m, f) for m in per_class.values()) / len(per_class) for f in fields}

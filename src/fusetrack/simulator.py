@@ -28,7 +28,7 @@ on any platform, any number of times, in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -158,23 +158,10 @@ class ScenarioConfig:
                 }
                 for o in self.objects
             ],
-            "noise": {
-                "center_px": self.noise.center_px,
-                "depth_m": self.noise.depth_m,
-                "velocity_mps": self.noise.velocity_mps,
-                "displacement_px": self.noise.displacement_px,
-            },
+            "noise": asdict(self.noise),
             "dropout": self.dropout,
-            "radar": {
-                "points_per_object": self.radar.points_per_object,
-                "position_sigma_m": self.radar.position_sigma_m,
-                "velocity_sigma_mps": self.radar.velocity_sigma_mps,
-                "clutter_per_frame": self.radar.clutter_per_frame,
-            },
-            "occlusion": {
-                "iou_threshold": self.occlusion.iou_threshold,
-                "enabled": self.occlusion.enabled,
-            },
+            "radar": asdict(self.radar),
+            "occlusion": asdict(self.occlusion),
         }
 
     @classmethod

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -165,8 +165,9 @@ class Tracker:
         self.config = config
         self.camera = camera
         self.record_association = record_association
-        # (detections as associated, pre-update track copies, result) of the
-        # most recent step; populated only when record_association is set.
+        # (DetectionBatch as associated, with fused depth and velocity; a copy
+        # of the TrackTable before the update; AssociationResult) of the most
+        # recent step; populated only when record_association is set.
         self.last_association = None
         self._tracks = TrackTable.from_tracks(())
         self._next_id = 1
@@ -229,16 +230,8 @@ class Tracker:
         tracks = self._tracks
         result: AssociationResult = greedy_associate(dets, tracks, cfg.weights)
         if self.record_association:
-            self.last_association = (
-                tuple(
-                    replace(det, depth=depth, vx=vx, vy=vy) if was_fused else det
-                    for det, depth, vx, vy, was_fused in zip(
-                        kept, dets.depth.tolist(), dets.vx.tolist(), dets.vy.tolist(), fused.tolist()
-                    )
-                ),
-                tuple(tracks.to_tracks()),
-                result,
-            )
+            # The update below writes matched rows in place, so keep a copy.
+            self.last_association = (dets, TrackTable(*(column.copy() for column in tracks.columns())), result)
 
         # Matched tracks take the detection's state; every other track
         # coasts one more frame and is dropped after max_age misses.

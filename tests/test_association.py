@@ -13,7 +13,6 @@ from fusetrack.association import (
     Track,
     cost_matrix,
     greedy_associate,
-    processing_order,
 )
 from fusetrack.fusion import RadarPoint
 
@@ -98,7 +97,7 @@ def test_confidence_order_resolves_contention():
     dets = [det(101.0, 100.0, conf=0.7), det(102.0, 100.0, conf=0.7)]
     res = greedy_associate(dets, tracks, CostWeights())
     assert res.matches == ((0, 1),)
-    assert processing_order(dets) == [0, 1]
+    assert greedy_associate(dets, [], CostWeights()).unmatched_detections == (0, 1)
 
 
 def test_cost_tie_prefers_lower_track_id():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,8 +75,8 @@ def test_simulate_writes_scene_files(workdir):
 def test_simulate_same_seed_byte_identical(workdir, tmp_path):
     assert main(["simulate", scenario_path(workdir), "--out", str(tmp_path / "again")]) == 0
     for name in ("replay.jsonl", "ground_truth.jsonl"):
-        a = open(workdir / "scene" / name, "rb").read()
-        b = open(tmp_path / "again" / name, "rb").read()
+        a = (workdir / "scene" / name).read_bytes()
+        b = (tmp_path / "again" / name).read_bytes()
         assert a == b
 
 
@@ -101,8 +102,8 @@ def test_config_dir_env_var(workdir, tmp_path, monkeypatch):
     monkeypatch.setenv("FUSETRACK_CONFIG_DIR", str(workdir))
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "crossing.yaml", "--out", "envscene"]) == 0
-    a = open(tmp_path / "envscene" / "replay.jsonl", "rb").read()
-    b = open(replay_path(workdir), "rb").read()
+    a = (tmp_path / "envscene" / "replay.jsonl").read_bytes()
+    b = Path(replay_path(workdir)).read_bytes()
     assert a == b
 
 
@@ -142,7 +143,7 @@ def test_track_flag_ablation_matches_library(workdir, tmp_path):
     expected, _ = run_sequence(scene.frames, config)
     ref = str(tmp_path / "reference.jsonl")
     write_results(ref, expected)
-    assert open(out, "rb").read() == open(ref, "rb").read()
+    assert Path(out).read_bytes() == Path(ref).read_bytes()
 
 
 def test_track_empty_replay(tmp_path, capsys):
@@ -150,7 +151,7 @@ def test_track_empty_replay(tmp_path, capsys):
     empty.write_text("")
     out = str(tmp_path / "results.jsonl")
     assert main(["track", str(empty), "--no-fusion", "--out", out]) == 0
-    assert open(out).read() == ""
+    assert Path(out).read_text() == ""
     assert "latency over 0 steps" in capsys.readouterr().err
 
 
@@ -194,7 +195,7 @@ def test_config_file_with_flag_override(workdir, tmp_path):
     expected, _ = run_sequence(scene.frames, merged)
     ref = str(tmp_path / "reference.jsonl")
     write_results(ref, expected)
-    assert open(out, "rb").read() == open(ref, "rb").read()
+    assert Path(out).read_bytes() == Path(ref).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -323,7 +324,7 @@ def test_evaluate_class_names_filter(tmp_path, capsys):
 
 def test_evaluate_misalignment_names_frame(tmp_path, capsys):
     res_file, gt_file = perfect_files(tmp_path)
-    records = [json.loads(line) for line in open(gt_file)]
+    records = [json.loads(line) for line in Path(gt_file).read_text().splitlines()]
     records[3]["frame"] = 77
     write_jsonl(gt_file, records)
     assert main(["evaluate", res_file, gt_file]) == 1
@@ -343,7 +344,7 @@ def test_evaluate_report_to_file(tmp_path, capsys):
     report_file = str(tmp_path / "report.txt")
     assert main(["evaluate", res_file, gt_file, "--out", report_file]) == 0
     assert capsys.readouterr().out == ""
-    assert overall_row(open(report_file).read())[0] == "1.0000"
+    assert overall_row(Path(report_file).read_text())[0] == "1.0000"
 
 
 # --------------------------------------------------------------------- sweep
@@ -407,10 +408,10 @@ def test_sweep_workers_do_not_change_output(workdir, tmp_path):
         "--scene", scenario_path(workdir),
         "--beta", "0,0.04", "--delta", "0,0.25", "--num-thresholds", "5",
     ]
-    serial, threaded = str(tmp_path / "w1.txt"), str(tmp_path / "w3.txt")
-    assert main(args + ["--out", serial]) == 0
-    assert main(args + ["--workers", "3", "--out", threaded]) == 0
-    assert open(serial, "rb").read() == open(threaded, "rb").read()
+    one, three = str(tmp_path / "w1.txt"), str(tmp_path / "w3.txt")
+    assert main(args + ["--out", one]) == 0
+    assert main(args + ["--workers", "3", "--out", three]) == 0
+    assert Path(one).read_bytes() == Path(three).read_bytes()
 
 
 def test_sweep_gap_covers_frames_over_ten_detections(tmp_path, capsys):
@@ -429,7 +430,7 @@ def test_sweep_gap_covers_frames_over_ten_detections(tmp_path, capsys):
     save_yaml(scenario_file, scenario.to_dict())
     assert main(["simulate", scenario_file, "--out", str(tmp_path / "scene")]) == 0
     replay, gt = str(tmp_path / "scene" / "replay.jsonl"), str(tmp_path / "scene" / "ground_truth.jsonl")
-    assert all(len(json.loads(line)["detections"]) == 14 for line in open(replay))
+    assert all(len(json.loads(line)["detections"]) == 14 for line in Path(replay).read_text().splitlines())
     capsys.readouterr()
     assert main(["sweep", replay, gt, "--scene", scenario_file]) == 0
     header, row = capsys.readouterr().out.splitlines()

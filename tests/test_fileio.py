@@ -3,6 +3,7 @@ preservation, line-numbered parse errors, config plumbing."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,10 +75,10 @@ def test_serialization_is_deterministic(tmp_path, scene, results):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     write_replay(a, scene.frames)
     write_replay(b, scene.frames)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     write_results(a, results)
     write_results(b, results)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_unknown_fields_survive_round_trip(scene):
@@ -121,6 +122,24 @@ def test_non_object_line_rejected(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(ParseError, match="JSON object"):
         read_replay(str(path))
+
+
+@pytest.mark.parametrize(
+    "reader, record",
+    [
+        (read_replay, {"frame": 0, "time": 0.0, "detections": 5, "radar": []}),
+        (read_replay, {"frame": 0, "time": 0.0, "detections": [5], "radar": []}),
+        (read_replay, {"frame": 0, "time": 0.0, "detections": [], "radar": 5}),
+        (read_ground_truth, {"frame": 0, "objects": 5}),
+        (read_results, {"frame": 0, "time": 0.0, "tracks": 5}),
+    ],
+)
+def test_non_list_field_names_line(tmp_path, reader, record):
+    path = tmp_path / "broken.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ParseError) as err:
+        reader(str(path))
+    assert str(err.value).startswith(f"{path}:1: ")
 
 
 def test_blank_lines_skipped(tmp_path, scene):

@@ -273,15 +273,6 @@ def test_amota_validation():
         amota(pf, empty_gt)
 
 
-def test_amota_worker_count_does_not_change_report():
-    rng = random.Random(77)
-    for _ in range(5):
-        pf, gf = random_micro_scene(rng)
-        serial = amota(pf, gf, num_thresholds=11, workers=1)
-        threaded = amota(pf, gf, num_thresholds=11, workers=4)
-        assert serial == threaded
-
-
 # ------------------------------------------------------------- recount oracle
 
 def test_recount_on_perfect_sequence_is_all_zero():

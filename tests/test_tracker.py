@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fusetrack.association import CostWeights, Detection
+from fusetrack.association import CostWeights, Detection, DetectionBatch, TrackTable
 from fusetrack.fusion import RadarPoint
 from fusetrack.geometry import CameraModel, image_to_vehicle
 from fusetrack.heatmap import HeatmapConfig
@@ -236,6 +236,13 @@ def _bits(value):
     return value
 
 
+def _column_bits(table):
+    """Every column of a DetectionBatch or TrackTable as (name, dtype,
+    shape, raw bytes), so that == means bit-identical."""
+    columns = {name: getattr(table, name) for name in type(table).__slots__}
+    return [(name, c.dtype.str, c.shape, c.tobytes()) for name, c in columns.items()]
+
+
 def _dense_with_empty_frames_and_gaps(rng):
     frames = dense_frames(rng, CAM, 12)
     return [
@@ -276,4 +283,7 @@ def test_columnar_step_matches_object_reference(case):
         for frame in frames:
             assert _bits(fast.step(frame)) == _bits(slow.step(frame)), f"frame {frame.frame_index}"
             assert _bits(fast.live_tracks) == _bits(slow.live_tracks), f"frame {frame.frame_index}"
-            assert _bits(fast.last_association) == _bits(slow.last_association), f"frame {frame.frame_index}"
+            (dets, tracks, result), (slow_dets, slow_tracks, slow_result) = fast.last_association, slow.last_association
+            assert _column_bits(dets) == _column_bits(DetectionBatch.from_detections(slow_dets)), f"frame {frame.frame_index}"
+            assert _column_bits(tracks) == _column_bits(TrackTable.from_tracks(slow_tracks)), f"frame {frame.frame_index}"
+            assert _bits(result) == _bits(slow_result), f"frame {frame.frame_index}"
