@@ -13,18 +13,18 @@ also looked up under $FUSETRACK_CONFIG_DIR.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .association import CostWeights, cost_matrix
 from .fileio import (
     ParseError,
+    encode_record,
     load_yaml,
     read_ground_truth,
     read_replay,
@@ -36,7 +36,6 @@ from .fileio import (
     write_replay,
     write_results,
 )
-from .fusion import PillarDims
 from .geometry import CameraModel
 from .metrics import MetricsReport, amota
 from .simulator import ScenarioConfig, generate
@@ -56,11 +55,20 @@ def _resolve_config(path: str) -> str:
     return path
 
 
+def _load_config(path: str, build: Callable):
+    """build() of the YAML mapping at path, with the file named in errors."""
+    path = _resolve_config(path)
+    data = load_yaml(path)
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_camera(path: str) -> CameraModel:
-    data = load_yaml(_resolve_config(path))
-    if "camera" not in data:
-        raise ValueError(f"{path}: expected a 'camera' section")
-    return CameraModel.from_dict(data["camera"])
+    return _load_config(path, lambda data: CameraModel.from_dict(data["camera"]))
 
 
 def _parse_class_names(spec: Optional[str]) -> Optional[List[str]]:
@@ -113,39 +121,23 @@ def _add_tracker_flags(sp: argparse.ArgumentParser, weight_grids: bool) -> None:
     sp.add_argument("--pillar-depth", dest="pillar_depth", type=float, help="pillar depth (x), meters")
 
 
+def _given(args, **dests) -> dict:
+    """The fields (name=argparse dest) whose flags were given."""
+    return {name: getattr(args, dest) for name, dest in dests.items() if getattr(args, dest) is not None}
+
+
 def _base_config(args) -> TrackerConfig:
     """Library defaults, overridden by --config, overridden by flags."""
-    cfg = TrackerConfig()
-    if getattr(args, "config", None):
-        cfg = tracker_config_from_dict(load_yaml(_resolve_config(args.config)))
-    dims = cfg.pillar_dims
-    dims = PillarDims(
-        width_y=dims.width_y if args.pillar_width is None else args.pillar_width,
-        height_z=dims.height_z if args.pillar_height is None else args.pillar_height,
-        depth_x=dims.depth_x if args.pillar_depth is None else args.pillar_depth,
+    cfg = _load_config(args.config, tracker_config_from_dict) if args.config else TrackerConfig()
+    dims = _given(args, width_y="pillar_width", height_z="pillar_height", depth_x="pillar_depth")
+    flags = _given(
+        args, depth_tolerance="depth_tolerance", max_age="max_age", min_confidence="min_confidence", fusion_enabled="fusion"
     )
-    return TrackerConfig(
-        weights=cfg.weights,
-        pillar_dims=dims,
-        depth_tolerance=cfg.depth_tolerance if args.depth_tolerance is None else args.depth_tolerance,
-        max_age=cfg.max_age if args.max_age is None else args.max_age,
-        min_confidence=cfg.min_confidence if args.min_confidence is None else args.min_confidence,
-        fusion_enabled=cfg.fusion_enabled if args.fusion is None else args.fusion,
-    )
-
-
-def _scalar_weights(args, base: CostWeights) -> CostWeights:
-    return CostWeights(
-        alpha=base.alpha if args.alpha is None else args.alpha,
-        beta=base.beta if args.beta is None else args.beta,
-        delta=base.delta if args.delta is None else args.delta,
-        radius=base.radius if args.radius is None else args.radius,
-    )
+    return replace(cfg, pillar_dims=replace(cfg.pillar_dims, **dims), **flags)
 
 
 def _cmd_simulate(args) -> int:
-    data = load_yaml(_resolve_config(args.config))
-    cfg = ScenarioConfig.from_dict(data)
+    cfg = _load_config(args.config, ScenarioConfig.from_dict)
     scene = generate(cfg)  # build everything before touching the filesystem
     os.makedirs(args.out, exist_ok=True)
     replay_path = os.path.join(args.out, "replay.jsonl")
@@ -167,7 +159,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_track(args) -> int:
     frames = read_replay(args.replay)
     config = _base_config(args)
-    config = replace(config, weights=_scalar_weights(args, config.weights))
+    weights = _given(args, alpha="alpha", beta="beta", delta="delta", radius="radius")
+    config = replace(config, weights=replace(config.weights, **weights))
     camera = _load_camera(args.scene) if args.scene else None
     if config.fusion_enabled and camera is None:
         print(
@@ -177,9 +170,7 @@ def _cmd_track(args) -> int:
         return 2
     results, stats = run_sequence(frames, config, camera)
     if args.out == "-":
-        out = sys.stdout
-        for rec in results_to_records(results):
-            out.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        sys.stdout.writelines(encode_record(rec) + "\n" for rec in results_to_records(results))
     else:
         write_results(args.out, results)
     print(

@@ -8,26 +8,34 @@ replay of N frames is exactly N lines):
 * results: tracker output, reported tracks per frame, including their
   vehicle-frame position when the tracker knew its camera.
 
-Field names are documented in docs/file_formats.md. Parsers keep every
-unknown field: reading a file yields raw dicts alongside the typed objects,
-and writers merge typed values back into copies of those dicts, so foreign
-annotations survive a read-modify-write cycle. Writers emit compact,
-deterministic JSON (sorted known fields first is NOT imposed; insertion
-order is stable), so identical data always produces identical bytes.
+Each record kind is stated once, in a field table of (JSON key, attribute,
+JSON type, default) rows that both its reader and its writer walk;
+docs/file_formats.md lists the same fields and the type rules, which the
+YAML configs share. NaN and Infinity fail at decode time and writers refuse
+them. Every failure names the file and line, as in ``path:3: bad frame:
+field 'time': expected a number, got '0.5'``.
 
-Parse errors name the offending line number.
+Readers keep unknown fields: writers merge typed values back into copies of
+the dicts a file was read from (``base_records``), so foreign annotations
+survive a read-modify-write cycle. Writers emit compact JSON with the known
+fields in table order, so identical data always produces identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
-from typing import Dict, List, Optional, Sequence
+import reprlib
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from functools import partial
+from itertools import product
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .association import CostWeights, Detection
-from .fusion import PillarDims, RadarPoint
+from .association import Detection
+from .fusion import RadarPoint
 from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
 from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
 
@@ -41,156 +49,276 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-def read_records(path: str) -> List[Dict]:
-    """All JSON objects of a JSONL file, skipping blank lines."""
-    records = []
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+encode_record = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _numbered_records(path: str) -> Iterator[Tuple[int, Dict]]:
+    """(line number, JSON object) of each non-blank line of a JSONL file."""
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, number, f"invalid JSON: {exc.msg}") from exc
+                record = _decode(line)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(path, number, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(record, dict):
                 raise ParseError(path, number, "each line must hold a JSON object")
-            records.append(record)
-    return records
+            yield number, record
+
+
+def read_records(path: str) -> List[Dict]:
+    """All JSON objects of a JSONL file, skipping blank lines."""
+    return [record for _, record in _numbered_records(path)]
 
 
 def write_records(path: str, records: Sequence[Dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            fh.write(encode_record(record) + "\n")
 
 
-def _require(record: Dict, key: str, path: str, line_number: int):
-    if key not in record:
-        raise ParseError(path, line_number, f"missing field {key!r}")
-    return record[key]
+# ------------------------------------------------------------ typed readers
+
+REQUIRED = object()  # the default of a field that must be present
 
 
-# ------------------------------------------------------------------ replay
+class _Type(NamedTuple):
+    """A JSON type: its name in messages, the Python types its decoded values
+    may have, their conversion (ValueError when out of range), the type whose
+    values need none, and the writer of an attribute value (None: as it is)."""
 
-def _detection_to_dict(det: Detection) -> Dict:
-    out = {
-        "u": det.u,
-        "v": det.v,
-        "depth": det.depth,
-        "vx": det.vx,
-        "vy": det.vy,
-        "class": det.class_id,
-        "confidence": det.confidence,
-        "du": det.du,
-        "dv": det.dv,
-    }
-    if det.bbox is not None:
-        out["bbox"] = list(det.bbox)
+    name: str
+    accepts: frozenset
+    convert: Callable
+    plain: Optional[type] = None
+    write: Optional[Callable] = None
+
+    def read(self, value):
+        if type(value) not in self.accepts:
+            raise ValueError(f"expected {self.name}, got {reprlib.repr(value)}")
+        return self.convert(value)
+
+
+def _int64(value: int) -> int:
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in a signed 64-bit integer")
+    return value
+
+
+def _box(value: list) -> Tuple[float, ...]:
+    if len(value) != 4 or not NUMBER.accepts.issuperset(map(type, value)):
+        raise ValueError(f"expected a list of 4 numbers, got {reprlib.repr(value)}")
+    return tuple(map(float, value))
+
+
+NUMBER = _Type("a number", frozenset({int, float}), float, plain=float)
+INTEGER = _Type("an integer", frozenset({int}), _int64)
+FLAG = _Type("true or false", frozenset({bool}), bool, plain=bool)
+BOX = _Type("a list of 4 numbers", frozenset({list}), _box, write=lambda box, base: list(box))
+
+
+def read_field(data: Dict, key: str, kind: _Type, default=REQUIRED):
+    """data[key] read as kind. An absent key reads its default, a JSON value;
+    a None default also makes null valid."""
+    value = data.get(key, default)
+    if value is REQUIRED:
+        raise ValueError(f"missing field {key!r}")
+    if value is None and default is None:
+        return None
+    try:
+        return kind.read(value)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+class _Kind:
+    """A record kind compiled from its field table. make builds the object
+    from the field values in table order; split, when the attributes do not
+    hold them, gives them back."""
+
+    def __init__(self, make: Callable, rows, split: Optional[Callable] = None):
+        self.make, self.rows = make, rows
+        self.split = split
+        self.keys = tuple(key for key, _, _, _ in rows)
+        self.fetch = itemgetter(*self.keys)
+        self.defaults = {key: default for key, _, _, default in rows if default is not REQUIRED}
+        self.nullable = {key for key, _, _, default in rows if default is None}
+        null = {type(None)}
+        # Every type signature of a record whose plain fields need no conversion.
+        self.plain = set(product(*(
+            ({t.plain} if t.plain else t.accepts) | (null if default is None else set()) for _, _, t, default in rows
+        )))
+        self.convert = [(i, t.convert) for i, (_, _, t, _) in enumerate(rows) if not t.plain]
+        self.write = [(key, t.write) for key, _, t, _ in rows if t.write or key in self.nullable]
+        self.list = _Type("a list", frozenset({list}), self.read_all, write=self.dump_all)
+        # The record of an object (or of its split), compiled to a dict display
+        # as collections.namedtuple compiles __new__: 2x faster than dict(zip()).
+        values = [f"o[{i}]" if split else f"o.{attr}" for i, (_, attr, _, _) in enumerate(rows)]
+        self.record = eval("lambda o: {" + ", ".join(f"{k!r}: {v}" for k, v in zip(self.keys, values)) + "}")
+
+    def read(self, record: Dict):
+        """The object of one JSON object; the ValueError names the field."""
+        if not isinstance(record, dict):
+            raise ValueError(f"expected an object, got {reprlib.repr(record)}")
+        try:
+            try:
+                values = self.fetch(record)
+            except KeyError:
+                values = self.fetch({**self.defaults, **record})
+            if tuple(map(type, values)) in self.plain:
+                values = list(values)
+                for i, convert in self.convert:
+                    if values[i] is not None:
+                        values[i] = convert(values[i])
+                return self.make(*values)
+        except (KeyError, ValueError, OverflowError):
+            pass
+        # Field by field, so that the error names the field. When every field
+        # reads, the object itself is invalid and its constructor says why.
+        return self.make(*(read_field(record, key, t, default) for key, _, t, default in self.rows))
+
+    def read_all(self, records: list) -> tuple:
+        objects = []
+        for i, record in enumerate(records):
+            try:
+                objects.append(self.read(record))
+            except ValueError as exc:
+                raise ValueError(f"item {i}: {exc}") from None
+        return tuple(objects)
+
+    def dump_all(self, objects: Sequence, bases=None) -> List[Dict]:
+        """JSON objects of objects, leaving out nullable fields that hold None.
+        bases, when it is a list of the objects they were read from, carries
+        their other fields over."""
+        records = list(map(self.record, map(self.split, objects) if self.split else objects))
+        if not (isinstance(bases, list) and len(bases) == len(records) and all(isinstance(b, dict) for b in bases)):
+            bases = [{}] * len(records)
+        for key, write in self.write:
+            for record, base in zip(records, bases):
+                if record[key] is None and key in self.nullable:
+                    del record[key]
+                elif write:
+                    record[key] = write(record[key], base.get(key))
+        if any(bases):
+            for i, (record, base) in enumerate(zip(records, bases)):
+                records[i] = {**base, **record}
+                for key in self.nullable.difference(record):
+                    records[i].pop(key, None)
+        return records
+
+
+def _parse(records: Iterable[Tuple[int, Dict]], path: str, what: str, parse_one: Callable) -> List:
+    """parse_one of each (line number, record); a failure names the line."""
+    out = []
+    for number, record in records:
+        try:
+            out.append(parse_one(record))
+        except ValueError as exc:
+            raise ParseError(path, number, f"bad {what}: {exc}") from exc
     return out
 
 
-def _detection_from_dict(data: Dict, path: str, line_number: int) -> Detection:
-    try:
-        return Detection(
-            u=float(_require(data, "u", path, line_number)),
-            v=float(_require(data, "v", path, line_number)),
-            depth=float(_require(data, "depth", path, line_number)),
-            vx=float(_require(data, "vx", path, line_number)),
-            vy=float(_require(data, "vy", path, line_number)),
-            class_id=int(_require(data, "class", path, line_number)),
-            confidence=float(_require(data, "confidence", path, line_number)),
-            du=float(data.get("du", 0.0)),
-            dv=float(data.get("dv", 0.0)),
-            bbox=None if data.get("bbox") is None else tuple(float(x) for x in data["bbox"]),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(path, line_number, f"bad detection: {exc}") from exc
+def _dump(kind: _Kind, objects: Sequence, base_records: Optional[Sequence[Dict]]) -> List[Dict]:
+    """Records of objects; base_records[i], when given, is the dict objects[i]
+    was parsed from, and its unknown fields are carried over."""
+    return kind.dump_all(objects, None if base_records is None else [base_records[i] for i in range(len(objects))])
 
 
-def _merge_rows(rows: List[Dict], base, drop_when_absent: Sequence[str] = ()) -> List[Dict]:
-    """Element-wise unknown-field carry-over for a nested array. Typed values
-    win; keys in drop_when_absent are erased rather than inherited when the
-    fresh row lacks them. Shape mismatches skip the merge entirely."""
-    if not isinstance(base, list) or len(base) != len(rows):
-        return rows
-    merged = []
-    for fresh, old in zip(rows, base):
-        if not isinstance(old, dict):
-            return rows
-        row = dict(old)
-        row.update(fresh)
-        for key in drop_when_absent:
-            if key not in fresh:
-                row.pop(key, None)
-        merged.append(row)
-    return merged
+# ------------------------------------------------------------- field tables
 
+_DETECTION = _Kind(Detection, (
+    ("u", "u", NUMBER, REQUIRED),
+    ("v", "v", NUMBER, REQUIRED),
+    ("depth", "depth", NUMBER, REQUIRED),
+    ("vx", "vx", NUMBER, REQUIRED),
+    ("vy", "vy", NUMBER, REQUIRED),
+    ("class", "class_id", INTEGER, REQUIRED),
+    ("confidence", "confidence", NUMBER, REQUIRED),
+    ("du", "du", NUMBER, 0.0),
+    ("dv", "dv", NUMBER, 0.0),
+    ("bbox", "bbox", BOX, None),
+))
+_RADAR_POINT = _Kind(RadarPoint, (
+    ("x", "x", NUMBER, REQUIRED),
+    ("y", "y", NUMBER, REQUIRED),
+    ("z", "z", NUMBER, REQUIRED),
+    ("vx", "vx", NUMBER, REQUIRED),
+    ("vy", "vy", NUMBER, REQUIRED),
+))
+_REPLAY_FRAME = _Kind(FrameInput, (
+    ("frame", "frame_index", INTEGER, REQUIRED),
+    ("time", "timestamp", NUMBER, REQUIRED),
+    ("detections", "detections", _DETECTION.list, []),
+    ("radar", "radar", _RADAR_POINT.list, []),
+))
+_GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
+    ("id", "gt_id", INTEGER, REQUIRED),
+    ("x", "x", NUMBER, REQUIRED),
+    ("y", "y", NUMBER, REQUIRED),
+    ("class", "class_id", INTEGER, REQUIRED),
+))
+_GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
+    ("frame", "frame_index", INTEGER, REQUIRED),
+    ("objects", "objects", _GROUND_TRUTH_OBJECT.list, []),
+))
+
+
+def _snapshot(*values) -> TrackSnapshot:
+    *fields_, x, y, z = values
+    if (x is None) != (y is None) or (x is None and z is not None):
+        raise ValueError("a position needs both 'x' and 'y'")
+    return TrackSnapshot(*fields_, None if x is None else (x, y, 0.0 if z is None else z))
+
+
+def _snapshot_fields(track: TrackSnapshot) -> tuple:
+    return (*track[:10], *((None,) * 3 if track.position is None else map(float, track.position)))
+
+
+_RESULT_TRACK = _Kind(_snapshot, (
+    ("id", "track_id", INTEGER, REQUIRED),
+    ("u", "u", NUMBER, REQUIRED),
+    ("v", "v", NUMBER, REQUIRED),
+    ("depth", "depth", NUMBER, REQUIRED),
+    ("vx", "vx", NUMBER, REQUIRED),
+    ("vy", "vy", NUMBER, REQUIRED),
+    ("class", "class_id", INTEGER, REQUIRED),
+    ("confidence", "confidence", NUMBER, REQUIRED),
+    ("age", "age", INTEGER, 0),
+    ("fused", "fused", FLAG, False),
+    ("x", "position", NUMBER, None),
+    ("y", "position", NUMBER, None),
+    ("z", "position", NUMBER, None),
+), _snapshot_fields)
+_RESULT_FRAME = _Kind(FrameResult, (
+    ("frame", "frame_index", INTEGER, REQUIRED),
+    ("time", "timestamp", NUMBER, REQUIRED),
+    ("tracks", "tracks", _RESULT_TRACK.list, []),
+))
+
+
+# ------------------------------------------------------------------ replay
 
 def replay_to_records(
     frames: Sequence[FrameInput], base_records: Optional[Sequence[Dict]] = None
 ) -> List[Dict]:
     """Serialize frames; when base_records is given (the dicts the frames
     were parsed from), unknown fields in them are carried over."""
-    records = []
-    for i, frame in enumerate(frames):
-        base = base_records[i] if base_records is not None else None
-        record = dict(base) if base is not None else {}
-        detections = _merge_rows(
-            [_detection_to_dict(d) for d in frame.detections],
-            base.get("detections") if base else None,
-            drop_when_absent=("bbox",),
-        )
-        radar = _merge_rows(
-            [{"x": p.x, "y": p.y, "z": p.z, "vx": p.vx, "vy": p.vy} for p in frame.radar],
-            base.get("radar") if base else None,
-        )
-        record.update(
-            {
-                "frame": frame.frame_index,
-                "time": frame.timestamp,
-                "detections": detections,
-                "radar": radar,
-            }
-        )
-        records.append(record)
-    return records
+    return _dump(_REPLAY_FRAME, frames, base_records)
 
 
 def replay_from_records(records: Sequence[Dict], path: str = "<memory>") -> List[FrameInput]:
-    frames = []
-    for number, record in enumerate(records, start=1):
-        try:
-            dets = tuple(_detection_from_dict(d, path, number) for d in record.get("detections", []))
-            radar = tuple(
-                RadarPoint(
-                    float(_require(p, "x", path, number)),
-                    float(_require(p, "y", path, number)),
-                    float(_require(p, "z", path, number)),
-                    float(_require(p, "vx", path, number)),
-                    float(_require(p, "vy", path, number)),
-                )
-                for p in record.get("radar", [])
-            )
-            frames.append(
-                FrameInput(
-                    frame_index=int(_require(record, "frame", path, number)),
-                    timestamp=float(_require(record, "time", path, number)),
-                    detections=dets,
-                    radar=radar,
-                )
-            )
-        except ParseError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(path, number, f"bad frame: {exc}") from exc
-    return frames
+    return _parse(enumerate(records, start=1), path, "frame", _REPLAY_FRAME.read)
 
 
 def read_replay(path: str) -> List[FrameInput]:
-    return replay_from_records(read_records(path), path)
+    return _parse(_numbered_records(path), path, "frame", _REPLAY_FRAME.read)
 
 
 def write_replay(path: str, frames: Sequence[FrameInput]) -> None:
@@ -202,46 +330,17 @@ def write_replay(path: str, frames: Sequence[FrameInput]) -> None:
 def ground_truth_to_records(
     frames: Sequence[GroundTruthFrame], base_records: Optional[Sequence[Dict]] = None
 ) -> List[Dict]:
-    records = []
-    for i, frame in enumerate(frames):
-        base = base_records[i] if base_records is not None else None
-        record = dict(base) if base is not None else {}
-        objects = _merge_rows(
-            [{"id": o.gt_id, "x": o.x, "y": o.y, "class": o.class_id} for o in frame.objects],
-            base.get("objects") if base else None,
-        )
-        record.update({"frame": frame.frame_index, "objects": objects})
-        records.append(record)
-    return records
+    return _dump(_GROUND_TRUTH_FRAME, frames, base_records)
 
 
 def ground_truth_from_records(
     records: Sequence[Dict], path: str = "<memory>"
 ) -> List[GroundTruthFrame]:
-    frames = []
-    for number, record in enumerate(records, start=1):
-        try:
-            objects = tuple(
-                GroundTruthObject(
-                    gt_id=int(_require(o, "id", path, number)),
-                    x=float(_require(o, "x", path, number)),
-                    y=float(_require(o, "y", path, number)),
-                    class_id=int(_require(o, "class", path, number)),
-                )
-                for o in record.get("objects", [])
-            )
-            frames.append(
-                GroundTruthFrame(int(_require(record, "frame", path, number)), objects)
-            )
-        except ParseError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(path, number, f"bad ground-truth frame: {exc}") from exc
-    return frames
+    return _parse(enumerate(records, start=1), path, "ground-truth frame", _GROUND_TRUTH_FRAME.read)
 
 
 def read_ground_truth(path: str) -> List[GroundTruthFrame]:
-    return ground_truth_from_records(read_records(path), path)
+    return _parse(_numbered_records(path), path, "ground-truth frame", _GROUND_TRUTH_FRAME.read)
 
 
 def write_ground_truth(path: str, frames: Sequence[GroundTruthFrame]) -> None:
@@ -253,79 +352,15 @@ def write_ground_truth(path: str, frames: Sequence[GroundTruthFrame]) -> None:
 def results_to_records(
     results: Sequence[FrameResult], base_records: Optional[Sequence[Dict]] = None
 ) -> List[Dict]:
-    records = []
-    for i, result in enumerate(results):
-        base = base_records[i] if base_records is not None else None
-        record = dict(base) if base is not None else {}
-        tracks = []
-        for t in result.tracks:
-            row = {
-                "id": t.track_id,
-                "u": t.u,
-                "v": t.v,
-                "depth": t.depth,
-                "vx": t.vx,
-                "vy": t.vy,
-                "class": t.class_id,
-                "confidence": t.confidence,
-                "age": t.age,
-                "fused": t.fused,
-            }
-            if t.position is not None:
-                row["x"] = float(t.position[0])
-                row["y"] = float(t.position[1])
-                row["z"] = float(t.position[2])
-            tracks.append(row)
-        tracks = _merge_rows(
-            tracks, base.get("tracks") if base else None, drop_when_absent=("x", "y", "z")
-        )
-        record.update(
-            {"frame": result.frame_index, "time": result.timestamp, "tracks": tracks}
-        )
-        records.append(record)
-    return records
+    return _dump(_RESULT_FRAME, results, base_records)
 
 
 def results_from_records(records: Sequence[Dict], path: str = "<memory>") -> List[FrameResult]:
-    results = []
-    for number, record in enumerate(records, start=1):
-        try:
-            tracks = []
-            for t in record.get("tracks", []):
-                position = None
-                if "x" in t and "y" in t:
-                    position = (float(t["x"]), float(t["y"]), float(t.get("z", 0.0)))
-                tracks.append(
-                    TrackSnapshot(
-                        track_id=int(_require(t, "id", path, number)),
-                        u=float(_require(t, "u", path, number)),
-                        v=float(_require(t, "v", path, number)),
-                        depth=float(_require(t, "depth", path, number)),
-                        vx=float(_require(t, "vx", path, number)),
-                        vy=float(_require(t, "vy", path, number)),
-                        class_id=int(_require(t, "class", path, number)),
-                        confidence=float(_require(t, "confidence", path, number)),
-                        age=int(t.get("age", 0)),
-                        fused=bool(t.get("fused", False)),
-                        position=position,
-                    )
-                )
-            results.append(
-                FrameResult(
-                    frame_index=int(_require(record, "frame", path, number)),
-                    timestamp=float(_require(record, "time", path, number)),
-                    tracks=tuple(tracks),
-                )
-            )
-        except ParseError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(path, number, f"bad result frame: {exc}") from exc
-    return results
+    return _parse(enumerate(records, start=1), path, "result frame", _RESULT_FRAME.read)
 
 
 def read_results(path: str) -> List[FrameResult]:
-    return results_from_records(read_records(path), path)
+    return _parse(_numbered_records(path), path, "result frame", _RESULT_FRAME.read)
 
 
 def write_results(path: str, results: Sequence[FrameResult]) -> None:
@@ -376,36 +411,42 @@ def save_yaml(path: str, data: Dict) -> None:
 
 
 def tracker_config_to_dict(config: TrackerConfig) -> Dict:
-    return {
-        "weights": asdict(config.weights),
-        "pillar_dims": asdict(config.pillar_dims),
-        "depth_tolerance": config.depth_tolerance,
-        "max_age": config.max_age,
-        "min_confidence": config.min_confidence,
-        "fusion_enabled": config.fusion_enabled,
-    }
-
-
-def config_section(data: Dict, name: str, cls):
-    """Build cls from the mapping under data[name] (defaults when absent),
-    naming the section and key in the error for anything else. Shared by
-    the tracker and scenario configs."""
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be a mapping, got {type(section).__name__}")
-    known = {f.name for f in fields(cls)}
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in config section {name!r} (expected one of {sorted(known)})")
-    return cls(**section)
+    return asdict(config)
 
 
 def tracker_config_from_dict(data: Dict) -> TrackerConfig:
-    return TrackerConfig(
-        weights=config_section(data, "weights", CostWeights),
-        pillar_dims=config_section(data, "pillar_dims", PillarDims),
-        depth_tolerance=float(data.get("depth_tolerance", 0.25)),
-        max_age=int(data.get("max_age", 3)),
-        min_confidence=float(data.get("min_confidence", 0.0)),
-        fusion_enabled=bool(data.get("fusion_enabled", True)),
-    )
+    return config_from_dict(TrackerConfig, data, strict=False)
+
+
+def config_to_dict(config) -> Dict:
+    """A config dataclass as YAML data (mappings, lists and scalars), keys in
+    field order."""
+    if is_dataclass(config):
+        return {f.name: config_to_dict(getattr(config, f.name)) for f in fields(config)}
+    if isinstance(config, (tuple, list)):
+        return [config_to_dict(item) for item in config]
+    return config.tolist() if hasattr(config, "tolist") else config
+
+
+def config_from_dict(cls, data: Dict, strict: bool = True):
+    """cls built from a mapping of its fields, each read with the typed reader
+    of its annotation; absent keys keep the field defaults. Unknown keys are
+    errors when strict, and ignored otherwise."""
+    hints = get_type_hints(cls)
+    for key in data if strict else ():
+        if key not in hints:
+            raise ValueError(f"unknown key {key!r} (expected one of {sorted(hints)})")
+    read = [f.name for f in fields(cls) if f.name in data or (f.default is MISSING and f.default_factory is MISSING)]
+    return cls(**{name: read_field(data, name, _config_type(hints[name])) for name in read})
+
+
+def _config_type(hint) -> _Type:
+    """The typed reader of a config field annotation."""
+    if hint in (float, int, bool):
+        return {float: NUMBER, int: INTEGER, bool: FLAG}[hint]
+    if is_dataclass(hint):
+        return _Type("a mapping", frozenset({dict}), partial(config_from_dict, hint))
+    if get_origin(hint) is tuple:  # a tuple of one item type, read from a list
+        item = _config_type(get_args(hint)[0])
+        return _Type("a list", frozenset({list}), lambda values: tuple(map(item.read, values)))
+    return _Type("a list", frozenset({list}), list)  # an array, which its constructor checks

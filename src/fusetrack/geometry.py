@@ -120,30 +120,17 @@ class CameraModel:
         """Camera center in the vehicle frame."""
         return -self.rotation.T @ self.translation
 
+    # fileio imports this module, so these two import it when called.
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "rotation": self.rotation.tolist(),
-            "translation": self.translation.tolist(),
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-        }
+        from .fileio import config_to_dict
+
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CameraModel":
-        return cls(
-            fx=float(data["fx"]),
-            fy=float(data["fy"]),
-            cx=float(data["cx"]),
-            cy=float(data["cy"]),
-            rotation=np.asarray(data["rotation"], dtype=float),
-            translation=np.asarray(data["translation"], dtype=float),
-            image_width=int(data["image_width"]),
-            image_height=int(data["image_height"]),
-        )
+        from .fileio import config_from_dict
+
+        return config_from_dict(cls, data)
 
 
 def project_points(points: np.ndarray, camera: CameraModel):

@@ -28,13 +28,13 @@ on any platform, any number of times, in any order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .association import Detection
-from .fileio import config_section
+from .fileio import config_from_dict, config_to_dict
 from .fusion import RadarPoint
 from .geometry import CameraModel, image_to_vehicle, project_points
 from .metrics import GroundTruthFrame, GroundTruthObject
@@ -144,47 +144,13 @@ class ScenarioConfig:
             raise ValueError("dropout must lie in [0, 1)")
 
     def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "num_frames": self.num_frames,
-            "frame_dt": self.frame_dt,
-            "camera": self.camera.to_dict(),
-            "objects": [
-                {
-                    "class_id": o.class_id,
-                    "position": list(o.position),
-                    "velocity": list(o.velocity),
-                    "size": list(o.size),
-                }
-                for o in self.objects
-            ],
-            "noise": asdict(self.noise),
-            "dropout": self.dropout,
-            "radar": asdict(self.radar),
-            "occlusion": asdict(self.occlusion),
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ScenarioConfig":
-        return cls(
-            seed=int(data["seed"]),
-            num_frames=int(data["num_frames"]),
-            frame_dt=float(data["frame_dt"]),
-            camera=CameraModel.from_dict(data["camera"]),
-            objects=tuple(
-                ObjectSpec(
-                    class_id=int(o["class_id"]),
-                    position=tuple(o["position"]),
-                    velocity=tuple(o["velocity"]),
-                    size=tuple(o.get("size", (1.8, 1.5))),
-                )
-                for o in data["objects"]
-            ),
-            noise=config_section(data, "noise", NoiseModel),
-            dropout=float(data.get("dropout", 0.0)),
-            radar=config_section(data, "radar", RadarModel),
-            occlusion=config_section(data, "occlusion", OcclusionRule),
-        )
+        """Unknown top-level keys are ignored; unknown keys inside a section
+        (camera, objects, noise, radar, occlusion) are errors."""
+        return config_from_dict(cls, data, strict=False)
 
 
 @dataclass(frozen=True)

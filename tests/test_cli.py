@@ -162,6 +162,14 @@ def test_track_parse_error_names_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_track_integer_beyond_int64_names_line(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    det = {"u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class": 2**70, "confidence": 0.9}
+    bad.write_text(json.dumps({"frame": 0, "time": 0.0, "detections": [det], "radar": []}) + "\n")
+    assert main(["track", str(bad), "--no-fusion"]) == 1
+    assert "bad.jsonl:1:" in capsys.readouterr().err
+
+
 def test_track_streams_to_stdout(workdir, capsys):
     rc = main(["track", replay_path(workdir), "--scene", scenario_path(workdir)])
     assert rc == 0
@@ -241,6 +249,30 @@ def test_bad_scenario_section_is_a_clean_error(tmp_path, capsys, section, value,
     assert err.startswith("error: ")
     assert all(word in err for word in named)
     assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize(
+    "command, edit, named",
+    [
+        ("track", lambda data: {"weights": {"alpha": "0.1"}}, "'alpha'"),
+        ("track", lambda data: {"fusion_enabled": "false"}, "'fusion_enabled'"),
+        ("simulate", lambda data: {**data, "radar": {"points_per_object": "3"}}, "'points_per_object'"),
+        ("simulate", lambda data: {k: v for k, v in data.items() if k != "seed"}, "missing field 'seed'"),
+        ("simulate", lambda data: {**data, "num_frames": 3.7}, "'num_frames'"),
+    ],
+    ids=["weight-string", "fusion-string", "radar-count-string", "scenario-without-seed", "frame-count-float"],
+)
+def test_mistyped_config_value_names_file_and_key(workdir, tmp_path, capsys, command, edit, named):
+    path = tmp_path / "config.yaml"
+    save_yaml(str(path), edit(crossing_scenario(10.0, seed=CROSSING_SEED).to_dict()))
+    if command == "track":
+        argv = ["track", replay_path(workdir), "--no-fusion", "--config", str(path)]
+    else:
+        argv = ["simulate", str(path), "--out", str(tmp_path / "scene")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("count, message", [("0", "at least 1, got 0"), ("-1", "at least 1, got -1"), ("two", "integer")])

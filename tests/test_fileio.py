@@ -1,13 +1,17 @@
 """Replay/ground-truth/result serialization: round trips, unknown-field
-preservation, line-numbered parse errors, config plumbing."""
+preservation, line-numbered parse errors for malformed and fuzzed lines,
+documented fields, config plumbing."""
 
+import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fusetrack import fileio
 from fusetrack.association import CostWeights, Detection
 from fusetrack.fileio import (
     ParseError,
@@ -32,7 +36,8 @@ from fusetrack.fileio import (
 from fusetrack.fusion import PillarDims, RadarPoint
 from fusetrack.metrics import GroundTruthFrame, GroundTruthObject
 from fusetrack.simulator import crossing_scenario, generate
-from fusetrack.tracker import FrameInput, TrackerConfig, run_sequence
+from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, run_sequence
+from reader_fuzz import Invalid, fuzz_lines, reference_record
 
 
 @pytest.fixture(scope="module")
@@ -124,22 +129,139 @@ def test_non_object_line_rejected(tmp_path):
         read_replay(str(path))
 
 
+_DETECTION = {"u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class": 0, "confidence": 0.9,
+              "bbox": [90.0, 310.0, 110.0, 330.0]}
+_VALID = {
+    "replay": {"frame": 0, "time": 0.0, "detections": [_DETECTION],
+               "radar": [{"x": 20.0, "y": 0.0, "z": 0.0, "vx": 0.0, "vy": 0.0}]},
+    "ground_truth": {"frame": 0, "objects": [{"id": 1, "x": 20.0, "y": 0.0, "class": 0}]},
+    "results": {"frame": 0, "time": 0.0, "tracks": [{
+        "id": 1, "u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class": 0, "confidence": 0.9,
+        "age": 1, "fused": True, "x": 20.0, "y": 0.0, "z": 0.0}]},
+}
+_READERS = {"replay": read_replay, "ground_truth": read_ground_truth, "results": read_results}
+_DELETE = object()
+
+
 @pytest.mark.parametrize(
-    "reader, record",
+    "kind, where, value",
     [
-        (read_replay, {"frame": 0, "time": 0.0, "detections": 5, "radar": []}),
-        (read_replay, {"frame": 0, "time": 0.0, "detections": [5], "radar": []}),
-        (read_replay, {"frame": 0, "time": 0.0, "detections": [], "radar": 5}),
-        (read_ground_truth, {"frame": 0, "objects": 5}),
-        (read_results, {"frame": 0, "time": 0.0, "tracks": 5}),
+        ("replay", ("detections", 0, "bbox"), "1234"),
+        ("replay", ("frame",), True),
+        ("replay", ("frame",), 1.7),
+        ("replay", ("detections", 0, "class"), 1.9),
+        ("replay", ("detections", 0, "confidence"), "0.5"),
+        ("results", ("tracks", 0, "fused"), "no"),
+        ("replay", ("detections", 0, "class"), 2**70),
+        ("results", ("tracks", 0, "y"), _DELETE),
+        ("replay", ("radar", 0), 5),
+        ("ground_truth", ("objects", 0), [1]),
+        ("results", ("tracks", 0), "track"),
+        ("replay", ("detections",), 5),
+        ("replay", ("detections", 0), 5),
+        ("replay", ("radar",), 5),
+        ("ground_truth", ("objects",), 5),
+        ("results", ("tracks",), 5),
+        ("replay", ("detections", 0, "bbox"), [90.0, 310.0, 110.0]),
+        ("replay", ("detections", 0, "bbox"), [90.0, 310.0, 110.0, 330.0, 5.0]),
+        ("ground_truth", ("objects", 0, "x"), math.nan),
+        ("results", ("tracks", 0, "confidence"), math.nan),
+        ("replay", ("time",), -math.inf),
+    ],
+    ids=[
+        "bbox-string", "frame-true", "frame-float", "class-float", "confidence-string", "fused-string",
+        "class-beyond-int64", "x-without-y", "radar-row-not-object", "objects-row-not-object",
+        "tracks-row-not-object", "detections-not-list", "detection-not-object", "radar-not-list",
+        "objects-not-list", "tracks-not-list", "bbox-3-values", "bbox-5-values", "gt-x-nan",
+        "confidence-nan", "time-minus-infinity",
     ],
 )
-def test_non_list_field_names_line(tmp_path, reader, record):
-    path = tmp_path / "broken.jsonl"
-    path.write_text(json.dumps(record) + "\n")
+def test_malformed_line_is_named(tmp_path, kind, where, value):
+    """The bad third line of a file, after a good one and a blank one, fails
+    as a ParseError naming line 3."""
+    bad = copy.deepcopy(_VALID[kind])
+    parent = bad
+    for step in where[:-1]:
+        parent = parent[step]
+    if value is _DELETE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_VALID[kind]) + "\n\n" + json.dumps(bad) + "\n")
     with pytest.raises(ParseError) as err:
-        reader(str(path))
-    assert str(err.value).startswith(f"{path}:1: ")
+        _READERS[kind](str(path))
+    assert err.value.line_number == 3
+    assert str(err.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("kind", ["replay", "ground_truth", "results"])
+def test_fuzzed_line_reads_as_reference_or_is_named(tmp_path, scene, results, kind):
+    """One mutated line at a time: the file reads as the reference reader
+    says, or fails as a ParseError naming that line."""
+    write = {"replay": write_replay, "ground_truth": write_ground_truth, "results": write_results}[kind]
+    objects = {"replay": scene.frames, "ground_truth": scene.ground_truth, "results": results}[kind]
+    path = tmp_path / "fuzzed.jsonl"
+    write(str(path), list(objects[:8]))
+    lines = path.read_text().splitlines()
+    original = _READERS[kind](str(path))
+    for index, line, mutation in fuzz_lines(seed=7, lines=lines, trials=250):
+        path.write_text("\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n")
+        try:
+            expected = reference_record(kind, line)
+        except Invalid:
+            with pytest.raises(ParseError) as err:
+                _READERS[kind](str(path))
+            assert err.value.line_number == index + 1, (mutation, line)
+            assert str(err.value).startswith(f"{path}:{index + 1}: "), (mutation, line)
+        else:
+            assert _READERS[kind](str(path)) == original[:index] + [expected] + original[index + 1:], (mutation, line)
+
+
+def test_writers_refuse_non_finite_values(tmp_path, results):
+    track = results[0].tracks[0]._replace(confidence=math.nan)
+    bad = [FrameResult(results[0].frame_index, results[0].timestamp, (track,))]
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_results(str(tmp_path / "results.jsonl"), bad)
+
+
+def _documented_fields(section: str) -> set:
+    """Field names in the first column of the table under a heading of
+    docs/file_formats.md: `detections[].u`, `.v` gives detections,
+    detections[].u and detections[].v."""
+    text = (Path(__file__).parent.parent / "docs" / "file_formats.md").read_text()
+    body = text.split(f"## {section}", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for row in body.splitlines():
+        if not row.startswith("| `"):
+            continue
+        first = ""
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            name = first.rsplit(".", 1)[0] + name if name.startswith(".") else name
+            first = name
+            names.add(name)
+            if "[]." in name:
+                names.add(name.split("[]", 1)[0])
+    return names
+
+
+def _table_fields(kind, prefix="") -> set:
+    names = set()
+    for key, _, kind_of, _ in kind.rows:
+        names.add(prefix + key)
+        child = getattr(kind_of.convert, "__self__", None)  # a list of child records
+        if child is not None:
+            names |= _table_fields(child, f"{prefix}{key}[].")
+    return names
+
+
+@pytest.mark.parametrize(
+    "section, kind",
+    [("Replay", fileio._REPLAY_FRAME), ("Ground truth", fileio._GROUND_TRUTH_FRAME),
+     ("Results", fileio._RESULT_FRAME)],
+)
+def test_documented_fields_match_the_field_tables(section, kind):
+    assert _documented_fields(section) == _table_fields(kind)
 
 
 def test_blank_lines_skipped(tmp_path, scene):
@@ -158,20 +280,6 @@ def test_detection_bbox_optional():
     records = replay_to_records([frame])
     assert "bbox" not in records[0]["detections"][0]
     assert replay_from_records(records) == [frame]
-
-
-@pytest.mark.parametrize("box", [[90.0, 310.0, 110.0], [90.0, 310.0, 110.0, 330.0, 5.0]])
-def test_replay_bbox_of_wrong_length_names_line(tmp_path, box):
-    good = {"u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class": 0, "confidence": 0.9}
-    frames = [
-        {"frame": 0, "time": 0.0, "detections": [{**good, "bbox": [90.0, 310.0, 110.0, 330.0]}], "radar": []},
-        {"frame": 1, "time": 0.1, "detections": [good, {**good, "bbox": box}], "radar": []},
-    ]
-    path = tmp_path / "replay.jsonl"
-    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
-    with pytest.raises(ParseError, match="bbox must hold 4 values") as err:
-        read_replay(str(path))
-    assert str(err.value).startswith(f"{path}:2: ")
 
 
 def test_results_to_predictions_positions(results, scene):
