@@ -31,9 +31,10 @@ class Detection:
     the estimated previous-frame center of the same object, and the match
     gate is evaluated there. bbox is the optional raw image box
     (u_min, v_min, u_max, v_max) used only by radar fusion; when given it
-    holds exactly 4 values. class_id must fit in a signed 64-bit integer,
-    the type association stores it in; a larger one raises OverflowError
-    when the detection is associated.
+    holds exactly 4 values. Every value, the box included, must be finite.
+    class_id must fit in a signed 64-bit integer, the type association
+    stores it in; a larger one raises OverflowError when the detection is
+    associated.
     """
 
     u: float
@@ -48,15 +49,16 @@ class Detection:
     bbox: Optional[Tuple[float, float, float, float]] = None
 
     def __post_init__(self):
-        values = (self.u, self.v, self.depth, self.vx, self.vy, self.confidence, self.du, self.dv)
+        if self.bbox is not None and len(self.bbox) != 4:
+            raise ValueError(f"bbox must hold 4 values (u_min, v_min, u_max, v_max), got {len(self.bbox)}")
+        box = () if self.bbox is None else self.bbox
+        values = (self.u, self.v, self.depth, self.vx, self.vy, self.confidence, self.du, self.dv, *box)
         if not all(map(math.isfinite, values)):
             raise ValueError("detection fields must be finite")
         if self.depth <= 0:
             raise ValueError("detection depth must be positive")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError("confidence must lie in [0, 1]")
-        if self.bbox is not None and len(self.bbox) != 4:
-            raise ValueError(f"bbox must hold 4 values (u_min, v_min, u_max, v_max), got {len(self.bbox)}")
 
 
 @dataclass(slots=True)
@@ -192,6 +194,21 @@ class AssociationResult:
     pairs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
+def window_join(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (query, key) index pair with lo[query] <= keys[key] <= hi[query],
+    in no particular order; a NaN bound selects nothing. Keys and queries are
+    sorted (sorted queries search faster), two binary searches find each
+    window and one repeat/cumsum pass expands the windows into pairs."""
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    queries = np.argsort(lo)
+    lo, hi = lo[queries], hi[queries]
+    first = np.searchsorted(sorted_keys, lo, side="left")
+    lens = np.where(lo <= hi, np.searchsorted(sorted_keys, hi, side="right") - first, 0)
+    offsets = np.repeat(np.cumsum(lens) - lens - first, lens)
+    return np.repeat(queries, lens), by_key[np.arange(len(offsets)) - offsets]
+
+
 def _feasible_pairs(
     dets: DetectionBatch, tracks: TrackTable, weights: CostWeights
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,21 +243,8 @@ def _feasible_pairs(
     det_key = det_stripe * span + (gated_u - lo_u)
     half = min(weights.radius, extent_u + 1.0)
     half += 1e-9 + 1e-12 * half + 8.0 * np.spacing(trk_key.max() + span)
-    t_order = np.argsort(trk_key)
-    keys_sorted = trk_key[t_order]
-    track_of = t_order % len(tracks)
-    # Sorted queries make the searches fast.
-    d_order = np.argsort(det_key)
-    det_key = det_key[d_order]
-    lo_idx = np.searchsorted(keys_sorted, det_key - half, side="left")
-    lens = np.searchsorted(keys_sorted, det_key + half, side="right") - lo_idx
-    total = int(lens.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty, np.empty(0)
-    ii = np.repeat(d_order, lens)
-    offsets = np.repeat(np.cumsum(lens) - lens - lo_idx, lens)
-    jj = track_of[np.arange(total) - offsets]
+    ii, jj = window_join(trk_key, det_key - half, det_key + half)
+    jj %= len(tracks)
 
     # Exact gate on the windowed pairs only.
     du = gated_u[ii] - trk_u[jj]

@@ -24,18 +24,18 @@ fields in table order, so identical data always produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from functools import partial
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 from .association import Detection
-from .fusion import RadarPoint
 from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
 from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
 
@@ -71,11 +71,6 @@ def _numbered_records(path: str) -> Iterator[Tuple[int, Dict]]:
             if not isinstance(record, dict):
                 raise ParseError(path, number, "each line must hold a JSON object")
             yield number, record
-
-
-def read_records(path: str) -> List[Dict]:
-    """All JSON objects of a JSONL file, skipping blank lines."""
-    return [record for _, record in _numbered_records(path)]
 
 
 def write_records(path: str, records: Sequence[Dict]) -> None:
@@ -245,18 +240,19 @@ _DETECTION = _Kind(Detection, (
     ("dv", "dv", NUMBER, 0.0),
     ("bbox", "bbox", BOX, None),
 ))
-_RADAR_POINT = _Kind(RadarPoint, (
+# Radar returns read as (x, y, z, vx, vy) tuples, which FrameInput checks.
+_RADAR_ROW = _Kind(lambda *row: row, (
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("z", "z", NUMBER, REQUIRED),
     ("vx", "vx", NUMBER, REQUIRED),
     ("vy", "vy", NUMBER, REQUIRED),
-))
+), methodcaller("tolist"))
 _REPLAY_FRAME = _Kind(FrameInput, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
     ("detections", "detections", _DETECTION.list, []),
-    ("radar", "radar", _RADAR_POINT.list, []),
+    ("radar", "radar", _RADAR_ROW.list, []),
 ))
 _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
     ("id", "gt_id", INTEGER, REQUIRED),
@@ -274,7 +270,10 @@ def _snapshot(*values) -> TrackSnapshot:
     *fields_, x, y, z = values
     if (x is None) != (y is None) or (x is None and z is not None):
         raise ValueError("a position needs both 'x' and 'y'")
-    return TrackSnapshot(*fields_, None if x is None else (x, y, 0.0 if z is None else z))
+    position = None if x is None else (x, y, 0.0 if z is None else z)
+    if not all(map(math.isfinite, (*fields_[1:6], fields_[7], *(position or ())))):
+        raise ValueError("track numbers must be finite")
+    return TrackSnapshot(*fields_, position)
 
 
 def _snapshot_fields(track: TrackSnapshot) -> tuple:

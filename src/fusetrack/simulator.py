@@ -35,7 +35,6 @@ import numpy as np
 
 from .association import Detection
 from .fileio import config_from_dict, config_to_dict
-from .fusion import RadarPoint
 from .geometry import CameraModel, image_to_vehicle, project_points
 from .metrics import GroundTruthFrame, GroundTruthObject
 from .tracker import FrameInput
@@ -246,9 +245,9 @@ def generate(cfg: ScenarioConfig) -> Scene:
         seen = np.flatnonzero(in_image[:n_obj])
         gt_x, gt_y = centers[seen, :2].T.tolist()
         gts = [GroundTruthObject(i, x, y, class_ids[i]) for i, x, y in zip(seen.tolist(), gt_x, gt_y)]
-        radar_xy = (centers[seen, None, :2] + radar_pos_noise[seen]).reshape(-1, 2).T.tolist()
-        radar_v = (velocity[seen, None, :2] + radar_vel_noise[seen]).reshape(-1, 2).T.tolist()
-        radar = list(map(RadarPoint, *radar_xy, np.repeat(centers[seen, 2], pts).tolist(), *radar_v))
+        radar_xy = (centers[seen, None, :2] + radar_pos_noise[seen]).reshape(-1, 2)
+        radar_v = (velocity[seen, None, :2] + radar_vel_noise[seen]).reshape(-1, 2)
+        radar = np.column_stack([radar_xy, np.repeat(centers[seen, 2], pts), radar_v])
         kept = np.flatnonzero(in_image[:n_obj] & ~occluded & ~(dropout_draw < cfg.dropout))
         frame_prov = kept.tolist()
         shifted = has_previous[kept, None] & (k > 0)
@@ -271,9 +270,9 @@ def generate(cfg: ScenarioConfig) -> Scene:
         clutter_rng = _stream(cfg.seed, k, _CLUTTER)
         clutter = clutter_rng.uniform(clutter_lo, clutter_hi, size=(cfg.radar.clutter_per_frame, 5))
         pos = image_to_vehicle(clutter[:, 0], clutter[:, 1], clutter[:, 2], camera)
-        radar.extend(RadarPoint(x, y, z, vx, vy) for (x, y, z), (vx, vy) in zip(pos.tolist(), clutter[:, 3:].tolist()))
+        radar = np.vstack([radar, np.hstack([pos, clutter[:, 3:]])])
 
-        frames.append(FrameInput(k, t, tuple(dets), tuple(radar)))
+        frames.append(FrameInput(k, t, tuple(dets), radar))
         gt_frames.append(GroundTruthFrame(k, tuple(gts)))
         provenance.append(tuple(frame_prov))
 

@@ -29,6 +29,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .association import AssociationResult, CostWeights, Detection, DetectionBatch, Track, TrackTable, greedy_associate
+# expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
 from .geometry import CameraModel, image_to_vehicle
 from .heatmap import Heatmap, HeatmapConfig, render_gaussian
@@ -37,21 +38,39 @@ from .heatmap import Heatmap, HeatmapConfig, render_gaussian
 @dataclass(frozen=True)
 class FrameInput:
     """One frame of sensor input. Detections carry an optional image box;
-    only boxed detections participate in radar fusion. frame_index must fit
-    in a signed 64-bit integer, the type the tracker stores it in."""
+    only boxed detections participate in radar fusion. radar, given as
+    RadarPoints, rows or an array, is kept as a read-only (N, 5) float64
+    array of finite (x, y, z, vx, vy) rows in the vehicle frame. frame_index
+    must fit in a signed 64-bit integer, the type the tracker stores it in."""
 
     frame_index: int
     timestamp: float
     detections: Tuple[Detection, ...]
-    radar: Tuple[RadarPoint, ...] = ()
+    radar: np.ndarray = ()
 
     def __post_init__(self):
         object.__setattr__(self, "detections", tuple(self.detections))
-        object.__setattr__(self, "radar", tuple(self.radar))
+        radar = self.radar
+        if not isinstance(radar, np.ndarray):
+            radar = [(p.x, p.y, p.z, p.vx, p.vy) if isinstance(p, RadarPoint) else p for p in radar]
+        radar = np.array(radar, dtype=np.float64).reshape(len(radar), 5)  # ValueError unless 5 per row
+        if not np.isfinite(radar).all():
+            raise ValueError("radar point fields must be finite")
+        radar.flags.writeable = False
+        object.__setattr__(self, "radar", radar)
         if not math.isfinite(self.timestamp):
             raise ValueError("timestamp must be finite")
         if not -(2**63) <= self.frame_index < 2**63:
             raise ValueError("frame_index must fit in a signed 64-bit integer")
+
+    def __eq__(self, other):
+        if type(other) is not FrameInput:
+            return NotImplemented
+        same = (self.frame_index, self.timestamp, self.detections) == (other.frame_index, other.timestamp, other.detections)
+        return same and np.array_equal(self.radar, other.radar)
+
+    def __hash__(self):
+        return hash((self.frame_index, self.timestamp, self.detections, *self.radar.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -108,6 +127,8 @@ class FrameResult:
     tracks: Tuple[TrackSnapshot, ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError("timestamp must be finite")
         ids = [t.track_id for t in self.tracks]
         if len(set(ids)) != len(ids):
             raise ValueError("track ids must be unique within a frame")
@@ -190,30 +211,24 @@ class Tracker:
         self._last_frame_index = frame.frame_index
         self._last_timestamp = frame.timestamp
 
-    def _fuse(self, dets: DetectionBatch, radar: Sequence[RadarPoint]) -> np.ndarray:
+    def _fuse(self, dets: DetectionBatch, radar: np.ndarray) -> np.ndarray:
         """Override depth/velocity in place from the radar pillar found in
         each boxed detection's frustum; detections without a box or a hit
         keep theirs. Returns the fused-or-not flag per detection."""
         fused = np.zeros(len(dets), dtype=bool)
         boxed = np.flatnonzero(dets.boxed)
-        if not boxed.size or not radar:
-            return fused
-        pillars = expand_pillars(radar, self.config.pillar_dims)
         matches = associate_boxes(
             dets.bbox[boxed],
             dets.depth[boxed],
-            pillars,
+            radar,
+            self.config.pillar_dims,
             self.camera,
             self.config.depth_tolerance,
         )
-        hits = [k for k, match in enumerate(matches) if match is not None]
-        if hits:
-            rows = boxed[hits]
-            depth, vx, vy = zip(*(matches[k] for k in hits))
-            dets.depth[rows] = depth
-            dets.vx[rows] = vx
-            dets.vy[rows] = vy
-            fused[rows] = True
+        for row, match in zip(boxed.tolist(), matches):
+            if match is not None:
+                dets.depth[row], dets.vx[row], dets.vy[row] = match
+                fused[row] = True
         return fused
 
     def step(self, frame: FrameInput) -> FrameResult:

@@ -2,7 +2,8 @@
 
 fuzz_lines mutates one line of a valid file at a time: it drops a key, swaps
 a value's JSON type, writes a NaN or Infinity token, puts an integer beyond
-int64 (or beyond a float) in place of a number, truncates the line, replaces
+int64 (or beyond a float) or a literal beyond a float (1e999, which JSON
+decodes as infinity) in place of a number, truncates the line, replaces
 a record or a row by a non-object, or wraps a value in a list or an object.
 reference_record decides what the mutated line should read as. It is written
 field by field with plain checks, sharing only the result types with
@@ -194,6 +195,13 @@ def _beyond_int64(rng, record):
     return json.dumps(_set(record, path, rng.choice((2**63, -(2**63) - 1, 2**70, 10**400))))
 
 
+def _overflow_literal(rng, record):
+    # json.dumps never writes such a literal, so it is spliced into the text.
+    path = rng.choice(_numbers(record))
+    marker = "<overflowing literal>"
+    return json.dumps(_set(record, path, marker)).replace(json.dumps(marker), rng.choice(("1e999", "-1e999", "3e999")))
+
+
 def _truncate(rng, record):
     text = json.dumps(record)
     return text[: rng.randrange(1, len(text))]
@@ -212,7 +220,7 @@ def _wrap(rng, record):
 
 
 MUTATIONS: Tuple[Callable, ...] = (
-    _drop_key, _swap_type, _non_finite, _beyond_int64, _truncate, _non_object, _wrap,
+    _drop_key, _swap_type, _non_finite, _beyond_int64, _overflow_literal, _truncate, _non_object, _wrap,
 )
 
 

@@ -5,7 +5,9 @@ Everything here is written with plain loops and its own projection math
 cross-check, not the same code twice. The one exception is
 ReferenceTracker: it calls the library's association and fusion functions
 and checks what the tracker builds around them (fusion write-back, track
-lifecycle, snapshots), one object at a time. pairwise_cost and
+lifecycle, snapshots), one object at a time; it turns each frame's radar
+rows back into RadarPoints and pillars and fuses through the object entry
+point frustum_associate, off the tracker's array path. pairwise_cost and
 optimal_assignment are the scalar association cost and the exhaustive
 assignment that the greedy matcher and the sweep's assignment solver are
 checked against. reference_match_frame, reference_count_sequence_errors
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from fusetrack.association import AssociationResult, CostWeights, Detection, Track, greedy_associate
-from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, associate_boxes, expand_pillars
+from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, expand_pillars, frustum_associate
 from fusetrack.geometry import image_to_vehicle, project_points
 from fusetrack.metrics import (
     ClassMetrics,
@@ -695,12 +697,11 @@ class ReferenceTracker:
         out = list(dets)
         flags = [False] * len(dets)
         boxed = [(i, d) for i, d in enumerate(dets) if d.bbox is not None]
-        if not boxed or not radar:
+        if not boxed or not len(radar):
             return out, flags
-        pillars = expand_pillars(radar, self.config.pillar_dims)
-        boxes = np.array([d.bbox for _, d in boxed])
-        est = np.array([d.depth for _, d in boxed])
-        matches = associate_boxes(boxes, est, pillars, self.camera, self.config.depth_tolerance)
+        pillars = expand_pillars([RadarPoint(*row) for row in radar.tolist()], self.config.pillar_dims)
+        prelim = [PreliminaryDetection(d.bbox, d.depth, d.class_id) for _, d in boxed]
+        matches = frustum_associate(prelim, pillars, self.camera, self.config.depth_tolerance)
         for (i, det), match in zip(boxed, matches):
             if match is None:
                 continue

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fusetrack.association import (
@@ -13,6 +14,7 @@ from fusetrack.association import (
     Track,
     cost_matrix,
     greedy_associate,
+    window_join,
 )
 from fusetrack.fusion import RadarPoint
 
@@ -377,3 +379,35 @@ FINITE_FIELDS = [
 def test_non_finite_field_is_rejected(cls, valid, field, message, bad):
     with pytest.raises(ValueError, match=message):
         replace(valid, **{field: bad})
+
+
+def _window_pairs(keys, lo, hi):
+    """The pairs window_join must return, by a scan over every pair."""
+    return sorted((q, k) for q in range(len(lo)) for k in range(len(keys)) if lo[q] <= keys[k] <= hi[q])
+
+
+def test_window_join_matches_pair_scan():
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        n_keys, n_queries = rng.integers(0, 25, 2)
+        # Small integers repeat, so keys often sit exactly on a bound; a few
+        # keys and bounds are NaN or infinite, and some windows are empty.
+        keys = rng.integers(0, 12, n_keys).astype(float)
+        lo = rng.integers(-2, 14, n_queries).astype(float)
+        hi = lo + rng.integers(-2, 6, n_queries)
+        keys[rng.random(n_keys) < 0.1] = np.nan
+        for bounds, inf in ((lo, -np.inf), (hi, np.inf)):
+            bounds[rng.random(n_queries) < 0.1] = np.nan
+            bounds[rng.random(n_queries) < 0.05] = inf
+        query, key = window_join(keys, lo, hi)
+        assert query.dtype.kind == key.dtype.kind == "i"
+        assert sorted(zip(query.tolist(), key.tolist())) == _window_pairs(keys, lo, hi)
+
+
+def test_window_join_on_empty_inputs():
+    none = np.empty(0)
+    for keys, lo in ((none, none), (none, np.array([1.0])), (np.array([1.0]), none)):
+        query, key = window_join(keys, lo, lo + 1.0)
+        assert query.size == key.size == 0
+    query, key = window_join(np.array([1.0, 2.0]), np.array([1.0]), np.array([2.0]))  # both keys on a bound
+    assert (query.tolist(), sorted(key.tolist())) == ([0, 0], [0, 1])

@@ -485,6 +485,15 @@ def test_module_entry_point(workdir, tmp_path):
     assert "latency" in proc.stderr
 
 
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # Only sweep (scipy.optimize) and heatmap.extract_peaks (scipy.ndimage)
+    # need them, and each adds tens of MB to every command that imports them.
+    code = "import sys, fusetrack.cli; print([m for m in ('scipy.ndimage', 'scipy.optimize') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unknown_command_exits_nonzero(capsys):
     assert main(["frobnicate"]) != 0
     capsys.readouterr()

@@ -141,6 +141,7 @@ _VALID = {
 }
 _READERS = {"replay": read_replay, "ground_truth": read_ground_truth, "results": read_results}
 _DELETE = object()
+_OVERFLOW = "<1e999>"  # written as the literal 1e999, which JSON decodes as infinity
 
 
 @pytest.mark.parametrize(
@@ -167,13 +168,20 @@ _DELETE = object()
         ("ground_truth", ("objects", 0, "x"), math.nan),
         ("results", ("tracks", 0, "confidence"), math.nan),
         ("replay", ("time",), -math.inf),
+        ("ground_truth", ("objects", 0, "x"), _OVERFLOW),
+        ("results", ("time",), _OVERFLOW),
+        ("results", ("tracks", 0, "depth"), _OVERFLOW),
+        ("results", ("tracks", 0, "y"), _OVERFLOW),
+        ("replay", ("radar", 0, "x"), _OVERFLOW),
+        ("replay", ("detections", 0, "bbox"), [90.0, 310.0, _OVERFLOW, 330.0]),
     ],
     ids=[
         "bbox-string", "frame-true", "frame-float", "class-float", "confidence-string", "fused-string",
         "class-beyond-int64", "x-without-y", "radar-row-not-object", "objects-row-not-object",
         "tracks-row-not-object", "detections-not-list", "detection-not-object", "radar-not-list",
         "objects-not-list", "tracks-not-list", "bbox-3-values", "bbox-5-values", "gt-x-nan",
-        "confidence-nan", "time-minus-infinity",
+        "confidence-nan", "time-minus-infinity", "gt-x-overflow", "result-time-overflow",
+        "track-depth-overflow", "track-y-overflow", "radar-x-overflow", "bbox-overflow",
     ],
 )
 def test_malformed_line_is_named(tmp_path, kind, where, value):
@@ -188,7 +196,7 @@ def test_malformed_line_is_named(tmp_path, kind, where, value):
     else:
         parent[where[-1]] = value
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(_VALID[kind]) + "\n\n" + json.dumps(bad) + "\n")
+    path.write_text(json.dumps(_VALID[kind]) + "\n\n" + json.dumps(bad).replace(json.dumps(_OVERFLOW), "1e999") + "\n")
     with pytest.raises(ParseError) as err:
         _READERS[kind](str(path))
     assert err.value.line_number == 3

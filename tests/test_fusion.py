@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fusetrack.fusion import PillarDims, PreliminaryDetection, RadarPoint, expand_pillars, frustum_associate
+from fusetrack.fusion import Pillar, PillarDims, PreliminaryDetection, RadarPoint, expand_pillars, frustum_associate
 from fusetrack.geometry import CameraModel, image_to_vehicle
 
 from reference import brute_force_radar_association, homogeneous_project, random_radar_scene
@@ -169,18 +169,34 @@ def test_overlapping_detections_share_a_pillar():
     assert shared[1] is not None and shared[1].vx == 7.0
 
 
+def _assert_matches_brute_force(dets, pillars):
+    got = frustum_associate(dets, pillars, CAM, 0.25)
+    expected = brute_force_radar_association(dets, pillars, CAM, 0.25)
+    for match, idx in zip(got, expected):
+        if idx is None:
+            assert match is None
+        else:
+            assert match is not None
+            base = pillars[idx].base
+            assert (match.vx, match.vy) == (base.vx, base.vy)
+            ref_depth = homogeneous_project((base.x, base.y, base.z), CAM)[2]
+            assert match.depth == pytest.approx(ref_depth, abs=1e-12)
+    return sum(idx is not None for idx in expected)
+
+
 def test_association_matches_brute_force_on_random_scenes():
     rng = np.random.default_rng(59)
     for _ in range(100):
+        _assert_matches_brute_force(*random_radar_scene(rng, CAM))
+
+
+def test_association_matches_brute_force_with_per_pillar_dims():
+    # Every pillar gets its own extents, so the test points of one scene mix
+    # widths, heights and depths from 0.1 m to 3 m.
+    rng = np.random.default_rng(61)
+    hits = 0
+    for _ in range(100):
         dets, pillars = random_radar_scene(rng, CAM)
-        got = frustum_associate(dets, pillars, CAM, 0.25)
-        expected = brute_force_radar_association(dets, pillars, CAM, 0.25)
-        for match, idx in zip(got, expected):
-            if idx is None:
-                assert match is None
-            else:
-                assert match is not None
-                base = pillars[idx].base
-                assert (match.vx, match.vy) == (base.vx, base.vy)
-                ref_depth = homogeneous_project((base.x, base.y, base.z), CAM)[2]
-                assert match.depth == pytest.approx(ref_depth, abs=1e-12)
+        sizes = rng.uniform(0.1, 3.0, (len(pillars), 3)).tolist()
+        hits += _assert_matches_brute_force(dets, [Pillar(p.base, PillarDims(*size)) for p, size in zip(pillars, sizes)])
+    assert hits > 50

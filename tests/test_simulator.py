@@ -91,11 +91,11 @@ def test_noise_free_radar_sits_on_the_object():
     for k, frame in enumerate(scene.frames):
         c = cfg.objects[0].center_at(k * cfg.frame_dt)
         assert len(frame.radar) == 2
-        for pt in frame.radar:
-            assert (pt.x, pt.y, pt.z) == (c[0], c[1], c[2])
-            assert (pt.vx, pt.vy) == (1.0, 2.0)
+        for x, y, z, vx, vy in frame.radar.tolist():
+            assert (x, y, z) == (c[0], c[1], c[2])
+            assert (vx, vy) == (1.0, 2.0)
             # camera looks along +x from the origin: axis depth == x
-            assert pt.x == frame.detections[0].depth
+            assert x == frame.detections[0].depth
 
 
 def test_object_leaving_the_image_leaves_ground_truth():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fusetrack.association import CostWeights, Detection, DetectionBatch, TrackTable
-from fusetrack.fusion import RadarPoint
+from fusetrack.fileio import read_replay, write_replay
+from fusetrack.fusion import Pillar, RadarPoint
 from fusetrack.geometry import CameraModel, image_to_vehicle
 from fusetrack.heatmap import HeatmapConfig
 from fusetrack.simulator import crossing_scenario, generate
@@ -270,6 +271,60 @@ REFERENCE_CASES = {
     "fusion off": (cfg(), CAM, _random, 12),
     "fusion off, no camera": (cfg(max_age=2), None, _random, 12),
 }
+
+
+def test_radar_given_as_points_rows_or_array_is_one_frame():
+    rng = np.random.default_rng(5)
+    trackers = [Tracker(TrackerConfig(), CAM) for _ in range(3)]
+    fused = 0
+    for f in dense_frames(rng, CAM, 4):
+        rows = f.radar.tolist()
+        frames = [
+            FrameInput(f.frame_index, f.timestamp, f.detections, radar)
+            for radar in ([RadarPoint(*row) for row in rows], rows, np.array(rows))
+        ]
+        assert frames[0] == frames[1] == frames[2]
+        assert hash(frames[0]) == hash(frames[1]) == hash(frames[2])
+        results = [tracker.step(frame) for tracker, frame in zip(trackers, frames)]
+        assert _bits(results[0]) == _bits(results[1]) == _bits(results[2])
+        fused += sum(t.fused for t in results[0].tracks)
+    assert fused > 0
+
+
+def test_frame_radar_is_a_checked_read_only_array():
+    source = np.ones((2, 5))
+    frame = FrameInput(0, 0.0, (), source)
+    source[0, 0] = 7.0
+    assert frame.radar.dtype == np.float64 and frame.radar[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        frame.radar[0, 0] = 9.0
+    assert FrameInput(0, 0.0, ()).radar.shape == (0, 5)
+    assert frame != FrameInput(0, 0.0, (), np.ones((3, 5)))
+    for bad in ([(1.0, 2.0, 3.0, 4.0)], np.zeros(5), np.zeros((2, 6))):
+        with pytest.raises(ValueError):
+            FrameInput(0, 0.0, (), bad)
+    with pytest.raises(ValueError, match="finite"):
+        FrameInput(0, 0.0, (), [(1.0, 2.0, math.inf, 4.0, 5.0)])
+
+
+def test_simulate_to_track_builds_no_radar_objects(tmp_path, monkeypatch):
+    built = []
+    for cls in (RadarPoint, Pillar):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    RadarPoint(1.0, 0.0, 0.0, 0.0, 0.0)
+    assert built == ["RadarPoint"]  # the counter sees a construction
+    built.clear()
+
+    scene = generate(crossing_scenario(depth_gap=10.0, seed=3))
+    path = str(tmp_path / "replay.jsonl")
+    write_replay(path, scene.frames)
+    results, _ = run_sequence(read_replay(path), TrackerConfig(), scene.config.camera)
+    assert built == []
+    assert any(t.fused for result in results for t in result.tracks)
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
