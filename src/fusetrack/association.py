@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -32,9 +31,9 @@ class Detection:
     gate is evaluated there. bbox is the optional raw image box
     (u_min, v_min, u_max, v_max) used only by radar fusion; when given it
     holds exactly 4 values. Every value, the box included, must be finite.
-    class_id must fit in a signed 64-bit integer, the type association
-    stores it in; a larger one raises OverflowError when the detection is
-    associated.
+    class_id must fit in a signed 64-bit integer, the type DetectionBatch
+    stores it in; a larger one raises OverflowError when a FrameInput or a
+    batch is built from the detection.
     """
 
     u: float
@@ -81,74 +80,93 @@ class Track:
     fused: bool = False
 
 
-_NO_BOX = (math.nan,) * 4
+class _Columns:
+    """Equal-length numpy columns named by the subclass's __slots__."""
 
-
-class DetectionBatch:
-    """Detections as columns, one row per detection in input order.
-
-    bbox is (N, 4) with a NaN row where a detection has no box, and boxed
-    marks the rows that have one. The columns are plain arrays, so a caller
-    may overwrite values in place (the tracker writes fused depth and
-    velocity into them).
-    """
-
-    __slots__ = ("u", "v", "depth", "vx", "vy", "du", "dv", "confidence", "class_id", "bbox", "boxed")
-
-    def __init__(self, u, v, depth, vx, vy, du, dv, confidence, class_id, bbox, boxed):
-        self.u, self.v, self.depth, self.vx, self.vy = u, v, depth, vx, vy
-        self.du, self.dv, self.confidence, self.class_id = du, dv, confidence, class_id
-        self.bbox, self.boxed = bbox, boxed
-
-    def __len__(self) -> int:
-        return len(self.u)
-
-    @classmethod
-    def from_detections(cls, dets: Sequence[Detection]) -> "DetectionBatch":
-        """Columns of already validated Detection objects."""
-        n = len(dets)
-        flat = [x for d in dets for x in (d.u, d.v, d.depth, d.vx, d.vy, d.du, d.dv, d.confidence)]
-        floats = np.fromiter(flat, float, 8 * n).reshape(n, 8).T.copy()
-        class_id = np.fromiter([d.class_id for d in dets], np.int64, n)
-        boxed = np.fromiter([d.bbox is not None for d in dets], bool, n)
-        boxes = [_NO_BOX if d.bbox is None else d.bbox for d in dets]
-        bbox = np.fromiter(chain.from_iterable(boxes), float, 4 * n).reshape(n, 4)
-        return cls(*floats, class_id, bbox, boxed)
-
-
-_TRACK_FIELDS = tuple(f.name for f in fields(Track))
-_TRACK_DTYPES = {name: np.int64 for name in ("track_id", "class_id", "last_seen", "age", "misses")}
-_TRACK_DTYPES["fused"] = bool
-
-
-class TrackTable:
-    """Tracks as columns, one row per track, named like the Track fields."""
-
-    __slots__ = _TRACK_FIELDS
+    __slots__ = ()
 
     def __init__(self, *columns: np.ndarray):
-        for name, column in zip(_TRACK_FIELDS, columns):
+        for name, column in zip(self.__slots__, columns):
             setattr(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.track_id)
+        return len(getattr(self, self.__slots__[0]))
 
     def columns(self) -> List[np.ndarray]:
-        return [getattr(self, name) for name in _TRACK_FIELDS]
+        return [getattr(self, name) for name in self.__slots__]
+
+    def take(self, rows):
+        return type(self)(*(column[rows] for column in self.columns()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n).tolist()!r}' for n in self.__slots__)})"
+
+
+_DTYPES = {name: np.int64 for name in ("track_id", "class_id", "last_seen", "age", "misses")} | {"fused": bool, "boxed": bool}
+_DETECTION_VALUES = attrgetter(*(f.name for f in fields(Detection)))
+
+
+class DetectionBatch(_Columns):
+    """Detections as columns named like the Detection fields, one row each.
+
+    bbox is (N, 4) with a NaN row where a detection has no box, and boxed
+    marks the rows that have one. The tracker writes fused depth and
+    velocity into the columns of its own copy, taken from a frame's.
+    """
+
+    __slots__ = ("u", "v", "depth", "vx", "vy", "class_id", "confidence", "du", "dv", "bbox", "boxed")
+
+    @classmethod
+    def from_detections(cls, items: Sequence) -> "DetectionBatch":
+        """The checked_copy of Detection objects or of rows of their values."""
+        rows = [_DETECTION_VALUES(d) if isinstance(d, Detection) else d for d in items]
+        *columns, boxes = list(zip(*rows)) or [()] * 10
+        bbox = [(math.nan,) * 4 if b is None else b for b in boxes]
+        return cls(*columns, bbox, [b is not None for b in boxes]).checked_copy()
+
+    def rows(self) -> List[tuple]:
+        """The field values of each row, bbox None for an unboxed row."""
+        *columns, bbox, boxed = (column.tolist() for column in self.columns())
+        return list(zip(*columns, [tuple(box) if ok else None for box, ok in zip(bbox, boxed)]))
+
+    def checked_copy(self) -> "DetectionBatch":
+        """A read-only copy in the column types and shapes, checked by the
+        Detection rules: finite values and boxes, depth > 0, confidence in [0, 1]."""
+        n = len(self)
+        batch = DetectionBatch(*(
+            np.array(getattr(self, name), _DTYPES.get(name, float)).reshape((n, 4) if name == "bbox" else n)
+            for name in self.__slots__
+        ))
+        batch.bbox[~batch.boxed] = math.nan
+        if not np.isfinite(np.concatenate([*batch.columns()[:9], batch.bbox[batch.boxed].ravel()])).all():
+            raise ValueError("detection fields must be finite")
+        if (batch.depth <= 0).any():
+            raise ValueError("detection depth must be positive")
+        if not ((batch.confidence >= 0.0) & (batch.confidence <= 1.0)).all():
+            raise ValueError("confidence must lie in [0, 1]")
+        for column in batch.columns():
+            column.flags.writeable = False
+        return batch
+
+
+_TRACK_FIELDS = tuple(f.name for f in fields(Track))
+
+
+class TrackTable(_Columns):
+    """Tracks as columns, one row per track, named like the Track fields."""
+
+    __slots__ = _TRACK_FIELDS
 
     @classmethod
     def from_tracks(cls, tracks: Sequence[Track]) -> "TrackTable":
         n = len(tracks)
         return cls(*(
-            np.fromiter(map(attrgetter(name), tracks), _TRACK_DTYPES.get(name, float), n)
+            np.fromiter(map(attrgetter(name), tracks), _DTYPES.get(name, float), n)
             for name in _TRACK_FIELDS
         ))
 
     def to_tracks(self) -> List[Track]:
         return list(map(Track, *(column.tolist() for column in self.columns())))
-
-    def take(self, rows) -> "TrackTable":
-        return TrackTable(*(column[rows] for column in self.columns()))
 
     def append(self, other: "TrackTable") -> "TrackTable":
         return TrackTable(*map(np.concatenate, zip(self.columns(), other.columns())))
@@ -171,8 +189,8 @@ class CostWeights:
     radius: float = 50.0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.delta) < 0:
-            raise ValueError("cost weights must be non-negative")
+        if not all(0 <= w < math.inf for w in (self.alpha, self.beta, self.delta)):
+            raise ValueError("cost weights must be finite and non-negative")
         if self.alpha == 0 and self.beta == 0 and self.delta == 0:
             raise ValueError("at least one cost weight must be positive")
         if not (self.radius > 0):

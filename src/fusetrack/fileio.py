@@ -35,7 +35,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .association import Detection
 from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
 from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
 
@@ -136,7 +135,7 @@ def read_field(data: Dict, key: str, kind: _Type, default=REQUIRED):
 class _Kind:
     """A record kind compiled from its field table. make builds the object
     from the field values in table order; split, when the attributes do not
-    hold them, gives them back."""
+    hold them, gives them back as one row per object of a sequence."""
 
     def __init__(self, make: Callable, rows, split: Optional[Callable] = None):
         self.make, self.rows = make, rows
@@ -192,7 +191,7 @@ class _Kind:
         """JSON objects of objects, leaving out nullable fields that hold None.
         bases, when it is a list of the objects they were read from, carries
         their other fields over."""
-        records = list(map(self.record, map(self.split, objects) if self.split else objects))
+        records = list(map(self.record, self.split(objects) if self.split else objects))
         if not (isinstance(bases, list) and len(bases) == len(records) and all(isinstance(b, dict) for b in bases)):
             bases = [{}] * len(records)
         for key, write in self.write:
@@ -228,7 +227,8 @@ def _dump(kind: _Kind, objects: Sequence, base_records: Optional[Sequence[Dict]]
 
 # ------------------------------------------------------------- field tables
 
-_DETECTION = _Kind(Detection, (
+# Detections and radar returns read as rows, which FrameInput checks as columns.
+_DETECTION_ROW = _Kind(lambda *row: row, (
     ("u", "u", NUMBER, REQUIRED),
     ("v", "v", NUMBER, REQUIRED),
     ("depth", "depth", NUMBER, REQUIRED),
@@ -239,8 +239,7 @@ _DETECTION = _Kind(Detection, (
     ("du", "du", NUMBER, 0.0),
     ("dv", "dv", NUMBER, 0.0),
     ("bbox", "bbox", BOX, None),
-))
-# Radar returns read as (x, y, z, vx, vy) tuples, which FrameInput checks.
+), methodcaller("rows"))
 _RADAR_ROW = _Kind(lambda *row: row, (
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
@@ -251,7 +250,7 @@ _RADAR_ROW = _Kind(lambda *row: row, (
 _REPLAY_FRAME = _Kind(FrameInput, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
-    ("detections", "detections", _DETECTION.list, []),
+    ("detections", "detections", _DETECTION_ROW.list, []),
     ("radar", "radar", _RADAR_ROW.list, []),
 ))
 _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
@@ -276,8 +275,8 @@ def _snapshot(*values) -> TrackSnapshot:
     return TrackSnapshot(*fields_, position)
 
 
-def _snapshot_fields(track: TrackSnapshot) -> tuple:
-    return (*track[:10], *((None,) * 3 if track.position is None else map(float, track.position)))
+def _snapshot_fields(tracks: Sequence[TrackSnapshot]) -> list:
+    return [(*t[:10], *((None,) * 3 if t.position is None else map(float, t.position))) for t in tracks]
 
 
 _RESULT_TRACK = _Kind(_snapshot, (

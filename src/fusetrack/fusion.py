@@ -54,8 +54,8 @@ class PillarDims:
     depth_x: float = 0.5
 
     def __post_init__(self):
-        if min(self.width_y, self.height_z, self.depth_x) <= 0:
-            raise ValueError("pillar dimensions must be positive")
+        if not all(0 < d < math.inf for d in (self.width_y, self.height_z, self.depth_x)):
+            raise ValueError("pillar dimensions must be finite and positive")
 
 
 @dataclass(frozen=True)

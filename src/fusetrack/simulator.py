@@ -33,7 +33,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .association import Detection
+from .association import DetectionBatch
 from .fileio import config_from_dict, config_to_dict
 from .geometry import CameraModel, image_to_vehicle, project_points
 from .metrics import GroundTruthFrame, GroundTruthObject
@@ -86,8 +86,8 @@ class NoiseModel:
     displacement_px: float = 1.0
 
     def __post_init__(self):
-        if min(self.center_px, self.depth_m, self.velocity_mps, self.displacement_px) < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        if not all(0 <= s < np.inf for s in (self.center_px, self.depth_m, self.velocity_mps, self.displacement_px)):
+            raise ValueError("noise sigmas must be finite and >= 0")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -104,8 +104,8 @@ class RadarModel:
     def __post_init__(self):
         if self.points_per_object < 0 or self.clutter_per_frame < 0:
             raise ValueError("radar point counts must be >= 0")
-        if min(self.position_sigma_m, self.velocity_sigma_mps) < 0:
-            raise ValueError("radar sigmas must be >= 0")
+        if not all(0 <= s < np.inf for s in (self.position_sigma_m, self.velocity_sigma_mps)):
+            raise ValueError("radar sigmas must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ class ScenarioConfig:
         object.__setattr__(self, "objects", tuple(self.objects))
         if self.num_frames < 1:
             raise ValueError("num_frames must be >= 1")
-        if not (self.frame_dt > 0):
-            raise ValueError("frame_dt must be positive")
+        if not (0 < self.frame_dt < np.inf):
+            raise ValueError("frame_dt must be finite and positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
 
@@ -156,8 +156,8 @@ class ScenarioConfig:
 class Scene:
     """Generated sequence: tracker inputs plus aligned ground truth.
 
-    provenance[k][i] is the object index behind frames[k].detections[i];
-    diagnostic only, never fed to the tracker."""
+    provenance[k][i] is the object index behind row i of
+    frames[k].detections; diagnostic only, never fed to the tracker."""
 
     config: ScenarioConfig
     frames: Tuple[FrameInput, ...]
@@ -176,8 +176,8 @@ def generate(cfg: ScenarioConfig) -> Scene:
 
     # Per-object confidence, fixed for the whole sequence (sequence-level
     # stream so a noise-free static scene emits identical detections).
-    confidences = _stream(cfg.seed, 0, _CONF).uniform(0.5, 1.0, size=n_obj).tolist()
-    class_ids = [obj.class_id for obj in cfg.objects]
+    confidences = _stream(cfg.seed, 0, _CONF).uniform(0.5, 1.0, size=n_obj)
+    class_ids = np.array([obj.class_id for obj in cfg.objects], dtype=np.int64)
 
     # Object states as columns, and the offsets of the four outer box corners
     # (y +- w/2, z +- h/2 around the center) of every object.
@@ -241,29 +241,20 @@ def generate(cfg: ScenarioConfig) -> Scene:
             occluded[np.where(center_depth[j] >= center_depth[i], j, i)] = True
 
         # Every visible object gives ground truth and radar; a detection
-        # unless occluded or dropped. Built from columns, one list each.
+        # unless occluded or dropped. Built from columns.
         seen = np.flatnonzero(in_image[:n_obj])
         gt_x, gt_y = centers[seen, :2].T.tolist()
-        gts = [GroundTruthObject(i, x, y, class_ids[i]) for i, x, y in zip(seen.tolist(), gt_x, gt_y)]
+        gts = list(map(GroundTruthObject, seen.tolist(), gt_x, gt_y, class_ids[seen].tolist()))
         radar_xy = (centers[seen, None, :2] + radar_pos_noise[seen]).reshape(-1, 2)
         radar_v = (velocity[seen, None, :2] + radar_vel_noise[seen]).reshape(-1, 2)
         radar = np.column_stack([radar_xy, np.repeat(centers[seen, 2], pts), radar_v])
         kept = np.flatnonzero(in_image[:n_obj] & ~occluded & ~(dropout_draw < cfg.dropout))
-        frame_prov = kept.tolist()
         shifted = has_previous[kept, None] & (k > 0)
-        columns = (
-            *(center_uv[kept] + center_noise[kept]).T.tolist(),
-            [max(1e-3, d) for d in (center_depth[kept] + depth_noise[kept]).tolist()],
-            *(velocity[kept, :2] + vel_noise[kept]).T.tolist(),
-            *np.where(shifted, displacement[kept] + disp_noise[kept], 0.0).T.tolist(),
-            [tuple(b) if ok else None for b, ok in zip(box[kept].tolist(), boxed[kept].tolist())],
+        dets = DetectionBatch(
+            *(center_uv[kept] + center_noise[kept]).T, np.maximum(1e-3, center_depth[kept] + depth_noise[kept]),
+            *(velocity[kept, :2] + vel_noise[kept]).T, class_ids[kept], confidences[kept],
+            *np.where(shifted, displacement[kept] + disp_noise[kept], 0.0).T, box[kept], boxed[kept],
         )
-        dets = [
-            Detection(
-                u=u, v=v, depth=d, vx=vx, vy=vy, class_id=class_ids[i], confidence=confidences[i], du=du, dv=dv, bbox=bbox
-            )
-            for i, u, v, d, vx, vy, du, dv, bbox in zip(frame_prov, *columns)
-        ]
 
         # Clutter: per point u, v, depth, vx, vy, drawn in that order (one
         # broadcast draw gives the values of one scalar draw per field).
@@ -272,9 +263,9 @@ def generate(cfg: ScenarioConfig) -> Scene:
         pos = image_to_vehicle(clutter[:, 0], clutter[:, 1], clutter[:, 2], camera)
         radar = np.vstack([radar, np.hstack([pos, clutter[:, 3:]])])
 
-        frames.append(FrameInput(k, t, tuple(dets), radar))
+        frames.append(FrameInput(k, t, dets, radar))
         gt_frames.append(GroundTruthFrame(k, tuple(gts)))
-        provenance.append(tuple(frame_prov))
+        provenance.append(tuple(kept.tolist()))
 
     return Scene(cfg, tuple(frames), tuple(gt_frames), tuple(provenance))
 

@@ -28,7 +28,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import AssociationResult, CostWeights, Detection, DetectionBatch, Track, TrackTable, greedy_associate
+from .association import AssociationResult, CostWeights, DetectionBatch, Track, TrackTable, greedy_associate
 # expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
 from .geometry import CameraModel, image_to_vehicle
@@ -37,19 +37,22 @@ from .heatmap import Heatmap, HeatmapConfig, render_gaussian
 
 @dataclass(frozen=True)
 class FrameInput:
-    """One frame of sensor input. Detections carry an optional image box;
-    only boxed detections participate in radar fusion. radar, given as
-    RadarPoints, rows or an array, is kept as a read-only (N, 5) float64
-    array of finite (x, y, z, vx, vy) rows in the vehicle frame. frame_index
-    must fit in a signed 64-bit integer, the type the tracker stores it in."""
+    """One frame of sensor input, checked once when built. detections
+    (Detections, rows or a DetectionBatch) is kept as a read-only checked
+    DetectionBatch; only boxed rows take part in radar fusion. radar
+    (RadarPoints, rows or an array) is kept as a read-only (N, 5) float64
+    array of finite (x, y, z, vx, vy) vehicle-frame rows. frame_index is an
+    integer, not a bool, that fits in a signed 64-bit integer."""
 
     frame_index: int
     timestamp: float
-    detections: Tuple[Detection, ...]
+    detections: DetectionBatch
     radar: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
+        dets = self.detections
+        dets = dets.checked_copy() if isinstance(dets, DetectionBatch) else DetectionBatch.from_detections(dets)
+        object.__setattr__(self, "detections", dets)
         radar = self.radar
         if not isinstance(radar, np.ndarray):
             radar = [(p.x, p.y, p.z, p.vx, p.vy) if isinstance(p, RadarPoint) else p for p in radar]
@@ -60,17 +63,19 @@ class FrameInput:
         object.__setattr__(self, "radar", radar)
         if not math.isfinite(self.timestamp):
             raise ValueError("timestamp must be finite")
-        if not -(2**63) <= self.frame_index < 2**63:
-            raise ValueError("frame_index must fit in a signed 64-bit integer")
+        index = self.frame_index
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not -(2**63) <= index < 2**63:
+            raise ValueError(f"frame_index must be an integer that fits in a signed 64-bit integer, got {index!r}")
+        object.__setattr__(self, "frame_index", int(index))
+
+    def _key(self) -> tuple:  # the frame's values; rows() never reads the NaN boxes of unboxed rows
+        return self.frame_index, self.timestamp, tuple(self.detections.rows()), tuple(self.radar.ravel().tolist())
 
     def __eq__(self, other):
-        if type(other) is not FrameInput:
-            return NotImplemented
-        same = (self.frame_index, self.timestamp, self.detections) == (other.frame_index, other.timestamp, other.detections)
-        return same and np.array_equal(self.radar, other.radar)
+        return self._key() == other._key() if type(other) is FrameInput else NotImplemented
 
     def __hash__(self):
-        return hash((self.frame_index, self.timestamp, self.detections, *self.radar.ravel().tolist()))
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -235,12 +240,8 @@ class Tracker:
         self._check_order(frame)
         cfg = self.config
 
-        kept = [d for d in frame.detections if d.confidence >= cfg.min_confidence]
-        dets = DetectionBatch.from_detections(kept)
-        if cfg.fusion_enabled and kept:
-            fused = self._fuse(dets, frame.radar)
-        else:
-            fused = np.zeros(len(kept), dtype=bool)
+        dets = frame.detections.take(frame.detections.confidence >= cfg.min_confidence)  # writable copies
+        fused = self._fuse(dets, frame.radar) if cfg.fusion_enabled else np.zeros(len(dets), dtype=bool)
 
         tracks = self._tracks
         result: AssociationResult = greedy_associate(dets, tracks, cfg.weights)

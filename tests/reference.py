@@ -5,9 +5,10 @@ Everything here is written with plain loops and its own projection math
 cross-check, not the same code twice. The one exception is
 ReferenceTracker: it calls the library's association and fusion functions
 and checks what the tracker builds around them (fusion write-back, track
-lifecycle, snapshots), one object at a time; it turns each frame's radar
-rows back into RadarPoints and pillars and fuses through the object entry
-point frustum_associate, off the tracker's array path. pairwise_cost and
+lifecycle, snapshots), one object at a time; it turns each frame's
+detection rows back into Detections (frame_detections) and its radar rows
+into RadarPoints and pillars, and fuses through the object entry point
+frustum_associate, off the tracker's array path. pairwise_cost and
 optimal_assignment are the scalar association cost and the exhaustive
 assignment that the greedy matcher and the sweep's assignment solver are
 checked against. reference_match_frame, reference_count_sequence_errors
@@ -662,6 +663,11 @@ def random_scored_scene(rng, max_frames=24, max_per_frame=None):
     return pred_frames, gt_frames
 
 
+def frame_detections(frame: FrameInput) -> List[Detection]:
+    """The frame's detections as Detection objects, one per batch row."""
+    return [Detection(*row) for row in frame.detections.rows()]
+
+
 class ReferenceTracker:
     """The tracker step written object by object: one mutable Track per
     live track, one Detection per kept detection, and the snapshots built
@@ -713,7 +719,7 @@ class ReferenceTracker:
         self._check_order(frame)
         cfg = self.config
 
-        kept = [d for d in frame.detections if d.confidence >= cfg.min_confidence]
+        kept = [d for d in frame_detections(frame) if d.confidence >= cfg.min_confidence]
         if cfg.fusion_enabled and kept:
             kept, fused_flags = self._fuse(kept, frame.radar)
         else:

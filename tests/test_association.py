@@ -11,12 +11,15 @@ from fusetrack.association import (
     AssociationResult,
     CostWeights,
     Detection,
+    DetectionBatch,
     Track,
     cost_matrix,
     greedy_associate,
     window_join,
 )
-from fusetrack.fusion import RadarPoint
+from fusetrack.fusion import PillarDims, RadarPoint
+from fusetrack.simulator import NoiseModel, RadarModel, ScenarioConfig, crossing_scenario
+from fusetrack.tracker import FrameInput
 
 from reference import pairwise_cost
 
@@ -369,6 +372,18 @@ FINITE_FIELDS = [
 ] + [
     (RadarPoint, RadarPoint(20.0, 1.0, 0.0, 2.0, -1.0), field, "radar point fields must be finite")
     for field in ("x", "y", "z", "vx", "vy")
+] + [
+    # Tuning values, rejected where the config is built.
+    (CostWeights, CostWeights(), field, "cost weights must be finite") for field in ("alpha", "beta", "delta")
+] + [
+    (PillarDims, PillarDims(), field, "pillar dimensions must be finite") for field in ("width_y", "height_z", "depth_x")
+] + [
+    (NoiseModel, NoiseModel(), field, "noise sigmas must be finite")
+    for field in ("center_px", "depth_m", "velocity_mps", "displacement_px")
+] + [
+    (RadarModel, RadarModel(), field, "radar sigmas must be finite") for field in ("position_sigma_m", "velocity_sigma_mps")
+] + [
+    (ScenarioConfig, crossing_scenario(), "frame_dt", "frame_dt must be finite"),
 ]
 
 
@@ -379,6 +394,68 @@ FINITE_FIELDS = [
 def test_non_finite_field_is_rejected(cls, valid, field, message, bad):
     with pytest.raises(ValueError, match=message):
         replace(valid, **{field: bad})
+
+
+def test_infinite_gate_radius_matches_anywhere():
+    far = greedy_associate([det(0.0, 0.0)], [trk(1, 700.0, 400.0)], CostWeights(radius=math.inf))
+    assert far.matches == ((0, 1),)
+
+
+def _valid_row(rng):
+    """A random valid detection row: field values in Detection order."""
+    u, v = rng.uniform(-100.0, 900.0), rng.uniform(-100.0, 500.0)
+    box = (u - rng.uniform(1, 50), v - rng.uniform(1, 50), u + rng.uniform(1, 50), v + rng.uniform(1, 50))
+    return [u, v, rng.uniform(1e-3, 80.0), rng.uniform(-9, 9), rng.uniform(-9, 9), rng.randrange(-3, 4), rng.random(),
+            rng.uniform(-9, 9), rng.uniform(-9, 9), box if rng.random() < 0.7 else None]
+
+
+def _batch_of_rows(rows):
+    """A DetectionBatch built straight from columns, as generate builds one."""
+    scalars = [np.array(column) for column in zip(*(row[:9] for row in rows))]
+    bbox = np.array([(math.nan,) * 4 if row[9] is None else row[9] for row in rows])
+    return DetectionBatch(*scalars, bbox, np.array([row[9] is not None for row in rows]))
+
+
+def test_detection_rule_agrees_with_the_batch_check():
+    """Detection.__post_init__ states the detection rule for one object and
+    DetectionBatch.checked_copy for columns. Each seeded case breaks one
+    field of one row among valid ones; both forms raise the same message,
+    whether the frame is built from rows or from columns."""
+    rng = random.Random(29)
+    float_fields = (0, 1, 2, 3, 4, 6, 7, 8)  # u, v, depth, vx, vy, confidence, du, dv
+    kinds = {"non-finite": 0, "box": 0, "depth": 0, "confidence": 0}
+    for _ in range(400):
+        row = _valid_row(rng)
+        kind = rng.choice(sorted(kinds))
+        kinds[kind] += 1
+        if kind == "non-finite":
+            row[rng.choice(float_fields)] = rng.choice((math.nan, math.inf, -math.inf))
+        elif kind == "box":
+            box = list(row[9] or (10.0, 10.0, 20.0, 20.0))
+            box[rng.randrange(4)] = rng.choice((math.nan, math.inf, -math.inf))
+            row[9] = tuple(box)
+        elif kind == "depth":
+            row[2] = rng.choice((0.0, -0.0, -5e-324, -rng.uniform(0.0, 80.0)))
+        else:
+            row[6] = rng.choice((-5e-324, -rng.random(), 1.0 + 2**-52, 1.0 + rng.random(), 2.0))
+        with pytest.raises(ValueError) as scalar:
+            Detection(*row)
+        rows = [_valid_row(rng) for _ in range(rng.randrange(4))]
+        rows.insert(rng.randrange(len(rows) + 1), row)
+        for given in (rows, _batch_of_rows(rows)):
+            with pytest.raises(ValueError) as vectorised:
+                FrameInput(0, 0.0, given)
+            assert str(vectorised.value) == str(scalar.value), (kind, row)
+    assert min(kinds.values()) > 50
+
+    edges = [
+        (1.0, 2.0, 1e-3, 0.0, 0.0, -1, 0.0, 0.0, 0.0, None),
+        (1.0, 2.0, 5.0, 0.0, 0.0, -(2**63), 1.0, 0.0, 0.0, (0.0, 0.0, 1.0, 1.0)),
+        (1.0, 2.0, 5e-324, 0.0, 0.0, 2**63 - 1, -0.0, 0.0, 0.0, (-1.0, -1.0, -1.0, -1.0)),
+    ]
+    objects = [Detection(*row) for row in edges]
+    for given in (objects, edges, _batch_of_rows(edges)):
+        assert FrameInput(0, 0.0, given).detections.rows() == edges
 
 
 def _window_pairs(keys, lo, hi):

@@ -3,6 +3,7 @@ flag precedence, and error exits. Commands run in-process through cli.main;
 one test drives the installed module entry point for real."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,8 +260,14 @@ def test_bad_scenario_section_is_a_clean_error(tmp_path, capsys, section, value,
         ("simulate", lambda data: {**data, "radar": {"points_per_object": "3"}}, "'points_per_object'"),
         ("simulate", lambda data: {k: v for k, v in data.items() if k != "seed"}, "missing field 'seed'"),
         ("simulate", lambda data: {**data, "num_frames": 3.7}, "'num_frames'"),
+        ("track", lambda data: {"weights": {"alpha": math.nan}}, "'weights': cost weights must be finite"),
+        ("track", lambda data: {"pillar_dims": {"depth_x": math.inf}}, "'pillar_dims': pillar dimensions must be finite"),
+        ("simulate", lambda data: {**data, "noise": {**data["noise"], "center_px": math.nan}}, "'noise': noise sigmas"),
+        ("simulate", lambda data: {**data, "radar": {**data["radar"], "velocity_sigma_mps": math.inf}}, "'radar': radar"),
+        ("simulate", lambda data: {**data, "frame_dt": math.inf}, "frame_dt must be finite"),
     ],
-    ids=["weight-string", "fusion-string", "radar-count-string", "scenario-without-seed", "frame-count-float"],
+    ids=["weight-string", "fusion-string", "radar-count-string", "scenario-without-seed", "frame-count-float",
+         "weight-nan", "pillar-depth-inf", "noise-nan", "radar-sigma-inf", "frame-dt-inf"],
 )
 def test_mistyped_config_value_names_file_and_key(workdir, tmp_path, capsys, command, edit, named):
     path = tmp_path / "config.yaml"
@@ -273,6 +280,22 @@ def test_mistyped_config_value_names_file_and_key(workdir, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--alpha", "nan"], "cost weights"), (["--alpha", "inf"], "cost weights"), (["--beta=-inf"], "cost weights"),
+     (["--pillar-width", "nan"], "pillar dimensions"), (["--radius", "inf"], None)],
+    ids=["alpha-nan", "alpha-inf", "beta-minus-inf", "pillar-width-nan", "radius-inf-is-gate-free"],
+)
+def test_non_finite_tuning_flag_is_rejected(workdir, tmp_path, capsys, flags, message):
+    argv = ["track", replay_path(workdir), "--scene", scenario_path(workdir), "--out", str(tmp_path / "out.jsonl")]
+    code = main(argv + flags)
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0
+    else:
+        assert code == 1 and err.startswith(f"error: {message} must be finite")
 
 
 @pytest.mark.parametrize("count, message", [("0", "at least 1, got 0"), ("-1", "at least 1, got -1"), ("two", "integer")])

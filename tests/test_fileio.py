@@ -95,7 +95,7 @@ def test_unknown_fields_survive_round_trip(scene):
     assert out[0]["camera_name"] == "front"
     assert out[0]["detections"][0]["raw_score"] == 0.123
     # typed fields still win over stale base values
-    assert out[0]["detections"][0]["u"] == frames[0].detections[0].u
+    assert out[0]["detections"][0]["u"] == frames[0].detections.u[0]
 
 
 def test_ground_truth_unknown_fields(scene):

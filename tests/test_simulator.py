@@ -18,7 +18,7 @@ from fusetrack.simulator import (
     generate,
 )
 
-from reference import reference_generate
+from reference import frame_detections, reference_generate
 
 CAM = CameraModel.forward_facing(1000.0, 1000.0, 400.0, 224.0, 800, 448)
 
@@ -54,9 +54,9 @@ def test_same_seed_is_bit_identical():
 
 def test_static_noise_free_object_repeats_exactly():
     scene = generate(quiet())
-    first = scene.frames[0].detections[0]
+    first = frame_detections(scene.frames[0])[0]
     for frame in scene.frames:
-        assert frame.detections == (first,)
+        assert frame_detections(frame) == [first]
     assert (first.du, first.dv) == (0.0, 0.0)
     assert first.depth == 20.0
     uv, _, in_image = project_points(np.array([20.0, 0.0, 0.0]), CAM)
@@ -72,7 +72,7 @@ def test_noise_free_displacement_is_exact_center_offset():
     assert in_image.all()
     uvs = [tuple(p) for p in uv.tolist()]
     for k, frame in enumerate(scene.frames):
-        (det,) = frame.detections
+        (det,) = frame_detections(frame)
         assert (det.u, det.v) == uvs[k]
         if k == 0:
             assert (det.du, det.dv) == (0.0, 0.0)
@@ -95,7 +95,7 @@ def test_noise_free_radar_sits_on_the_object():
             assert (x, y, z) == (c[0], c[1], c[2])
             assert (vx, vy) == (1.0, 2.0)
             # camera looks along +x from the origin: axis depth == x
-            assert x == frame.detections[0].depth
+            assert x == frame.detections.depth[0]
 
 
 def test_object_leaving_the_image_leaves_ground_truth():
@@ -143,7 +143,7 @@ def test_crossing_centers_coincide_at_midframe():
         radar=RadarModel(points_per_object=0, position_sigma_m=0.0, velocity_sigma_mps=0.0, clutter_per_frame=0),
     )
     scene = generate(cfg)
-    a, b = scene.frames[20].detections
+    a, b = frame_detections(scene.frames[20])
     assert math.hypot(a.u - b.u, a.v - b.v) <= 2.0
     assert abs(a.depth - b.depth) == pytest.approx(10.0)
 
@@ -192,8 +192,7 @@ def test_provenance_aligns_with_detections():
         assert len(prov) == len(frame.detections)
         gt_ids = {o.gt_id for o in gt.objects}
         assert set(prov) <= gt_ids
-        for det, src in zip(frame.detections, prov):
-            assert det.class_id == scene.config.objects[src].class_id
+        assert frame.detections.class_id.tolist() == [scene.config.objects[src].class_id for src in prov]
 
 
 def random_objects(rng, n):
@@ -300,15 +299,15 @@ def test_reference_cases_exercise_their_rule():
     scene = generate(SCENARIOS["identical boxes, threshold 1.0"])
     assert all(prov == (0, 1) for prov in scene.provenance)
     scene = generate(SCENARIOS["boxes touching along an edge"])
-    boxes = scene.frames[0].detections[0].bbox, scene.frames[0].detections[1].bbox
+    boxes = scene.frames[0].detections.bbox.tolist()
     assert boxes[0][0] == boxes[1][2] or boxes[0][2] == boxes[1][0]
     assert all(prov == (0, 1) for prov in scene.provenance)
     scene = generate(SCENARIOS["near wide object without a box"])
-    assert any(det.bbox is None for frame in scene.frames for det in frame.detections)
+    assert any(not frame.detections.boxed.all() for frame in scene.frames)
     scene = generate(SCENARIOS["objects leaving the image"])
     assert len(scene.ground_truth[0].objects) == 2 and len(scene.ground_truth[-1].objects) == 0
     scene = generate(SCENARIOS["depth noise below the 1 mm floor"])
-    assert any(det.depth == 1e-3 for frame in scene.frames for det in frame.detections)
+    assert any((frame.detections.depth == 1e-3).any() for frame in scene.frames)
     cfg = SCENARIOS["300 objects"]
     occluded = generate(cfg).frames
     unoccluded = generate(dataclasses.replace(cfg, occlusion=OcclusionRule(enabled=False))).frames

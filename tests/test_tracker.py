@@ -130,8 +130,10 @@ def test_out_of_order_and_bad_timestamp_rejected():
 
 def test_frame_index_beyond_int64_rejected():
     FrameInput(2**63 - 1, 0.0, ())
-    with pytest.raises(ValueError):
-        FrameInput(2**63, 0.0, ())
+    assert type(FrameInput(np.int64(-(2**63)), 0.0, ()).frame_index) is int
+    for bad in (2**63, 1.5, 2.0, True, np.float64(3.0), np.bool_(True)):
+        with pytest.raises(ValueError):
+            FrameInput(bad, 0.0, ())
 
 
 def test_replay_is_bit_identical():
@@ -307,24 +309,73 @@ def test_frame_radar_is_a_checked_read_only_array():
         FrameInput(0, 0.0, (), [(1.0, 2.0, math.inf, 4.0, 5.0)])
 
 
-def test_simulate_to_track_builds_no_radar_objects(tmp_path, monkeypatch):
+def _simulate_write_read_track(tmp_path, monkeypatch, classes):
+    """The class names constructed while generate -> write_replay ->
+    read_replay -> run_sequence runs, and its results."""
     built = []
-    for cls in (RadarPoint, Pillar):
+    for cls in classes:
         def counting_init(self, *args, _init=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     RadarPoint(1.0, 0.0, 0.0, 0.0, 0.0)
-    assert built == ["RadarPoint"]  # the counter sees a construction
+    det(100.0, 100.0)
+    assert built == [cls.__name__ for cls in (RadarPoint, Detection) if cls in classes]  # the counter sees them
     built.clear()
 
     scene = generate(crossing_scenario(depth_gap=10.0, seed=3))
     path = str(tmp_path / "replay.jsonl")
     write_replay(path, scene.frames)
     results, _ = run_sequence(read_replay(path), TrackerConfig(), scene.config.camera)
-    assert built == []
     assert any(t.fused for result in results for t in result.tracks)
+    return built
+
+
+def test_simulate_to_track_builds_no_radar_objects(tmp_path, monkeypatch):
+    assert _simulate_write_read_track(tmp_path, monkeypatch, (RadarPoint, Pillar)) == []
+
+
+def test_simulate_to_track_builds_no_detection_objects(tmp_path, monkeypatch):
+    assert _simulate_write_read_track(tmp_path, monkeypatch, (Detection,)) == []
+
+
+def test_detections_given_as_objects_rows_or_batch_are_one_frame():
+    rng = np.random.default_rng(9)
+    frames = dense_frames(rng, CAM, 3) + random_tracking_frames(rng, CAM, 30)
+    unboxed = 0
+    for k, f in enumerate(frames):
+        if k in (0, 3):  # each sequence starts at its own frame index
+            trackers = [Tracker(TrackerConfig(min_confidence=0.3), CAM) for _ in range(3)]
+        rows = f.detections.rows()
+        unboxed += sum(row[-1] is None for row in rows)
+        given = ([Detection(*row) for row in rows], rows, DetectionBatch(*f.detections.columns()))
+        same = [FrameInput(f.frame_index, f.timestamp, dets, f.radar) for dets in given]
+        assert same[0] == same[1] == same[2] == f
+        assert hash(same[0]) == hash(same[1]) == hash(same[2]) == hash(f)
+        assert _column_bits(same[0].detections) == _column_bits(same[1].detections) == _column_bits(same[2].detections)
+        results = [tracker.step(frame) for tracker, frame in zip(trackers, same)]
+        assert _bits(results[0]) == _bits(results[1]) == _bits(results[2])
+    assert unboxed > 0
+
+
+def test_frame_detections_are_checked_read_only_copies():
+    rows = [(400.0, 224.0, 20.0, 0.0, 0.0, 0, 0.9, 0.0, 0.0, (380.0, 204.0, 420.0, 244.0)),
+            (100.0, 100.0, 30.0, 1.0, 2.0, -4, 1.0, 0.5, 0.5, None)]
+    source = DetectionBatch.from_detections(rows)
+    source = DetectionBatch(*(column.copy() for column in source.columns()))  # writable
+    frame = FrameInput(0, 0.0, source, [RadarPoint(19.0, 0.0, 0.0, 3.0, 1.0)])
+    source.u[0] = 7.0
+    assert frame.detections.rows() == rows
+    for column in frame.detections.columns():
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    before = _column_bits(frame.detections)
+    boxed, unboxed = sorted(Tracker(TrackerConfig(), CAM).step(frame).tracks, key=lambda t: -t.u)
+    assert boxed.fused and boxed.depth == pytest.approx(19.0) and not unboxed.fused
+    assert _column_bits(frame.detections) == before
+    assert frame.detections.rows() == rows
+    assert repr(frame).count("DetectionBatch(u=[400.0, 100.0]") == 1
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
