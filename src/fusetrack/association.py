@@ -102,6 +102,14 @@ class _Columns:
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n).tolist()!r}' for n in self.__slots__)})"
 
 
+class RowError(ValueError):
+    """A ValueError about one row of a batch; row is its index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 _DTYPES = {name: np.int64 for name in ("track_id", "class_id", "last_seen", "age", "misses")} | {"fused": bool, "boxed": bool}
 _DETECTION_VALUES = attrgetter(*(f.name for f in fields(Detection)))
 
@@ -120,9 +128,18 @@ class DetectionBatch(_Columns):
     def from_detections(cls, items: Sequence) -> "DetectionBatch":
         """The checked_copy of Detection objects or of rows of their values."""
         rows = [_DETECTION_VALUES(d) if isinstance(d, Detection) else d for d in items]
-        *columns, boxes = list(zip(*rows)) or [()] * 10
-        bbox = [(math.nan,) * 4 if b is None else b for b in boxes]
-        return cls(*columns, bbox, [b is not None for b in boxes]).checked_copy()
+        for i, row in enumerate(rows):
+            if len(row) != 10:
+                raise ValueError(f"detection row {i}: expected 10 values, got {len(row)}")
+            if row[9] is not None and len(row[9]) != 4:
+                raise ValueError(f"detection row {i}: bbox must hold 4 values, got {len(row[9])}")
+        return cls.from_fields(*(list(zip(*rows)) or [()] * 10)).checked_copy()
+
+    @classmethod
+    def from_fields(cls, *values) -> "DetectionBatch":
+        """An unchecked batch of the Detection field columns, each bbox a box or None."""
+        *columns, boxes = values
+        return cls(*columns, [(math.nan,) * 4 if b is None else b for b in boxes], [b is not None for b in boxes])
 
     def rows(self) -> List[tuple]:
         """The field values of each row, bbox None for an unboxed row."""
@@ -138,12 +155,16 @@ class DetectionBatch(_Columns):
             for name in self.__slots__
         ))
         batch.bbox[~batch.boxed] = math.nan
-        if not np.isfinite(np.concatenate([*batch.columns()[:9], batch.bbox[batch.boxed].ravel()])).all():
-            raise ValueError("detection fields must be finite")
-        if (batch.depth <= 0).any():
-            raise ValueError("detection depth must be positive")
-        if not ((batch.confidence >= 0.0) & (batch.confidence <= 1.0)).all():
-            raise ValueError("confidence must lie in [0, 1]")
+        boxes_finite = np.isfinite(batch.bbox).all(1) | ~batch.boxed
+        rules = {  # the rows that break each rule, in the order Detection checks them
+            "detection fields must be finite": ~(np.isfinite(np.column_stack(batch.columns()[:9])).all(1) & boxes_finite),
+            "detection depth must be positive": batch.depth <= 0,
+            "confidence must lie in [0, 1]": ~((batch.confidence >= 0.0) & (batch.confidence <= 1.0)),
+        }
+        broken = np.logical_or.reduce(list(rules.values()))
+        if broken.any():
+            row = int(broken.argmax())
+            raise RowError(next(message for message, rows in rules.items() if rows[row]), row)
         for column in batch.columns():
             column.flags.writeable = False
         return batch

@@ -11,9 +11,13 @@ replay of N frames is exactly N lines):
 Each record kind is stated once, in a field table of (JSON key, attribute,
 JSON type, default) rows that both its reader and its writer walk;
 docs/file_formats.md lists the same fields and the type rules, which the
-YAML configs share. NaN and Infinity fail at decode time and writers refuse
-them. Every failure names the file and line, as in ``path:3: bad frame:
-field 'time': expected a number, got '0.5'``.
+YAML configs share. Readers take a list of records (a line is a list of one)
+a column at a time: each field's values are type-tested and converted at
+once, and detections and radar returns stay columns. Only when a column fails
+are the records read one at a time, to name the first bad item and field.
+NaN and Infinity fail at decode time and writers refuse them. Every failure
+names the file and line, as in ``path:3: bad frame: field 'time': expected a
+number, got '0.5'``.
 
 Readers keep unknown fields: writers merge typed values back into copies of
 the dicts a file was read from (``base_records``), so foreign annotations
@@ -28,15 +32,17 @@ import math
 import reprlib
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from functools import partial
-from itertools import product
-from operator import itemgetter, methodcaller
+from itertools import repeat
+from operator import methodcaller
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
 import yaml
 
+from .association import DetectionBatch, RowError
 from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
-from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
+from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, _snapshot_from_row
 
 
 class ParseError(ValueError):
@@ -56,8 +62,8 @@ _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 encode_record = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-def _numbered_records(path: str) -> Iterator[Tuple[int, Dict]]:
-    """(line number, JSON object) of each non-blank line of a JSONL file."""
+def _numbered_records(path: str) -> Iterator[Tuple[int, object]]:
+    """(line number, JSON value) of each non-blank line of a JSONL file."""
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -67,8 +73,6 @@ def _numbered_records(path: str) -> Iterator[Tuple[int, Dict]]:
                 record = _decode(line)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(path, number, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(path, number, "each line must hold a JSON object")
             yield number, record
 
 
@@ -85,13 +89,12 @@ REQUIRED = object()  # the default of a field that must be present
 
 class _Type(NamedTuple):
     """A JSON type: its name in messages, the Python types its decoded values
-    may have, their conversion (ValueError when out of range), the type whose
-    values need none, and the writer of an attribute value (None: as it is)."""
+    may have, their conversion (ValueError when out of range), and the writer
+    of an attribute value (None: as it is)."""
 
     name: str
     accepts: frozenset
     convert: Callable
-    plain: Optional[type] = None
     write: Optional[Callable] = None
 
     def read(self, value):
@@ -112,79 +115,75 @@ def _box(value: list) -> Tuple[float, ...]:
     return tuple(map(float, value))
 
 
-NUMBER = _Type("a number", frozenset({int, float}), float, plain=float)
+NUMBER = _Type("a number", frozenset({int, float}), float)
 INTEGER = _Type("an integer", frozenset({int}), _int64)
-FLAG = _Type("true or false", frozenset({bool}), bool, plain=bool)
+FLAG = _Type("true or false", frozenset({bool}), bool)
 BOX = _Type("a list of 4 numbers", frozenset({list}), _box, write=lambda box, base: list(box))
 
 
-def read_field(data: Dict, key: str, kind: _Type, default=REQUIRED):
-    """data[key] read as kind. An absent key reads its default, a JSON value;
-    a None default also makes null valid."""
-    value = data.get(key, default)
-    if value is REQUIRED:
+def read_column(column: list, key: str, kind: _Type, default=REQUIRED) -> list:
+    """The values of key in a list of records (default where absent) read as
+    kind: _Type.read's type rule tests the whole column at once, then one pass
+    converts it. A None default also makes null valid. The ValueError names
+    the field."""
+    types = set(map(type, column))
+    if default is None and type(None) in types:  # convert the values present
+        values = iter(read_column([value for value in column if value is not None], key, kind))
+        return [None if value is None else next(values) for value in column]
+    if type(REQUIRED) in types:
         raise ValueError(f"missing field {key!r}")
-    if value is None and default is None:
-        return None
     try:
-        return kind.read(value)
+        return list(map(kind.convert if types <= kind.accepts else kind.read, column))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
 class _Kind:
-    """A record kind compiled from its field table. make builds the object
-    from the field values in table order; split, when the attributes do not
-    hold them, gives them back as one row per object of a sequence."""
+    """A record kind compiled from its field table. make builds the objects:
+    one from the field values in table order or, when by_columns is set, all
+    of a list's from its columns. split, when the attributes do not hold the
+    values, gives them back as one row per object of a sequence."""
 
-    def __init__(self, make: Callable, rows, split: Optional[Callable] = None):
+    def __init__(self, make: Callable, rows, split: Optional[Callable] = None, by_columns: bool = False):
         self.make, self.rows = make, rows
-        self.split = split
-        self.keys = tuple(key for key, _, _, _ in rows)
-        self.fetch = itemgetter(*self.keys)
-        self.defaults = {key: default for key, _, _, default in rows if default is not REQUIRED}
+        self.split, self.by_columns = split, by_columns
         self.nullable = {key for key, _, _, default in rows if default is None}
-        null = {type(None)}
-        # Every type signature of a record whose plain fields need no conversion.
-        self.plain = set(product(*(
-            ({t.plain} if t.plain else t.accepts) | (null if default is None else set()) for _, _, t, default in rows
-        )))
-        self.convert = [(i, t.convert) for i, (_, _, t, _) in enumerate(rows) if not t.plain]
         self.write = [(key, t.write) for key, _, t, _ in rows if t.write or key in self.nullable]
         self.list = _Type("a list", frozenset({list}), self.read_all, write=self.dump_all)
         # The record of an object (or of its split), compiled to a dict display
         # as collections.namedtuple compiles __new__: 2x faster than dict(zip()).
         values = [f"o[{i}]" if split else f"o.{attr}" for i, (_, attr, _, _) in enumerate(rows)]
-        self.record = eval("lambda o: {" + ", ".join(f"{k!r}: {v}" for k, v in zip(self.keys, values)) + "}")
+        self.record = eval("lambda o: {" + ", ".join(f"{k!r}: {v}" for (k, _, _, _), v in zip(rows, values)) + "}")
 
     def read(self, record: Dict):
         """The object of one JSON object; the ValueError names the field."""
-        if not isinstance(record, dict):
-            raise ValueError(f"expected an object, got {reprlib.repr(record)}")
+        return self.read_all([record], items=False)[0]
+
+    def read_all(self, records: list, items: bool = True):
+        """The objects of a list of JSON objects, made from their read columns.
+        When a column fails, the records are read again one at a time, so that
+        the ValueError names the first bad item (unless items is False) and,
+        in it, the first bad field or the object's own check."""
+        objects = []
         try:
             try:
-                values = self.fetch(record)
-            except KeyError:
-                values = self.fetch({**self.defaults, **record})
-            if tuple(map(type, values)) in self.plain:
-                values = list(values)
-                for i, convert in self.convert:
-                    if values[i] is not None:
-                        values[i] = convert(values[i])
-                return self.make(*values)
-        except (KeyError, ValueError, OverflowError):
-            pass
-        # Field by field, so that the error names the field. When every field
-        # reads, the object itself is invalid and its constructor says why.
-        return self.make(*(read_field(record, key, t, default) for key, _, t, default in self.rows))
-
-    def read_all(self, records: list) -> tuple:
-        objects = []
-        for i, record in enumerate(records):
-            try:
-                objects.append(self.read(record))
-            except ValueError as exc:
-                raise ValueError(f"item {i}: {exc}") from None
+                if not all(map(isinstance, records, repeat(dict))):
+                    bad = next(record for record in records if not isinstance(record, dict))
+                    raise ValueError(f"expected a JSON object, got {reprlib.repr(bad)}")
+                columns = [read_column(list(map(dict.get, records, repeat(key), repeat(default))), key, t, default)
+                           for key, _, t, default in self.rows]
+            except ValueError:
+                if items:  # read the records one at a time, to name the first bad one
+                    for record in records:
+                        objects.append(self.read_all([record], items=False))
+                raise
+            if self.by_columns:
+                return self.make(*columns)
+            objects.extend(map(self.make, *columns))  # keeps the objects made before a failure
+        except ValueError as exc:
+            if not items:
+                raise
+            raise ValueError(f"item {len(objects)}: {exc}") from None
         return tuple(objects)
 
     def dump_all(self, objects: Sequence, bases=None) -> List[Dict]:
@@ -221,14 +220,17 @@ def _parse(records: Iterable[Tuple[int, Dict]], path: str, what: str, parse_one:
 
 def _dump(kind: _Kind, objects: Sequence, base_records: Optional[Sequence[Dict]]) -> List[Dict]:
     """Records of objects; base_records[i], when given, is the dict objects[i]
-    was parsed from, and its unknown fields are carried over."""
-    return kind.dump_all(objects, None if base_records is None else [base_records[i] for i in range(len(objects))])
+    was parsed from, and its unknown fields are carried over. base_records
+    must hold one record per object."""
+    if base_records is not None and len(base_records) != len(objects):
+        raise ValueError(f"{len(base_records)} base_records for {len(objects)} frames")
+    return kind.dump_all(objects, None if base_records is None else list(base_records))
 
 
 # ------------------------------------------------------------- field tables
 
-# Detections and radar returns read as rows, which FrameInput checks as columns.
-_DETECTION_ROW = _Kind(lambda *row: row, (
+# Detections and radar returns read as columns, which FrameInput checks.
+_DETECTION_ROW = _Kind(DetectionBatch.from_fields, (
     ("u", "u", NUMBER, REQUIRED),
     ("v", "v", NUMBER, REQUIRED),
     ("depth", "depth", NUMBER, REQUIRED),
@@ -239,15 +241,24 @@ _DETECTION_ROW = _Kind(lambda *row: row, (
     ("du", "du", NUMBER, 0.0),
     ("dv", "dv", NUMBER, 0.0),
     ("bbox", "bbox", BOX, None),
-), methodcaller("rows"))
-_RADAR_ROW = _Kind(lambda *row: row, (
+), methodcaller("rows"), by_columns=True)
+_RADAR_ROW = _Kind(lambda *columns: np.array(columns, np.float64).T, (
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("z", "z", NUMBER, REQUIRED),
     ("vx", "vx", NUMBER, REQUIRED),
     ("vy", "vy", NUMBER, REQUIRED),
-), methodcaller("tolist"))
-_REPLAY_FRAME = _Kind(FrameInput, (
+), methodcaller("tolist"), by_columns=True)
+
+
+def _replay_frame(*values) -> FrameInput:
+    try:
+        return FrameInput(*values)
+    except RowError as exc:  # a detection that breaks a value rule
+        raise ValueError(f"field 'detections': item {exc.row}: {exc}") from None
+
+
+_REPLAY_FRAME = _Kind(_replay_frame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
     ("detections", "detections", _DETECTION_ROW.list, []),
@@ -265,14 +276,13 @@ _GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
 ))
 
 
-def _snapshot(*values) -> TrackSnapshot:
-    *fields_, x, y, z = values
+def _snapshot(track_id, u, v, depth, vx, vy, class_id, confidence, age, fused, x, y, z) -> TrackSnapshot:
     if (x is None) != (y is None) or (x is None and z is not None):
         raise ValueError("a position needs both 'x' and 'y'")
     position = None if x is None else (x, y, 0.0 if z is None else z)
-    if not all(map(math.isfinite, (*fields_[1:6], fields_[7], *(position or ())))):
+    if not all(map(math.isfinite, (u, v, depth, vx, vy, confidence, *(position or ())))):
         raise ValueError("track numbers must be finite")
-    return TrackSnapshot(*fields_, position)
+    return _snapshot_from_row((track_id, u, v, depth, vx, vy, class_id, confidence, age, fused, position))
 
 
 def _snapshot_fields(tracks: Sequence[TrackSnapshot]) -> list:
@@ -435,7 +445,7 @@ def config_from_dict(cls, data: Dict, strict: bool = True):
         if key not in hints:
             raise ValueError(f"unknown key {key!r} (expected one of {sorted(hints)})")
     read = [f.name for f in fields(cls) if f.name in data or (f.default is MISSING and f.default_factory is MISSING)]
-    return cls(**{name: read_field(data, name, _config_type(hints[name])) for name in read})
+    return cls(**{name: read_column([data.get(name, REQUIRED)], name, _config_type(hints[name]))[0] for name in read})
 
 
 def _config_type(hint) -> _Type:

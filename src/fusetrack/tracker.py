@@ -56,7 +56,12 @@ class FrameInput:
         radar = self.radar
         if not isinstance(radar, np.ndarray):
             radar = [(p.x, p.y, p.z, p.vx, p.vy) if isinstance(p, RadarPoint) else p for p in radar]
-        radar = np.array(radar, dtype=np.float64).reshape(len(radar), 5)  # ValueError unless 5 per row
+            for i, row in enumerate(radar):
+                if len(row) != 5:
+                    raise ValueError(f"radar row {i}: expected 5 values (x, y, z, vx, vy), got {len(row)}")
+        elif radar.size and radar.shape[1:] != (5,):
+            raise ValueError(f"radar rows must hold 5 values (x, y, z, vx, vy), got an array of shape {radar.shape}")
+        radar = np.array(radar, dtype=np.float64, order="C").reshape(len(radar), 5)
         if not np.isfinite(radar).all():
             raise ValueError("radar point fields must be finite")
         radar.flags.writeable = False

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fusetrack import fileio
-from fusetrack.association import CostWeights, Detection
+from fusetrack.association import CostWeights, Detection, DetectionBatch
 from fusetrack.fileio import (
     ParseError,
     ground_truth_from_records,
@@ -343,3 +343,180 @@ def test_scene_round_trips_through_files(tmp_path, scene):
     a, _ = run_sequence(frames, TrackerConfig(), scene.config.camera)
     b, _ = run_sequence(scene.frames, TrackerConfig(), scene.config.camera)
     assert a == b
+
+
+_TO_RECORDS = {"replay": replay_to_records, "ground_truth": ground_truth_to_records, "results": results_to_records}
+
+
+@pytest.mark.parametrize("kind", ["replay", "ground_truth", "results"])
+def test_base_records_must_match_the_frames(scene, results, kind):
+    objects = {"replay": scene.frames, "ground_truth": scene.ground_truth, "results": results}[kind][:3]
+    records = _TO_RECORDS[kind](objects)
+    assert _TO_RECORDS[kind](objects, base_records=records) == records
+    for bases in (records[:1], records + records[:1]):
+        with pytest.raises(ValueError, match=rf"^{len(bases)} base_records for 3 frames$"):
+            _TO_RECORDS[kind](objects, base_records=bases)
+
+
+def _write_lines(tmp_path, *records) -> str:
+    path = tmp_path / "lines.jsonl"
+    path.write_text("".join(json.dumps(record).replace(json.dumps(_OVERFLOW), "1e999") + "\n" for record in records))
+    return str(path)
+
+
+def _as_floats(value):
+    if isinstance(value, dict):
+        return {key: _as_floats(item) for key, item in value.items()}
+    return [_as_floats(item) for item in value] if isinstance(value, list) else float(value)
+
+
+def _with(kind, where, value) -> dict:
+    """A copy of the valid record of kind with value at where; a dict value
+    updates the object there."""
+    record = copy.deepcopy(_VALID[kind])
+    parent = record
+    for step in where[:-1]:
+        parent = parent[step]
+    if isinstance(value, dict):
+        parent[where[-1]].update(value)
+    else:
+        parent[where[-1]] = value
+    return record
+
+
+@pytest.mark.parametrize(
+    "kind, where, integers",
+    [
+        ("replay", ("time",), 1),
+        ("replay", ("detections", 0), {"vx": 0, "u": 100, "depth": 20, "confidence": 1, "du": -2, "bbox": [90, 310, 110, 330]}),
+        ("replay", ("radar", 0), {"x": 20, "vy": -3}),
+        ("ground_truth", ("objects", 0), {"x": 3, "y": 0}),
+        ("results", ("tracks", 0), {"depth": 20, "u": 100, "confidence": 1, "x": 20, "z": 0}),
+        ("results", ("time",), 1),
+    ],
+    ids=["replay-time", "detection", "radar", "ground-truth-object", "track", "result-time"],
+)
+def test_integer_literals_read_as_their_float(tmp_path, kind, where, integers):
+    """A JSON integer is a valid number: it reads as the object its float
+    form reads as, with float values."""
+    as_int, as_float = _with(kind, where, integers), _with(kind, where, _as_floats(integers))
+    assert json.dumps(as_int) != json.dumps(as_float)
+    read_int, read_float = (_READERS[kind](_write_lines(tmp_path, record)) for record in (as_int, as_float))
+    assert read_int == read_float
+    frame = read_int[0]
+    if kind == "replay":
+        assert frame.detections.u.dtype == frame.detections.bbox.dtype == frame.radar.dtype == np.float64
+        numbers = [frame.timestamp]
+    elif kind == "ground_truth":
+        numbers = [frame.objects[0].x, frame.objects[0].y]
+    else:
+        track = frame.tracks[0]
+        numbers = [frame.timestamp, track.u, track.depth, track.confidence, *track.position]
+    assert all(type(number) is float for number in numbers)
+
+
+_TRACK = _VALID["results"]["tracks"][0]
+_OBJECT = _VALID["ground_truth"]["objects"][0]
+
+
+@pytest.mark.parametrize(
+    "kind, field, items, expected",
+    [
+        # item 0 breaks two fields, written in the reverse of table order; item 1 breaks the first field
+        ("replay", "detections", [{**_DETECTION, "class": 1.5, "v": "v"}, {**_DETECTION, "u": "u"}],
+         "field 'detections': item 0: field 'v': expected a number, got 'v'"),
+        ("replay", "radar", [{"vy": None, "x": 20.0, "y": "y", "z": 0.0, "vx": 0.0}, {"x": "x"}],
+         "field 'radar': item 0: field 'y': expected a number, got 'y'"),
+        ("ground_truth", "objects", [{**_OBJECT, "class": "c", "x": []}, {**_OBJECT, "id": "id"}],
+         "field 'objects': item 0: field 'x': expected a number, got []"),
+        ("results", "tracks", [{**_TRACK, "fused": 1, "u": "u"}, {**_TRACK, "id": 1.5}],
+         "field 'tracks': item 0: field 'u': expected a number, got 'u'"),
+        # a missing field in item 1 comes after a bad value in item 0
+        ("results", "tracks", [_TRACK, {**_TRACK, "id": 2, "age": -(2**63) - 1}, {"id": 3}],
+         f"field 'tracks': item 1: field 'age': {-(2**63) - 1} does not fit in a signed 64-bit integer"),
+        # an object that fails its own check comes before a later item's bad field
+        ("ground_truth", "objects", [{**_OBJECT, "x": _OVERFLOW}, {**_OBJECT, "id": "id"}],
+         "field 'objects': item 0: ground-truth x and y must be finite"),
+        ("replay", "detections", [_DETECTION, 5, {**_DETECTION, "u": "u"}],
+         "field 'detections': item 1: expected a JSON object, got 5"),
+    ],
+    ids=["detections", "radar", "objects", "tracks", "int64-before-missing", "object-check-first", "not-an-object"],
+)
+def test_first_bad_item_and_field_are_named(tmp_path, kind, field, items, expected):
+    """Of a list with several bad values, the error names the first bad item
+    and, in it, the first bad field in table order."""
+    path = _write_lines(tmp_path, _VALID[kind], _with(kind, (field,), items))
+    what = {"replay": "frame", "ground_truth": "ground-truth frame", "results": "result frame"}[kind]
+    with pytest.raises(ParseError) as err:
+        _READERS[kind](path)
+    assert str(err.value) == f"{path}:2: bad {what}: {expected}"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"depth": 0.0}, "detection depth must be positive"),
+        ({"depth": -1}, "detection depth must be positive"),
+        ({"confidence": 1.5}, "confidence must lie in [0, 1]"),
+        ({"confidence": -0.1}, "confidence must lie in [0, 1]"),
+        ({"u": _OVERFLOW}, "detection fields must be finite"),
+        ({"bbox": [90.0, _OVERFLOW, 110.0, 330.0]}, "detection fields must be finite"),
+        ({"depth": _OVERFLOW, "confidence": 2.0}, "detection fields must be finite"),
+    ],
+    ids=["depth-zero", "depth-negative", "confidence-above-1", "confidence-below-0", "u-overflow", "bbox-overflow",
+         "finite-rule-first"],
+)
+def test_detection_value_rule_names_the_detection(tmp_path, bad, message):
+    """A detection that breaks a value rule is named by its index, the first
+    failing one; the message is Detection's own."""
+    detections = [_DETECTION, {**_DETECTION, "u": 200.0}, {**_DETECTION, **bad}, {**_DETECTION, "depth": -5.0}]
+    path = _write_lines(tmp_path, _VALID["replay"], _with("replay", ("detections",), detections))
+    with pytest.raises(ParseError) as err:
+        read_replay(path)
+    assert str(err.value) == f"{path}:2: bad frame: field 'detections': item 2: {message}"
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name (a function or a method)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, where, value, owner, name",
+    [
+        ("replay", ("detections", 0, "depth"), 0, FrameInput, "__post_init__"),
+        ("replay", ("time",), _OVERFLOW, FrameInput, "__post_init__"),
+        ("ground_truth", ("objects",), [_OBJECT, {**_OBJECT, "id": 2, "x": _OVERFLOW}], GroundTruthObject,
+         "__post_init__"),
+        ("results", ("tracks",), [_TRACK, _TRACK], FrameResult, "__post_init__"),
+        ("results", ("tracks",), [_TRACK, {**_TRACK, "id": 2, "depth": _OVERFLOW}], fileio._RESULT_TRACK, "make"),
+    ],
+    ids=["detection-depth", "time-overflow", "object-x-overflow", "duplicate-track-ids", "track-depth-overflow"],
+)
+def test_a_bad_line_builds_each_object_once(tmp_path, monkeypatch, kind, where, value, owner, name):
+    """An object that fails its own check is built once, not again by a
+    second reading of the line."""
+    path = _write_lines(tmp_path, _with(kind, where, value))
+    calls = _counting(monkeypatch, owner, name)
+    with pytest.raises(ParseError):
+        _READERS[kind](path)
+    items = value if isinstance(value, list) else [value]
+    assert len(calls) == (len(items) if owner in (GroundTruthObject, fileio._RESULT_TRACK) else 1)
+
+
+def test_replay_reader_builds_no_detection_rows(tmp_path, monkeypatch, scene):
+    """read_replay hands each frame's columns to DetectionBatch: it never
+    goes through the row constructor from_detections."""
+    path = str(tmp_path / "replay.jsonl")
+    write_replay(path, scene.frames)
+    calls = _counting(monkeypatch, DetectionBatch, "from_detections")
+    assert read_replay(path) == list(scene.frames)
+    assert calls == []

@@ -305,6 +305,15 @@ def test_frame_radar_is_a_checked_read_only_array():
     for bad in ([(1.0, 2.0, 3.0, 4.0)], np.zeros(5), np.zeros((2, 6))):
         with pytest.raises(ValueError):
             FrameInput(0, 0.0, (), bad)
+    for bad in (np.zeros(5), np.zeros((2, 6)), np.zeros((2, 5, 1)), np.zeros((2, 1, 5))):  # arrays of other shapes
+        with pytest.raises(ValueError) as err:
+            FrameInput(0, 0.0, (), bad)
+        assert str(err.value) == f"radar rows must hold 5 values (x, y, z, vx, vy), got an array of shape {bad.shape}"
+    assert FrameInput(0, 0.0, (), np.zeros((0, 3))).radar.shape == (0, 5)
+    good = (1.0, 2.0, 3.0, 4.0, 5.0)
+    for row in ((), good[:4], good + (6.0,), np.zeros(6)):  # rows of other than 5 values, named by the rule
+        with pytest.raises(ValueError, match=rf"^radar row 2: expected 5 values \(x, y, z, vx, vy\), got {len(row)}$"):
+            FrameInput(0, 0.0, (), [good, RadarPoint(*good), row, good])
     with pytest.raises(ValueError, match="finite"):
         FrameInput(0, 0.0, (), [(1.0, 2.0, math.inf, 4.0, 5.0)])
 
@@ -376,6 +385,18 @@ def test_frame_detections_are_checked_read_only_copies():
     assert _column_bits(frame.detections) == before
     assert frame.detections.rows() == rows
     assert repr(frame).count("DetectionBatch(u=[400.0, 100.0]") == 1
+
+    # Rows of the wrong length, or boxes of other than 4 values, fail by the
+    # rule, naming the row, rather than being cut short or failing in numpy.
+    for bad, message in [
+        (rows[1][:9], "detection row 1: expected 10 values, got 9"),
+        (rows[1] + (0.5,), "detection row 1: expected 10 values, got 11"),
+        (rows[0][:9] + ((380.0, 204.0, 420.0),), "detection row 1: bbox must hold 4 values, got 3"),
+        (rows[0][:9] + ((380.0, 204.0, 420.0, 244.0, 1.0),), "detection row 1: bbox must hold 4 values, got 5"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            FrameInput(0, 0.0, [rows[0], bad, rows[1]])
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
