@@ -207,7 +207,10 @@ def _format_report(report: MetricsReport, names: Optional[List[str]], dist_thres
 def _cmd_evaluate(args) -> int:
     results = read_results(args.results)
     gt = read_ground_truth(args.gt)
-    preds = results_to_predictions(results)
+    try:
+        preds = results_to_predictions(results)
+    except ValueError as exc:
+        raise ValueError(f"{args.results}: {exc}") from exc
     report = amota(preds, gt, num_thresholds=args.num_thresholds, dist_threshold=args.dist_threshold)
     text = _format_report(report, _parse_class_names(args.classes), args.dist_threshold)
     if args.out:

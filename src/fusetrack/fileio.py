@@ -19,10 +19,9 @@ NaN and Infinity fail at decode time and writers refuse them. Every failure
 names the file and line, as in ``path:3: bad frame: field 'time': expected a
 number, got '0.5'``.
 
-Readers keep unknown fields: writers merge typed values back into copies of
-the dicts a file was read from (``base_records``), so foreign annotations
-survive a read-modify-write cycle. Writers emit compact JSON with the known
-fields in table order, so identical data always produces identical bytes.
+Readers ignore unknown fields, and writers do not write them. Writers emit
+compact JSON with the known fields in table order, so identical data always
+produces identical bytes.
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from itertools import repeat
 from operator import methodcaller
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -62,18 +61,33 @@ _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 encode_record = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-def _numbered_records(path: str) -> Iterator[Tuple[int, object]]:
-    """(line number, JSON value) of each non-blank line of a JSONL file."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _utf8(data: bytes, path: str, line_number: int = 1) -> str:
+    """data, from line line_number on, as UTF-8; a bad byte is a ParseError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = exc.start - data.rfind(b"\n", 0, exc.start) - 1
+        message = f"invalid UTF-8: byte {data[exc.start]:#04x} at offset {offset} of the line ({exc.reason})"
+        raise ParseError(path, line_number + data.count(b"\n", 0, exc.start), message) from exc
+
+
+def _read(path: str, what: str, kind: _Kind) -> List:
+    """The objects of a JSONL file's non-blank lines; a failure names the line."""
+    out = []
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = _utf8(line, path, number).strip()
             if not line:
                 continue
             try:
                 record = _decode(line)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(path, number, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-            yield number, record
+            try:
+                out.append(kind.read_all([record], items=False)[0])
+            except ValueError as exc:
+                raise ParseError(path, number, f"bad {what}: {exc}") from exc
+    return out
 
 
 def write_records(path: str, records: Sequence[Dict]) -> None:
@@ -118,7 +132,7 @@ def _box(value: list) -> Tuple[float, ...]:
 NUMBER = _Type("a number", frozenset({int, float}), float)
 INTEGER = _Type("an integer", frozenset({int}), _int64)
 FLAG = _Type("true or false", frozenset({bool}), bool)
-BOX = _Type("a list of 4 numbers", frozenset({list}), _box, write=lambda box, base: list(box))
+BOX = _Type("a list of 4 numbers", frozenset({list}), _box, write=list)
 
 
 def read_column(column: list, key: str, kind: _Type, default=REQUIRED) -> list:
@@ -155,10 +169,6 @@ class _Kind:
         values = [f"o[{i}]" if split else f"o.{attr}" for i, (_, attr, _, _) in enumerate(rows)]
         self.record = eval("lambda o: {" + ", ".join(f"{k!r}: {v}" for (k, _, _, _), v in zip(rows, values)) + "}")
 
-    def read(self, record: Dict):
-        """The object of one JSON object; the ValueError names the field."""
-        return self.read_all([record], items=False)[0]
-
     def read_all(self, records: list, items: bool = True):
         """The objects of a list of JSON objects, made from their read columns.
         When a column fails, the records are read again one at a time, so that
@@ -186,45 +196,16 @@ class _Kind:
             raise ValueError(f"item {len(objects)}: {exc}") from None
         return tuple(objects)
 
-    def dump_all(self, objects: Sequence, bases=None) -> List[Dict]:
-        """JSON objects of objects, leaving out nullable fields that hold None.
-        bases, when it is a list of the objects they were read from, carries
-        their other fields over."""
+    def dump_all(self, objects: Sequence) -> List[Dict]:
+        """JSON objects of objects, leaving out nullable fields that hold None."""
         records = list(map(self.record, self.split(objects) if self.split else objects))
-        if not (isinstance(bases, list) and len(bases) == len(records) and all(isinstance(b, dict) for b in bases)):
-            bases = [{}] * len(records)
         for key, write in self.write:
-            for record, base in zip(records, bases):
+            for record in records:
                 if record[key] is None and key in self.nullable:
                     del record[key]
                 elif write:
-                    record[key] = write(record[key], base.get(key))
-        if any(bases):
-            for i, (record, base) in enumerate(zip(records, bases)):
-                records[i] = {**base, **record}
-                for key in self.nullable.difference(record):
-                    records[i].pop(key, None)
+                    record[key] = write(record[key])
         return records
-
-
-def _parse(records: Iterable[Tuple[int, Dict]], path: str, what: str, parse_one: Callable) -> List:
-    """parse_one of each (line number, record); a failure names the line."""
-    out = []
-    for number, record in records:
-        try:
-            out.append(parse_one(record))
-        except ValueError as exc:
-            raise ParseError(path, number, f"bad {what}: {exc}") from exc
-    return out
-
-
-def _dump(kind: _Kind, objects: Sequence, base_records: Optional[Sequence[Dict]]) -> List[Dict]:
-    """Records of objects; base_records[i], when given, is the dict objects[i]
-    was parsed from, and its unknown fields are carried over. base_records
-    must hold one record per object."""
-    if base_records is not None and len(base_records) != len(objects):
-        raise ValueError(f"{len(base_records)} base_records for {len(objects)} frames")
-    return kind.dump_all(objects, None if base_records is None else list(base_records))
 
 
 # ------------------------------------------------------------- field tables
@@ -285,10 +266,6 @@ def _snapshot(track_id, u, v, depth, vx, vy, class_id, confidence, age, fused, x
     return _snapshot_from_row((track_id, u, v, depth, vx, vy, class_id, confidence, age, fused, position))
 
 
-def _snapshot_fields(tracks: Sequence[TrackSnapshot]) -> list:
-    return [(*t[:10], *((None,) * 3 if t.position is None else map(float, t.position))) for t in tracks]
-
-
 _RESULT_TRACK = _Kind(_snapshot, (
     ("id", "track_id", INTEGER, REQUIRED),
     ("u", "u", NUMBER, REQUIRED),
@@ -303,7 +280,7 @@ _RESULT_TRACK = _Kind(_snapshot, (
     ("x", "position", NUMBER, None),
     ("y", "position", NUMBER, None),
     ("z", "position", NUMBER, None),
-), _snapshot_fields)
+), lambda tracks: [(*t[:10], *((None,) * 3 if t.position is None else map(float, t.position))) for t in tracks])
 _RESULT_FRAME = _Kind(FrameResult, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
@@ -313,20 +290,12 @@ _RESULT_FRAME = _Kind(FrameResult, (
 
 # ------------------------------------------------------------------ replay
 
-def replay_to_records(
-    frames: Sequence[FrameInput], base_records: Optional[Sequence[Dict]] = None
-) -> List[Dict]:
-    """Serialize frames; when base_records is given (the dicts the frames
-    were parsed from), unknown fields in them are carried over."""
-    return _dump(_REPLAY_FRAME, frames, base_records)
-
-
-def replay_from_records(records: Sequence[Dict], path: str = "<memory>") -> List[FrameInput]:
-    return _parse(enumerate(records, start=1), path, "frame", _REPLAY_FRAME.read)
+def replay_to_records(frames: Sequence[FrameInput]) -> List[Dict]:
+    return _REPLAY_FRAME.dump_all(frames)
 
 
 def read_replay(path: str) -> List[FrameInput]:
-    return _parse(_numbered_records(path), path, "frame", _REPLAY_FRAME.read)
+    return _read(path, "frame", _REPLAY_FRAME)
 
 
 def write_replay(path: str, frames: Sequence[FrameInput]) -> None:
@@ -335,20 +304,12 @@ def write_replay(path: str, frames: Sequence[FrameInput]) -> None:
 
 # ------------------------------------------------------------- ground truth
 
-def ground_truth_to_records(
-    frames: Sequence[GroundTruthFrame], base_records: Optional[Sequence[Dict]] = None
-) -> List[Dict]:
-    return _dump(_GROUND_TRUTH_FRAME, frames, base_records)
-
-
-def ground_truth_from_records(
-    records: Sequence[Dict], path: str = "<memory>"
-) -> List[GroundTruthFrame]:
-    return _parse(enumerate(records, start=1), path, "ground-truth frame", _GROUND_TRUTH_FRAME.read)
+def ground_truth_to_records(frames: Sequence[GroundTruthFrame]) -> List[Dict]:
+    return _GROUND_TRUTH_FRAME.dump_all(frames)
 
 
 def read_ground_truth(path: str) -> List[GroundTruthFrame]:
-    return _parse(_numbered_records(path), path, "ground-truth frame", _GROUND_TRUTH_FRAME.read)
+    return _read(path, "ground-truth frame", _GROUND_TRUTH_FRAME)
 
 
 def write_ground_truth(path: str, frames: Sequence[GroundTruthFrame]) -> None:
@@ -357,18 +318,12 @@ def write_ground_truth(path: str, frames: Sequence[GroundTruthFrame]) -> None:
 
 # ------------------------------------------------------------------ results
 
-def results_to_records(
-    results: Sequence[FrameResult], base_records: Optional[Sequence[Dict]] = None
-) -> List[Dict]:
-    return _dump(_RESULT_FRAME, results, base_records)
-
-
-def results_from_records(records: Sequence[Dict], path: str = "<memory>") -> List[FrameResult]:
-    return _parse(enumerate(records, start=1), path, "result frame", _RESULT_FRAME.read)
+def results_to_records(results: Sequence[FrameResult]) -> List[Dict]:
+    return _RESULT_FRAME.dump_all(results)
 
 
 def read_results(path: str) -> List[FrameResult]:
-    return _parse(_numbered_records(path), path, "result frame", _RESULT_FRAME.read)
+    return _read(path, "result frame", _RESULT_FRAME)
 
 
 def write_results(path: str, results: Sequence[FrameResult]) -> None:
@@ -398,14 +353,15 @@ def results_to_predictions(results: Sequence[FrameResult]) -> List[PredictedFram
 # ------------------------------------------------------------------ configs
 
 def load_yaml(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = mark.line + 1 if mark is not None else 0
-            problem = getattr(exc, "problem", None) or str(exc)
-            raise ParseError(path, line, f"invalid YAML: {problem}") from exc
+    with open(path, "rb") as fh:
+        text = _utf8(fh.read(), path)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else 0
+        problem = getattr(exc, "problem", None) or str(exc)
+        raise ParseError(path, line, f"invalid YAML: {problem}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -416,10 +372,6 @@ def load_yaml(path: str) -> Dict:
 def save_yaml(path: str, data: Dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(data, fh, sort_keys=False)
-
-
-def tracker_config_to_dict(config: TrackerConfig) -> Dict:
-    return asdict(config)
 
 
 def tracker_config_from_dict(data: Dict) -> TrackerConfig:

@@ -71,10 +71,6 @@ class ObjectSpec:
         if min(self.size) <= 0:
             raise ValueError("object size must be positive")
 
-    def center_at(self, t: float) -> np.ndarray:
-        p, v = self.position, self.velocity
-        return np.array([p[0] + v[0] * t, p[1] + v[1] * t, p[2] + v[2] * t])
-
 
 @dataclass(frozen=True)
 class NoiseModel:

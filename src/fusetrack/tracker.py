@@ -32,7 +32,6 @@ from .association import AssociationResult, CostWeights, DetectionBatch, Track, 
 # expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
 from .geometry import CameraModel, image_to_vehicle
-from .heatmap import Heatmap, HeatmapConfig, render_gaussian
 
 
 @dataclass(frozen=True)
@@ -298,16 +297,6 @@ class Tracker:
             )
         ]
         return tuple(map(_snapshot_from_row, zip(*columns, positions)))
-
-    def prior_heatmap(self, config: HeatmapConfig, sigma: float = 2.0) -> Heatmap:
-        """Diagnostic view of the current track centers as a center heatmap
-        (one Gaussian per live track on its nearest grid cell)."""
-        centers = []
-        for t in self._tracks.to_tracks():
-            gx = min(config.grid_width - 1, max(0, round(t.u / config.downsample)))
-            gy = min(config.grid_height - 1, max(0, round(t.v / config.downsample)))
-            centers.append((int(gx), int(gy), t.class_id, sigma))
-        return render_gaussian(centers, config)
 
 
 def run_sequence(

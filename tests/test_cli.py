@@ -14,10 +14,10 @@ import pytest
 from fusetrack.association import CostWeights
 from fusetrack.cli import main
 from fusetrack.fileio import (
+    config_to_dict,
     read_results,
     results_to_predictions,
     save_yaml,
-    tracker_config_to_dict,
     write_results,
 )
 from fusetrack.metrics import amota
@@ -163,6 +163,19 @@ def test_track_parse_error_names_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_file", ["replay", "config"])
+def test_track_invalid_utf8_names_file_and_line(workdir, tmp_path, capsys, bad_file):
+    replay, config = tmp_path / "replay.jsonl", tmp_path / "tracker.yaml"
+    replay.write_bytes(Path(replay_path(workdir)).read_bytes())
+    config.write_bytes(b"max_age: 3\n")
+    bad = {"replay": replay, "config": config}[bad_file]
+    text = bad.read_bytes().split(b"\n")
+    text[1] = b"\xff" + text[1]
+    bad.write_bytes(b"\n".join(text))
+    assert main(["track", str(replay), "--config", str(config), "--no-fusion", "--out", str(tmp_path / "out.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: invalid UTF-8: byte 0xff at offset 0 of the line")
+
+
 def test_track_integer_beyond_int64_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     det = {"u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class": 2**70, "confidence": 0.9}
@@ -192,7 +205,7 @@ def test_config_file_with_flag_override(workdir, tmp_path):
         weights=CostWeights(beta=0.0, delta=0.0), max_age=1, fusion_enabled=False
     )
     cfg_path = str(tmp_path / "tracker.yaml")
-    save_yaml(cfg_path, tracker_config_to_dict(cfg))
+    save_yaml(cfg_path, config_to_dict(cfg))
     out = str(tmp_path / "flagged.jsonl")
     # flag wins over the file for beta; everything else comes from the file
     rc = main(["track", replay_path(workdir), "--config", cfg_path, "--beta", "0.04", "--out", out])
@@ -390,8 +403,9 @@ def test_evaluate_misalignment_names_frame(tmp_path, capsys):
 def test_evaluate_rejects_results_without_positions(workdir, tmp_path, capsys):
     out = str(tmp_path / "nopos.jsonl")
     assert main(["track", replay_path(workdir), "--no-fusion", "--out", out]) == 0
+    capsys.readouterr()
     assert main(["evaluate", out, gt_path(workdir)]) == 1
-    assert "position" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {out}: frame 0: track 1 has no ground-plane position; ")
 
 
 def test_evaluate_report_to_file(tmp_path, capsys):

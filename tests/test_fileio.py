@@ -1,5 +1,5 @@
-"""Replay/ground-truth/result serialization: round trips, unknown-field
-preservation, line-numbered parse errors for malformed and fuzzed lines,
+"""Replay/ground-truth/result serialization: round trips, unknown fields
+ignored, line-numbered parse errors for malformed and fuzzed lines,
 documented fields, config plumbing."""
 
 import copy
@@ -15,20 +15,14 @@ from fusetrack import fileio
 from fusetrack.association import CostWeights, Detection, DetectionBatch
 from fusetrack.fileio import (
     ParseError,
-    ground_truth_from_records,
-    ground_truth_to_records,
+    config_to_dict,
     load_yaml,
     read_ground_truth,
     read_replay,
     read_results,
-    replay_from_records,
-    replay_to_records,
-    results_from_records,
     results_to_predictions,
-    results_to_records,
     save_yaml,
     tracker_config_from_dict,
-    tracker_config_to_dict,
     write_ground_truth,
     write_replay,
     write_results,
@@ -86,24 +80,17 @@ def test_serialization_is_deterministic(tmp_path, scene, results):
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
-def test_unknown_fields_survive_round_trip(scene):
-    records = replay_to_records(scene.frames)
+def test_unknown_fields_are_ignored_and_not_written(tmp_path, scene):
+    plain, annotated, rewritten = (tmp_path / name for name in ("plain.jsonl", "annotated.jsonl", "rewritten.jsonl"))
+    write_replay(str(plain), scene.frames[:3])
+    records = [json.loads(line) for line in plain.read_text().splitlines()]
     records[0]["camera_name"] = "front"
     records[0]["detections"][0]["raw_score"] = 0.123
-    frames = replay_from_records(records)
-    out = replay_to_records(frames, base_records=records)
-    assert out[0]["camera_name"] == "front"
-    assert out[0]["detections"][0]["raw_score"] == 0.123
-    # typed fields still win over stale base values
-    assert out[0]["detections"][0]["u"] == frames[0].detections.u[0]
-
-
-def test_ground_truth_unknown_fields(scene):
-    records = ground_truth_to_records(scene.ground_truth)
-    records[2]["weather"] = "rain"
-    frames = ground_truth_from_records(records)
-    out = ground_truth_to_records(frames, base_records=records)
-    assert out[2]["weather"] == "rain"
+    annotated.write_text("".join(json.dumps(record) + "\n" for record in records))
+    frames = read_replay(str(annotated))
+    assert frames == list(scene.frames[:3])
+    write_replay(str(rewritten), frames)
+    assert rewritten.read_bytes() == plain.read_bytes()
 
 
 def test_parse_error_names_line(tmp_path):
@@ -282,12 +269,13 @@ def test_blank_lines_skipped(tmp_path, scene):
     assert read_replay(str(padded)) == list(scene.frames)
 
 
-def test_detection_bbox_optional():
+def test_detection_bbox_optional(tmp_path):
     det = Detection(u=5.0, v=6.0, depth=10.0, vx=0.0, vy=0.0, class_id=0, confidence=0.9, du=0.0, dv=0.0)
     frame = FrameInput(0, 0.0, (det,), (RadarPoint(10.0, 0.0, 0.0, 1.0, 0.0),))
-    records = replay_to_records([frame])
-    assert "bbox" not in records[0]["detections"][0]
-    assert replay_from_records(records) == [frame]
+    path = tmp_path / "replay.jsonl"
+    write_replay(str(path), [frame])
+    assert "bbox" not in json.loads(path.read_text())["detections"][0]
+    assert read_replay(str(path)) == [frame]
 
 
 def test_results_to_predictions_positions(results, scene):
@@ -315,7 +303,7 @@ def test_yaml_config_round_trip(tmp_path):
         fusion_enabled=False,
     )
     path = str(tmp_path / "tracker.yaml")
-    save_yaml(path, tracker_config_to_dict(config))
+    save_yaml(path, config_to_dict(config))
     assert tracker_config_from_dict(load_yaml(path)) == config
 
 
@@ -333,6 +321,24 @@ def test_malformed_yaml_is_parse_error(tmp_path):
         load_yaml(str(path))
 
 
+@pytest.mark.parametrize("read", [read_replay, read_ground_truth, read_results])
+def test_invalid_utf8_names_the_line(tmp_path, read):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"frame": 0, "time": 0.0}\n{"frame": 1, "time": 0.1, "note": "\xff"}\n')
+    with pytest.raises(ParseError) as err:
+        read(str(path))
+    assert str(err.value) == f"{path}:2: invalid UTF-8: byte 0xff at offset 35 of the line (invalid start byte)"
+    assert err.value.line_number == 2
+
+
+def test_invalid_utf8_yaml_names_the_file(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"seed: 1\nnum_frames: 10\nname: caf\xc3(\n")
+    with pytest.raises(ParseError) as err:
+        load_yaml(str(path))
+    assert str(err.value) == f"{path}:3: invalid UTF-8: byte 0xc3 at offset 9 of the line (invalid continuation byte)"
+
+
 def test_scene_round_trips_through_files(tmp_path, scene):
     """Full export/import cycle preserves every value the tracker consumes."""
     replay = str(tmp_path / "replay.jsonl")
@@ -343,19 +349,6 @@ def test_scene_round_trips_through_files(tmp_path, scene):
     a, _ = run_sequence(frames, TrackerConfig(), scene.config.camera)
     b, _ = run_sequence(scene.frames, TrackerConfig(), scene.config.camera)
     assert a == b
-
-
-_TO_RECORDS = {"replay": replay_to_records, "ground_truth": ground_truth_to_records, "results": results_to_records}
-
-
-@pytest.mark.parametrize("kind", ["replay", "ground_truth", "results"])
-def test_base_records_must_match_the_frames(scene, results, kind):
-    objects = {"replay": scene.frames, "ground_truth": scene.ground_truth, "results": results}[kind][:3]
-    records = _TO_RECORDS[kind](objects)
-    assert _TO_RECORDS[kind](objects, base_records=records) == records
-    for bases in (records[:1], records + records[:1]):
-        with pytest.raises(ValueError, match=rf"^{len(bases)} base_records for 3 frames$"):
-            _TO_RECORDS[kind](objects, base_records=bases)
 
 
 def _write_lines(tmp_path, *records) -> str:

@@ -38,6 +38,12 @@ def quiet(**kwargs) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def center_at(spec: ObjectSpec, t: float) -> np.ndarray:
+    """The object's center at time t, by its constant-velocity motion."""
+    p, v = spec.position, spec.velocity
+    return np.array([p[0] + v[0] * t, p[1] + v[1] * t, p[2] + v[2] * t])
+
+
 def scenes_equal(a: Scene, b: Scene) -> bool:
     # config holds numpy arrays (camera), so compare the generated payload
     return (
@@ -68,7 +74,7 @@ def test_static_noise_free_object_repeats_exactly():
 def test_noise_free_displacement_is_exact_center_offset():
     cfg = quiet(objects=(ObjectSpec(0, (30.0, 3.0, 0.0), (2.0, -1.5, 0.0)),), num_frames=8)
     scene = generate(cfg)
-    uv, _, in_image = project_points(np.array([cfg.objects[0].center_at(k * cfg.frame_dt) for k in range(8)]), CAM)
+    uv, _, in_image = project_points(np.array([center_at(cfg.objects[0], k * cfg.frame_dt) for k in range(8)]), CAM)
     assert in_image.all()
     uvs = [tuple(p) for p in uv.tolist()]
     for k, frame in enumerate(scene.frames):
@@ -89,7 +95,7 @@ def test_noise_free_radar_sits_on_the_object():
     )
     scene = generate(cfg)
     for k, frame in enumerate(scene.frames):
-        c = cfg.objects[0].center_at(k * cfg.frame_dt)
+        c = center_at(cfg.objects[0], k * cfg.frame_dt)
         assert len(frame.radar) == 2
         for x, y, z, vx, vy in frame.radar.tolist():
             assert (x, y, z) == (c[0], c[1], c[2])

@@ -9,7 +9,6 @@ from fusetrack.association import CostWeights, Detection, DetectionBatch, TrackT
 from fusetrack.fileio import read_replay, write_replay
 from fusetrack.fusion import Pillar, RadarPoint
 from fusetrack.geometry import CameraModel, image_to_vehicle
-from fusetrack.heatmap import HeatmapConfig
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import (
     FrameInput,
@@ -191,14 +190,6 @@ def test_track_age_counts_frames_alive():
     tracker.step(frame(1, []))  # coast
     (snap,) = tracker.step(frame(2, [det(100, 100)])).tracks
     assert snap.age == 3
-
-
-def test_prior_heatmap_marks_track_cells():
-    tracker = Tracker(cfg())
-    tracker.step(frame(0, [det(100.0, 100.0), det(500.0, 300.0)]))
-    hm = tracker.prior_heatmap(HeatmapConfig(800, 448, downsample=4))
-    assert hm.values[25, 25, 0] == 1.0
-    assert hm.values[75, 125, 0] == 1.0
 
 
 def test_run_sequence_empty():
