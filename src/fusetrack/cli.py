@@ -16,21 +16,25 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
+from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .association import CostWeights, cost_matrix
+# read_results and write_results are not called here; bench/probes.py wraps them under these names.
 from .fileio import (
     ParseError,
-    encode_record,
+    encode_result,
+    iter_replay,
+    iter_results,
     load_yaml,
     read_ground_truth,
     read_replay,
     read_results,
     results_to_predictions,
-    results_to_records,
     tracker_config_from_dict,
     write_ground_truth,
     write_replay,
@@ -72,22 +76,15 @@ def _load_camera(path: str) -> CameraModel:
 
 
 def _parse_class_names(spec: Optional[str]) -> Optional[List[str]]:
-    if not spec:
-        return None
-    names = [s.strip() for s in spec.split(",") if s.strip()]
-    return names or None
+    return [s.strip() for s in (spec or "").split(",") if s.strip()] or None
 
 
 def _parse_grid(spec: Optional[str], fallback: float) -> List[float]:
-    if not spec:
-        return [fallback]
     try:
-        values = [float(s) for s in spec.split(",") if s.strip()]
+        values = [float(s) for s in (spec or "").split(",") if s.strip()]
     except ValueError:
         raise ValueError(f"bad grid value in {spec!r}: expected comma-separated numbers")
-    if not values:
-        return [fallback]
-    return values
+    return values or [fallback]
 
 
 def _worker_count(text: str) -> int:
@@ -157,7 +154,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    frames = read_replay(args.replay)
+    frames = iter_replay(args.replay)  # opened first: a missing replay leaves no results file
     config = _base_config(args)
     weights = _given(args, alpha="alpha", beta="beta", delta="delta", radius="radius")
     config = replace(config, weights=replace(config.weights, **weights))
@@ -168,11 +165,9 @@ def _cmd_track(args) -> int:
             file=sys.stderr,
         )
         return 2
-    results, stats = run_sequence(frames, config, camera)
-    if args.out == "-":
-        sys.stdout.writelines(encode_record(rec) + "\n" for rec in results_to_records(results))
-    else:
-        write_results(args.out, results)
+    # One frame is read, stepped and written at a time: a bad replay line k fails after k - 1 result lines.
+    with nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8") as out:
+        _, stats = run_sequence(frames, config, camera, on_result=lambda r: out.write(encode_result(r) + "\n"))
     print(
         f"latency over {stats.count} steps: median {stats.median_ms:.3f} ms, "
         f"p99 {stats.p99_ms:.3f} ms, max {stats.max_ms:.3f} ms",
@@ -205,12 +200,13 @@ def _format_report(report: MetricsReport, names: Optional[List[str]], dist_thres
 
 
 def _cmd_evaluate(args) -> int:
-    results = read_results(args.results)
-    gt = read_ground_truth(args.gt)
-    try:
-        preds = results_to_predictions(results)
+    try:  # the results file is read a line at a time, straight into predictions
+        preds = results_to_predictions(iter_results(args.results))
+    except ParseError:
+        raise  # names its file and line already
     except ValueError as exc:
         raise ValueError(f"{args.results}: {exc}") from exc
+    gt = read_ground_truth(args.gt)
     report = amota(preds, gt, num_thresholds=args.num_thresholds, dist_threshold=args.dist_threshold)
     text = _format_report(report, _parse_class_names(args.classes), args.dist_threshold)
     if args.out:
@@ -269,16 +265,8 @@ def _cmd_sweep(args) -> int:
     camera = _load_camera(args.scene)
     base = _base_config(args)
 
-    combos: List[Tuple[float, float, float, float]] = []
-    seen = set()
-    for a in _parse_grid(args.alpha, base.weights.alpha):
-        for b in _parse_grid(args.beta, base.weights.beta):
-            for d in _parse_grid(args.delta, base.weights.delta):
-                for r in _parse_grid(args.radius, base.weights.radius):
-                    combo = (a, b, d, r)
-                    if combo not in seen:
-                        seen.add(combo)
-                        combos.append(combo)
+    grids = [_parse_grid(getattr(args, k), getattr(base.weights, k)) for k in ("alpha", "beta", "delta", "radius")]
+    combos = list(dict.fromkeys(product(*grids)))  # grid order, repeats dropped
 
     def run_one(combo: Tuple[float, float, float, float]):
         a, b, d, r = combo
@@ -292,9 +280,7 @@ def _cmd_sweep(args) -> int:
             results.append(tracker.step(frame))
             shortfall += _association_gap(tracker, weights, gaps)
         preds = results_to_predictions(results)
-        report = amota(
-            preds, gt, num_thresholds=args.num_thresholds, dist_threshold=args.dist_threshold
-        )
+        report = amota(preds, gt, num_thresholds=args.num_thresholds, dist_threshold=args.dist_threshold)
         gap_mean = math.fsum(gaps) / len(gaps) if gaps else None
         return combo, report, gap_mean, len(gaps), shortfall
 

@@ -21,7 +21,8 @@ number, got '0.5'``.
 
 Readers ignore unknown fields, and writers do not write them. Writers emit
 compact JSON with the known fields in table order, so identical data always
-produces identical bytes.
+produces identical bytes. Files are read (iter_replay, iter_results) and
+written a line at a time, so a stream of frames is never held whole.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from itertools import repeat
 from operator import methodcaller
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -71,10 +72,17 @@ def _utf8(data: bytes, path: str, line_number: int = 1) -> str:
         raise ParseError(path, line_number + data.count(b"\n", 0, exc.start), message) from exc
 
 
-def _read(path: str, what: str, kind: _Kind) -> List:
-    """The objects of a JSONL file's non-blank lines; a failure names the line."""
-    out = []
+def _iter(path: str, what: str, kind: _Kind) -> Iterator:
+    """The objects of a JSONL file's non-blank lines, read one at a time; a
+    failure names the line. Started here, so that a missing file fails here."""
+    objects = _objects(path, what, kind)
+    next(objects)
+    return objects
+
+
+def _objects(path: str, what: str, kind: _Kind) -> Iterator:
     with open(path, "rb") as fh:
+        yield  # opened
         for number, line in enumerate(fh, start=1):
             line = _utf8(line, path, number).strip()
             if not line:
@@ -84,16 +92,17 @@ def _read(path: str, what: str, kind: _Kind) -> List:
             except (ValueError, RecursionError) as exc:
                 raise ParseError(path, number, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             try:
-                out.append(kind.read_all([record], items=False)[0])
+                item = kind.read_all([record], items=False)[0]
             except ValueError as exc:
                 raise ParseError(path, number, f"bad {what}: {exc}") from exc
-    return out
+            yield item
 
 
-def write_records(path: str, records: Sequence[Dict]) -> None:
+def write_records(path: str, records: Iterable, encode: Callable[..., str] = encode_record) -> None:
+    """One line of encode(record) per record, written as each comes."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(encode_record(record) + "\n")
+            fh.write(encode(record) + "\n")
 
 
 # ------------------------------------------------------------ typed readers
@@ -207,6 +216,9 @@ class _Kind:
                     record[key] = write(record[key])
         return records
 
+    def line(self, obj) -> str:
+        return encode_record(self.dump_all((obj,))[0])
+
 
 # ------------------------------------------------------------- field tables
 
@@ -243,7 +255,7 @@ _REPLAY_FRAME = _Kind(_replay_frame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
     ("detections", "detections", _DETECTION_ROW.list, []),
-    ("radar", "radar", _RADAR_ROW.list, []),
+    ("radar", "radar", _RADAR_ROW.list._replace(write=lambda radar: []), []),  # rows written by _replay_line
 ))
 _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
     ("id", "gt_id", INTEGER, REQUIRED),
@@ -286,54 +298,65 @@ _RESULT_FRAME = _Kind(FrameResult, (
     ("time", "timestamp", NUMBER, REQUIRED),
     ("tracks", "tracks", _RESULT_TRACK.list, []),
 ))
+encode_result = _RESULT_FRAME.line  # a FrameResult's JSON text
 
 
 # ------------------------------------------------------------------ replay
 
-def replay_to_records(frames: Sequence[FrameInput]) -> List[Dict]:
-    return _REPLAY_FRAME.dump_all(frames)
+# A radar row's JSON text, formatted from its floats as the encoder writes
+# them (float repr, keys in table order), with no dict per row.
+_RADAR_TEXT = "{" + ",".join(f'"{key}":%r' for key, _, _, _ in _RADAR_ROW.rows) + "}"
+
+
+def _replay_line(frame: FrameInput) -> str:
+    """A replay frame's JSON text, its radar rows (the last field) in place of []."""
+    radar = frame.radar
+    if not np.isfinite(radar).all():  # FrameInput forbids it; refused as the encoder would
+        raise ValueError("Out of range float values are not JSON compliant")
+    rows = ",".join(repeat(_RADAR_TEXT, len(radar))) % tuple(radar.ravel().tolist())
+    return _REPLAY_FRAME.line(frame)[:-2] + rows + "]}"
+
+
+def iter_replay(path: str) -> Iterator[FrameInput]:
+    return _iter(path, "frame", _REPLAY_FRAME)
 
 
 def read_replay(path: str) -> List[FrameInput]:
-    return _read(path, "frame", _REPLAY_FRAME)
+    return list(iter_replay(path))
 
 
-def write_replay(path: str, frames: Sequence[FrameInput]) -> None:
-    write_records(path, replay_to_records(frames))
+def write_replay(path: str, frames: Iterable[FrameInput]) -> None:
+    write_records(path, frames, _replay_line)
 
 
 # ------------------------------------------------------------- ground truth
 
-def ground_truth_to_records(frames: Sequence[GroundTruthFrame]) -> List[Dict]:
-    return _GROUND_TRUTH_FRAME.dump_all(frames)
-
-
 def read_ground_truth(path: str) -> List[GroundTruthFrame]:
-    return _read(path, "ground-truth frame", _GROUND_TRUTH_FRAME)
+    return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME))
 
 
-def write_ground_truth(path: str, frames: Sequence[GroundTruthFrame]) -> None:
-    write_records(path, ground_truth_to_records(frames))
+def write_ground_truth(path: str, frames: Iterable[GroundTruthFrame]) -> None:
+    write_records(path, frames, _GROUND_TRUTH_FRAME.line)
 
 
 # ------------------------------------------------------------------ results
 
-def results_to_records(results: Sequence[FrameResult]) -> List[Dict]:
-    return _RESULT_FRAME.dump_all(results)
+def iter_results(path: str) -> Iterator[FrameResult]:
+    return _iter(path, "result frame", _RESULT_FRAME)
 
 
 def read_results(path: str) -> List[FrameResult]:
-    return _read(path, "result frame", _RESULT_FRAME)
+    return list(iter_results(path))
 
 
-def write_results(path: str, results: Sequence[FrameResult]) -> None:
-    write_records(path, results_to_records(results))
+def write_results(path: str, results: Iterable[FrameResult]) -> None:
+    write_records(path, results, encode_result)
 
 
-def results_to_predictions(results: Sequence[FrameResult]) -> List[PredictedFrame]:
-    """Evaluation view of tracker output. Requires vehicle-frame positions
-    (tracks written without a camera cannot be evaluated on the ground
-    plane)."""
+def results_to_predictions(results: Iterable[FrameResult]) -> List[PredictedFrame]:
+    """Evaluation view of tracker output, read one result at a time. Requires
+    vehicle-frame positions (tracks written without a camera cannot be
+    evaluated on the ground plane)."""
     frames = []
     for result in results:
         objects = []
@@ -343,9 +366,7 @@ def results_to_predictions(results: Sequence[FrameResult]) -> List[PredictedFram
                     f"frame {result.frame_index}: track {t.track_id} has no ground-plane "
                     "position; produce results with a scene camera"
                 )
-            objects.append(
-                PredictedObject(t.track_id, t.position[0], t.position[1], t.class_id, t.confidence)
-            )
+            objects.append(PredictedObject(t.track_id, t.position[0], t.position[1], t.class_id, t.confidence))
         frames.append(PredictedFrame(result.frame_index, tuple(objects)))
     return frames
 

@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -300,18 +300,21 @@ class Tracker:
 
 
 def run_sequence(
-    frames: Sequence[FrameInput],
+    frames: Iterable[FrameInput],
     config: TrackerConfig = TrackerConfig(),
     camera: Optional[CameraModel] = None,
+    on_result: Optional[Callable[[FrameResult], object]] = None,
 ) -> Tuple[List[FrameResult], LatencyStats]:
     """Fold step over an ordered sequence, timing each step (the timer wraps
-    only the tracker work, not input construction or serialization)."""
+    only the tracker work, not input construction or serialization). Given
+    on_result, each result goes to it in order and the returned list is empty."""
     tracker = Tracker(config, camera)
     results: List[FrameResult] = []
+    keep = results.append if on_result is None else on_result
     samples: List[float] = []
     for frame in frames:
         start = time.perf_counter()
         result = tracker.step(frame)
         samples.append((time.perf_counter() - start) * 1e3)
-        results.append(result)
+        keep(result)
     return results, LatencyStats.from_samples(samples)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,16 @@ import pytest
 from fusetrack.association import CostWeights
 from fusetrack.cli import main
 from fusetrack.fileio import (
+    ParseError,
     config_to_dict,
+    load_yaml,
+    read_replay,
     read_results,
     results_to_predictions,
     save_yaml,
     write_results,
 )
+from fusetrack.geometry import CameraModel
 from fusetrack.metrics import amota
 from fusetrack.simulator import (
     NoiseModel,
@@ -30,7 +35,10 @@ from fusetrack.simulator import (
     generate,
 )
 from fusetrack.tracker import TrackerConfig, run_sequence
+from reader_fuzz import Invalid, fuzz_lines, reference_record
+from track_memory import repeat_replay
 
+CROSSING_CONFIG = str(Path(__file__).parent.parent / "configs" / "crossing.yaml")
 CROSSING_SEED = 8  # seed whose pixel-only ablation loses AMOTA (deterministic)
 
 
@@ -193,6 +201,97 @@ def test_track_streams_to_stdout(workdir, capsys):
     first = json.loads(lines[0])
     assert first["frame"] == 0 and "tracks" in first
     assert "median" in captured.err  # latency goes to stderr only
+
+
+def test_track_file_stdout_and_library_bytes_agree(tmp_path, capsys):
+    """On configs/crossing.yaml, track --out FILE, track --out - and
+    write_results of the library's run_sequence give the same bytes."""
+    assert main(["simulate", CROSSING_CONFIG, "--out", str(tmp_path / "scene")]) == 0
+    replay = str(tmp_path / "scene" / "replay.jsonl")
+    to_file, library = tmp_path / "results.jsonl", tmp_path / "library.jsonl"
+    assert main(["track", replay, "--scene", CROSSING_CONFIG, "--out", str(to_file)]) == 0
+    capsys.readouterr()
+    assert main(["track", replay, "--scene", CROSSING_CONFIG, "--out", "-"]) == 0
+    to_stdout = capsys.readouterr().out
+    camera = CameraModel.from_dict(load_yaml(CROSSING_CONFIG)["camera"])
+    write_results(str(library), run_sequence(read_replay(replay), TrackerConfig(), camera)[0])
+    assert to_file.read_text().count("\n") == 41
+    assert to_file.read_bytes() == library.read_bytes() == to_stdout.encode()
+
+
+@pytest.mark.parametrize("bad_line", [1, 2, 30])
+def test_track_bad_replay_line_keeps_the_results_before_it(workdir, tmp_path, capsys, bad_line):
+    """A bad replay line k exits 1 with the reader's message, naming path:k,
+    and leaves the library's first k - 1 result lines."""
+    lines = Path(replay_path(workdir)).read_text().splitlines(keepends=True)
+    lines[bad_line - 1] = lines[bad_line - 1].replace('"time":', '"tme":', 1)
+    replay, out, full = tmp_path / "replay.jsonl", tmp_path / "results.jsonl", tmp_path / "full.jsonl"
+    replay.write_text("".join(lines))
+    with pytest.raises(ParseError) as err:
+        read_replay(str(replay))
+    assert main(["track", str(replay), "--scene", scenario_path(workdir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert str(err.value).startswith(f"{replay}:{bad_line}: bad frame: missing field 'time'")
+    assert main(["track", replay_path(workdir), "--scene", scenario_path(workdir), "--out", str(full)]) == 0
+    assert out.read_bytes() == b"".join(full.read_bytes().splitlines(keepends=True)[: bad_line - 1])
+
+
+@pytest.mark.parametrize("replay", ["missing.jsonl", "."], ids=["missing", "directory"])
+def test_track_unreadable_replay_creates_no_results(tmp_path, capsys, replay):
+    out = tmp_path / "results.jsonl"
+    assert main(["track", str(tmp_path / replay), "--no-fusion", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_track_fuzzed_replay_fails_as_the_reader_does(workdir, tmp_path, capsys):
+    """A sample of fuzzed replays (tests/reader_fuzz.py) through track
+    --no-fusion: a line the reader rejects fails with read_replay's message,
+    after one result line for each frame before it."""
+    source = Path(replay_path(workdir)).read_text().splitlines()[:8]
+    replay, out = tmp_path / "replay.jsonl", tmp_path / "results.jsonl"
+    failed = 0
+    for index, line, mutation in list(fuzz_lines(seed=7, lines=source, trials=250))[::8]:
+        replay.write_text("\n".join(source[:index] + [line] + source[index + 1:]) + "\n")
+        code = main(["track", str(replay), "--no-fusion", "--out", str(out)])
+        err = capsys.readouterr().err
+        try:
+            reference_record("replay", line)
+        except Invalid:
+            with pytest.raises(ParseError) as expected:
+                read_replay(str(replay))
+            assert (code, err) == (1, f"error: {expected.value}\n"), (mutation, line)
+            assert out.read_text().count("\n") == index, (mutation, line)
+            failed += 1
+        else:  # a valid line may still break the frame order, which the tracker refuses
+            assert out.read_text().count("\n") == (len(source) if code == 0 else index), (mutation, line, err)
+    assert failed >= 10
+
+
+def test_track_memory_does_not_grow_with_the_sequence(workdir, tmp_path):
+    """The traced peak of track on ten frames repeated ten times stays within
+    1.1x of the ten frames' peak: memory is bounded by the live tracks, not by
+    the length of the sequence.
+
+    CPython keeps up to 2,000 freed tuples of each small size for reuse, and
+    a tuple built from an iterator of unknown length is freed at another size
+    than it was taken at. Without the spare tuples freed below, those lists
+    would fill with traced blocks as the run goes on and count as growth."""
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(Path(replay_path(workdir)).read_text().splitlines(keepends=True)[:10]))
+    peaks = []
+    for times in (1, 10):
+        replay = str(tmp_path / f"replay_x{times}.jsonl")
+        assert repeat_replay(str(short), replay, times) == 10 * times
+        spare = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+        del spare
+        tracemalloc.start()
+        try:
+            assert main(["track", replay, "--scene", scenario_path(workdir), "--out", str(tmp_path / "out.jsonl")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_track_fusion_without_camera_fails(workdir, capsys):
@@ -406,6 +505,17 @@ def test_evaluate_rejects_results_without_positions(workdir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", out, gt_path(workdir)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {out}: frame 0: track 1 has no ground-plane position; ")
+
+
+def test_evaluate_bad_results_line_is_named_once(workdir, tmp_path, capsys):
+    results = tmp_path / "results.jsonl"
+    assert main(["track", replay_path(workdir), "--scene", scenario_path(workdir), "--out", str(results)]) == 0
+    lines = results.read_text().splitlines(keepends=True)
+    lines[4] = "{oops\n"
+    results.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["evaluate", str(results), gt_path(workdir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {results}:5: invalid JSON: ")
 
 
 def test_evaluate_report_to_file(tmp_path, capsys):

@@ -16,6 +16,8 @@ from fusetrack.association import CostWeights, Detection, DetectionBatch
 from fusetrack.fileio import (
     ParseError,
     config_to_dict,
+    encode_record,
+    iter_replay,
     load_yaml,
     read_ground_truth,
     read_replay,
@@ -28,7 +30,7 @@ from fusetrack.fileio import (
     write_results,
 )
 from fusetrack.fusion import PillarDims, RadarPoint
-from fusetrack.metrics import GroundTruthFrame, GroundTruthObject
+from fusetrack.metrics import GroundTruthObject
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, run_sequence
 from reader_fuzz import Invalid, fuzz_lines, reference_record
@@ -218,6 +220,56 @@ def test_writers_refuse_non_finite_values(tmp_path, results):
     bad = [FrameResult(results[0].frame_index, results[0].timestamp, (track,))]
     with pytest.raises(ValueError, match="JSON compliant"):
         write_results(str(tmp_path / "results.jsonl"), bad)
+
+
+def test_writers_refuse_non_finite_radar(tmp_path, scene):
+    """FrameInput keeps radar finite; a value made non-finite after the check
+    is still refused, as the encoder refuses every other field."""
+    frame = scene.frames[0]
+    frame.radar.flags.writeable = True
+    original = frame.radar[0, 2]
+    try:
+        frame.radar[0, 2] = math.inf
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_replay(str(tmp_path / "replay.jsonl"), [frame])
+    finally:
+        frame.radar[0, 2] = original
+        frame.radar.flags.writeable = False
+
+
+def test_radar_rows_are_written_as_the_json_encoder_writes_them(tmp_path):
+    """Radar rows, formatted from their floats without a dict per row, give
+    the encoder's bytes: signed zeros, tiny, huge and integral values."""
+    rng = np.random.default_rng(11)
+    values = [0.0, -0.0, 1.0, -3.0, 1e-7, 5e-324, 1e22, 1.7976931348623157e308, 0.1 + 0.2, 123456789.0]
+    radar = np.concatenate([np.array(values * 2).reshape(4, 5), rng.normal(scale=50.0, size=(6, 5))])
+    frames = [FrameInput(0, 0.0, [], radar), FrameInput(1, 0.1, [Detection(1.0, 2.0, 3.0, 0.0, 0.0, 1, 0.5)], ())]
+    path = tmp_path / "replay.jsonl"
+    write_replay(str(path), iter(frames))  # any iterable, consumed once
+    rows = [dict(zip(("x", "y", "z", "vx", "vy"), row)) for row in radar.tolist()]
+    detection = {"u": 1.0, "v": 2.0, "depth": 3.0, "vx": 0.0, "vy": 0.0, "class": 1, "confidence": 0.5, "du": 0.0, "dv": 0.0}
+    expected = [
+        {"frame": 0, "time": 0.0, "detections": [], "radar": rows},
+        {"frame": 1, "time": 0.1, "detections": [detection], "radar": []},
+    ]
+    assert path.read_text() == "".join(encode_record(record) + "\n" for record in expected)
+    assert read_replay(str(path)) == frames
+
+
+def test_iter_replay_reads_a_line_at_a_time(tmp_path, scene):
+    """iter_replay opens the file at once (a missing one fails at the call)
+    and yields each frame before reading the next line: a bad line fails
+    only when it is reached."""
+    with pytest.raises(FileNotFoundError):
+        iter_replay(str(tmp_path / "missing.jsonl"))
+    path = tmp_path / "replay.jsonl"
+    write_replay(str(path), scene.frames[:3])
+    path.write_text(path.read_text() + "{oops\n")
+    frames = iter_replay(str(path))
+    assert [next(frames) for _ in range(3)] == list(scene.frames[:3])
+    with pytest.raises(ParseError) as err:
+        next(frames)
+    assert str(err.value).startswith(f"{path}:4: invalid JSON")
 
 
 def _documented_fields(section: str) -> set:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fusetrack.association import CostWeights, Detection, DetectionBatch, TrackTable
+from fusetrack.association import Detection, DetectionBatch, TrackTable
 from fusetrack.fileio import read_replay, write_replay
 from fusetrack.fusion import Pillar, RadarPoint
 from fusetrack.geometry import CameraModel, image_to_vehicle
@@ -196,6 +196,18 @@ def test_run_sequence_empty():
     results, stats = run_sequence([], cfg())
     assert results == []
     assert stats == LatencyStats(0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_run_sequence_hands_each_result_to_on_result():
+    """With on_result, run_sequence takes any iterator, hands over each
+    result once and in frame order, keeps none, and times every step."""
+    scene = generate(crossing_scenario(10.0, seed=3))
+    expected, expected_stats = run_sequence(scene.frames, TrackerConfig(), scene.config.camera)
+    seen = []
+    results, stats = run_sequence(iter(scene.frames), TrackerConfig(), scene.config.camera, on_result=seen.append)
+    assert results == []
+    assert seen == expected
+    assert stats.count == expected_stats.count == len(scene.frames)
 
 
 def test_latency_stats_percentiles():
