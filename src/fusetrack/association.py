@@ -110,6 +110,20 @@ class RowError(ValueError):
         self.row = row
 
 
+def checked_frame_index(index) -> int:
+    """The frame-index rule: an integer, not a bool, that fits in a signed 64-bit integer."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not -(2**63) <= index < 2**63:
+        raise ValueError(f"frame_index must be an integer that fits in a signed 64-bit integer, got {index!r}")
+    return int(index)
+
+
+def checked_timestamp(timestamp) -> float:
+    """The timestamp rule: a finite number, not a bool."""
+    if isinstance(timestamp, (bool, np.bool_)) or not math.isfinite(timestamp):
+        raise ValueError(f"timestamp must be a finite number, got {timestamp!r}")
+    return float(timestamp)
+
+
 _DTYPES = {name: np.int64 for name in ("track_id", "class_id", "last_seen", "age", "misses")} | {"fused": bool, "boxed": bool}
 _DETECTION_VALUES = attrgetter(*(f.name for f in fields(Detection)))
 
@@ -147,24 +161,22 @@ class DetectionBatch(_Columns):
         return list(zip(*columns, [tuple(box) if ok else None for box, ok in zip(bbox, boxed)]))
 
     def checked_copy(self) -> "DetectionBatch":
-        """A read-only copy in the column types and shapes, checked by the
-        Detection rules: finite values and boxes, depth > 0, confidence in [0, 1]."""
+        """A read-only copy in the column types and shapes. The first row that
+        Detection refuses raises RowError with Detection's message."""
         n = len(self)
         batch = DetectionBatch(*(
             np.array(getattr(self, name), _DTYPES.get(name, float)).reshape((n, 4) if name == "bbox" else n)
             for name in self.__slots__
         ))
         batch.bbox[~batch.boxed] = math.nan
-        boxes_finite = np.isfinite(batch.bbox).all(1) | ~batch.boxed
-        rules = {  # the rows that break each rule, in the order Detection checks them
-            "detection fields must be finite": ~(np.isfinite(np.column_stack(batch.columns()[:9])).all(1) & boxes_finite),
-            "detection depth must be positive": batch.depth <= 0,
-            "confidence must lie in [0, 1]": ~((batch.confidence >= 0.0) & (batch.confidence <= 1.0)),
-        }
-        broken = np.logical_or.reduce(list(rules.values()))
-        if broken.any():
-            row = int(broken.argmax())
-            raise RowError(next(message for message, rows in rules.items() if rows[row]), row)
+        valid = np.isfinite(np.column_stack(batch.columns()[:9])).all(1) & (np.isfinite(batch.bbox).all(1) | ~batch.boxed)
+        valid &= (batch.depth > 0) & (batch.confidence >= 0) & (batch.confidence <= 1)
+        for row in np.flatnonzero(~valid)[:1].tolist():  # the first refused row: Detection states why
+            try:
+                Detection(*batch.take([row]).rows()[0])
+            except ValueError as error:
+                raise RowError(str(error), row) from None
+            raise RowError("a detection row that Detection accepts fails the batch screen", row)
         for column in batch.columns():
             column.flags.writeable = False
         return batch

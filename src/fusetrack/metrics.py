@@ -41,6 +41,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .association import checked_frame_index
+
 
 @dataclass(frozen=True)
 class GroundTruthObject:
@@ -60,6 +62,7 @@ class GroundTruthFrame:
     objects: Tuple[GroundTruthObject, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
         object.__setattr__(self, "objects", tuple(self.objects))
         ids = [o.gt_id for o in self.objects]
         if len(set(ids)) != len(ids):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -29,6 +30,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .association import AssociationResult, CostWeights, DetectionBatch, Track, TrackTable, greedy_associate
+from .association import checked_frame_index, checked_timestamp
 # expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
 from .geometry import CameraModel, image_to_vehicle
@@ -40,8 +42,8 @@ class FrameInput:
     (Detections, rows or a DetectionBatch) is kept as a read-only checked
     DetectionBatch; only boxed rows take part in radar fusion. radar
     (RadarPoints, rows or an array) is kept as a read-only (N, 5) float64
-    array of finite (x, y, z, vx, vy) vehicle-frame rows. frame_index is an
-    integer, not a bool, that fits in a signed 64-bit integer."""
+    array of finite (x, y, z, vx, vy) vehicle-frame rows. frame_index and
+    timestamp are kept as int and float (checked_frame_index, checked_timestamp)."""
 
     frame_index: int
     timestamp: float
@@ -61,16 +63,13 @@ class FrameInput:
         elif radar.size and radar.shape[1:] != (5,):
             raise ValueError(f"radar rows must hold 5 values (x, y, z, vx, vy), got an array of shape {radar.shape}")
         radar = np.array(radar, dtype=np.float64, order="C").reshape(len(radar), 5)
-        if not np.isfinite(radar).all():
-            raise ValueError("radar point fields must be finite")
+        if not np.isfinite(radar).all():  # RadarPoint states why the first refused row is refused
+            RadarPoint(*radar[~np.isfinite(radar).all(1)][0].tolist())
+            raise ValueError("a radar row that RadarPoint accepts fails the finite screen")
         radar.flags.writeable = False
         object.__setattr__(self, "radar", radar)
-        if not math.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
-        index = self.frame_index
-        if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not -(2**63) <= index < 2**63:
-            raise ValueError(f"frame_index must be an integer that fits in a signed 64-bit integer, got {index!r}")
-        object.__setattr__(self, "frame_index", int(index))
+        object.__setattr__(self, "timestamp", checked_timestamp(self.timestamp))
+        object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
 
     def _key(self) -> tuple:  # the frame's values; rows() never reads the NaN boxes of unboxed rows
         return self.frame_index, self.timestamp, tuple(self.detections.rows()), tuple(self.radar.ravel().tolist())
@@ -136,8 +135,8 @@ class FrameResult:
     tracks: Tuple[TrackSnapshot, ...]
 
     def __post_init__(self):
-        if not math.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
+        object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
+        object.__setattr__(self, "timestamp", checked_timestamp(self.timestamp))
         ids = [t.track_id for t in self.tracks]
         if len(set(ids)) != len(ids):
             raise ValueError("track ids must be unique within a frame")
@@ -311,7 +310,7 @@ def run_sequence(
     tracker = Tracker(config, camera)
     results: List[FrameResult] = []
     keep = results.append if on_result is None else on_result
-    samples: List[float] = []
+    samples = array("d")  # 8 bytes a step
     for frame in frames:
         start = time.perf_counter()
         result = tracker.step(frame)

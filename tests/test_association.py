@@ -458,6 +458,57 @@ def test_detection_rule_agrees_with_the_batch_check():
         assert FrameInput(0, 0.0, given).detections.rows() == edges
 
 
+def _finite_radar_row(rng):
+    return [rng.uniform(-80.0, 80.0) for _ in range(5)]
+
+
+def test_radar_rule_agrees_with_the_frame_check():
+    """RadarPoint.__post_init__ states the radar rule for one return and
+    FrameInput screens its (N, 5) array. Each seeded case puts a non-finite
+    value in one field of one row among finite ones; FrameInput raises
+    RadarPoint's message whether the rows come as RadarPoints and rows, as
+    rows or as an array."""
+    rng = random.Random(31)
+    broken = [0] * 5
+    for _ in range(400):
+        row = _finite_radar_row(rng)
+        field = rng.randrange(5)
+        broken[field] += 1
+        row[field] = rng.choice((math.nan, math.inf, -math.inf))
+        with pytest.raises(ValueError) as scalar:
+            RadarPoint(*row)
+        rows = [_finite_radar_row(rng) for _ in range(rng.randrange(4))]
+        at = rng.randrange(len(rows) + 1)
+        points = [RadarPoint(*r) for r in rows]
+        rows.insert(at, row)
+        points.insert(at, row)
+        for given in (points, rows, np.array(rows)):
+            with pytest.raises(ValueError) as vectorised:
+                FrameInput(0, 0.0, (), given)
+            assert str(vectorised.value) == str(scalar.value), (field, row)
+    assert min(broken) > 50
+
+    edges = [(1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0, 0.0)]
+    for given in ([RadarPoint(*edges[0])], edges, np.array(edges)):
+        assert FrameInput(0, 0.0, (), given).radar.tolist() == [list(edges[0])]
+
+
+def test_a_row_the_screen_refuses_is_never_passed(monkeypatch):
+    """If an object rule accepted a row that its column screen refuses, the
+    frame is still refused, never built."""
+    monkeypatch.setattr(Detection, "__post_init__", lambda self: None)
+    monkeypatch.setattr(RadarPoint, "__post_init__", lambda self: None)
+    bad = (1.0, 2.0, math.nan, 0.0, 0.0, 0, 0.5, 0.0, 0.0, None)
+    Detection(*bad)
+    for given in ([bad], _batch_of_rows([bad])):
+        with pytest.raises(ValueError, match="^a detection row that Detection accepts fails the batch screen$"):
+            FrameInput(0, 0.0, given)
+    RadarPoint(math.nan, 0.0, 0.0, 0.0, 0.0)
+    for given in ([(math.nan, 0.0, 0.0, 0.0, 0.0)], np.array([[0.0, 0.0, 0.0, 0.0, math.inf]])):
+        with pytest.raises(ValueError, match="^a radar row that RadarPoint accepts fails the finite screen$"):
+            FrameInput(0, 0.0, (), given)
+
+
 def _window_pairs(keys, lo, hi):
     """The pairs window_join must return, by a scan over every pair."""
     return sorted((q, k) for q in range(len(lo)) for k in range(len(keys)) if lo[q] <= keys[k] <= hi[q])

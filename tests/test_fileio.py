@@ -30,7 +30,7 @@ from fusetrack.fileio import (
     write_results,
 )
 from fusetrack.fusion import PillarDims, RadarPoint
-from fusetrack.metrics import GroundTruthObject
+from fusetrack.metrics import GroundTruthFrame, GroundTruthObject
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, run_sequence
 from reader_fuzz import Invalid, fuzz_lines, reference_record
@@ -51,6 +51,50 @@ def test_replay_round_trip(tmp_path, scene):
     path = str(tmp_path / "replay.jsonl")
     write_replay(path, scene.frames)
     assert read_replay(path) == list(scene.frames)
+
+
+@pytest.mark.parametrize(
+    "index, time",
+    [(np.int64(3), np.float32(0.5)), (np.int32(3), np.float64(0.25)), (3, 1)],
+    ids=["np-int64-float32", "np-int32-float64", "int-int"],
+)
+@pytest.mark.parametrize("kind", ["replay", "results", "ground_truth"])
+def test_frame_numbers_are_kept_as_int_and_float(tmp_path, kind, index, time):
+    """A frame built with numpy or integer frame numbers keeps an int index
+    and a float time, so its writer can write it and its reader reads back
+    the same frame."""
+    make, write = {
+        "replay": (lambda: FrameInput(index, time, ()), write_replay),
+        "results": (lambda: FrameResult(index, time, ()), write_results),
+        "ground_truth": (lambda: GroundTruthFrame(index, ()), write_ground_truth),
+    }[kind]
+    frame = make()
+    assert type(frame.frame_index) is int and type(getattr(frame, "timestamp", 0.0)) is float
+    path = str(tmp_path / "frames.jsonl")
+    write(path, [frame])
+    assert _READERS[kind](path) == [frame]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FrameInput(0, True, ()),
+        lambda: FrameInput(True, 0.0, ()),
+        lambda: FrameInput(0, np.bool_(False), ()),
+        lambda: FrameResult(0, True, ()),
+        lambda: FrameResult(np.bool_(True), 0.0, ()),
+        lambda: GroundTruthFrame(True, ()),
+        lambda: GroundTruthFrame(2**63, ()),
+        lambda: FrameResult(0, math.nan, ()),
+    ],
+    ids=["replay-time", "replay-frame", "replay-np-time", "result-time", "result-frame", "truth-frame", "truth-int64",
+         "result-nan"],
+)
+def test_frames_refuse_what_their_writer_cannot_write(make):
+    """A bool time or frame, an index beyond int64 and a non-finite time
+    are refused when the frame is built, before any writer sees them."""
+    with pytest.raises(ValueError, match="^(timestamp|frame_index) must be "):
+        make()
 
 
 def test_replay_line_count_matches_frames(tmp_path, scene):
