@@ -29,9 +29,9 @@ from .fileio import (
     ParseError,
     encode_result,
     iter_replay,
-    iter_results,
     load_yaml,
     read_ground_truth,
+    read_predictions,
     read_replay,
     read_results,
     results_to_predictions,
@@ -200,8 +200,8 @@ def _format_report(report: MetricsReport, names: Optional[List[str]], dist_thres
 
 
 def _cmd_evaluate(args) -> int:
-    try:  # the results file is read a line at a time, straight into predictions
-        preds = results_to_predictions(iter_results(args.results))
+    try:  # the results file is read a line at a time, straight into prediction columns
+        preds = read_predictions(args.results)
     except ParseError:
         raise  # names its file and line already
     except ValueError as exc:

@@ -32,9 +32,9 @@ import math
 import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import methodcaller
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -72,15 +72,15 @@ def _utf8(data: bytes, path: str, line_number: int = 1) -> str:
         raise ParseError(path, line_number + data.count(b"\n", 0, exc.start), message) from exc
 
 
-def _iter(path: str, what: str, kind: _Kind) -> Iterator:
-    """The objects of a JSONL file's non-blank lines, read one at a time; a
-    failure names the line. Started here, so that a missing file fails here."""
-    objects = _objects(path, what, kind)
+def _iter(path: str, what: str, read: Callable) -> Iterator:
+    """read(record) of a JSONL file's non-blank lines, one at a time; a failure
+    names the line. Started here, so that a missing file fails here."""
+    objects = _objects(path, what, read)
     next(objects)
     return objects
 
 
-def _objects(path: str, what: str, kind: _Kind) -> Iterator:
+def _objects(path: str, what: str, read: Callable) -> Iterator:
     with open(path, "rb") as fh:
         yield  # opened
         for number, line in enumerate(fh, start=1):
@@ -92,7 +92,7 @@ def _objects(path: str, what: str, kind: _Kind) -> Iterator:
             except (ValueError, RecursionError) as exc:
                 raise ParseError(path, number, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             try:
-                item = kind.read_all([record], items=False)[0]
+                item = read(record)
             except ValueError as exc:
                 raise ParseError(path, number, f"bad {what}: {exc}") from exc
             yield item
@@ -216,6 +216,9 @@ class _Kind:
                     record[key] = write(record[key])
         return records
 
+    def read_line(self, record):
+        return self.read_all([record], items=False)[0]
+
     def line(self, obj) -> str:
         return encode_record(self.dump_all((obj,))[0])
 
@@ -262,10 +265,10 @@ _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("class", "class_id", INTEGER, REQUIRED),
-))
+), lambda columns: zip(*columns))
 _GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
-    ("objects", "objects", _GROUND_TRUTH_OBJECT.list, []),
+    ("objects", "columns", _GROUND_TRUTH_OBJECT.list, []),  # written from the frame's columns
 ))
 
 
@@ -301,6 +304,28 @@ _RESULT_FRAME = _Kind(FrameResult, (
 encode_result = _RESULT_FRAME.line  # a FrameResult's JSON text
 
 
+_PREDICTION_COLUMNS = _Kind(lambda *values: values, (  # a results line as columns, read by the same table
+    *_RESULT_FRAME.rows[:2],
+    ("tracks", "tracks", _Kind(lambda *columns: columns, _RESULT_TRACK.rows, by_columns=True).list, []),
+))
+
+
+def _prediction_line(record) -> Union[PredictedFrame, FrameResult]:
+    """A results line read straight into a PredictedFrame, the rules of
+    _snapshot, FrameResult and results_to_predictions screened a column at a
+    time. A line the screen refuses is read again by read_results' reader,
+    which fails with its message, or else is returned as a FrameResult."""
+    try:
+        frame_index, timestamp, tracks = _PREDICTION_COLUMNS.read_line(record)
+        track_id, u, v, depth, vx, vy, class_id, confidence, _, _, x, y, z = tracks
+        numbers = chain((timestamp,), u, v, depth, vx, vy, x, y, (value for value in z if value is not None))
+        if None in x or None in y or len(set(track_id)) != len(track_id) or not all(map(math.isfinite, numbers)):
+            raise ValueError("refused")
+        return PredictedFrame.from_columns(frame_index, track_id, x, y, class_id, confidence)
+    except ValueError:
+        return _RESULT_FRAME.read_line(record)
+
+
 # ------------------------------------------------------------------ replay
 
 # A radar row's JSON text, formatted from its floats as the encoder writes
@@ -318,7 +343,7 @@ def _replay_line(frame: FrameInput) -> str:
 
 
 def iter_replay(path: str) -> Iterator[FrameInput]:
-    return _iter(path, "frame", _REPLAY_FRAME)
+    return _iter(path, "frame", _REPLAY_FRAME.read_line)
 
 
 def read_replay(path: str) -> List[FrameInput]:
@@ -332,7 +357,7 @@ def write_replay(path: str, frames: Iterable[FrameInput]) -> None:
 # ------------------------------------------------------------- ground truth
 
 def read_ground_truth(path: str) -> List[GroundTruthFrame]:
-    return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME))
+    return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME.read_line))
 
 
 def write_ground_truth(path: str, frames: Iterable[GroundTruthFrame]) -> None:
@@ -342,7 +367,7 @@ def write_ground_truth(path: str, frames: Iterable[GroundTruthFrame]) -> None:
 # ------------------------------------------------------------------ results
 
 def iter_results(path: str) -> Iterator[FrameResult]:
-    return _iter(path, "result frame", _RESULT_FRAME)
+    return _iter(path, "result frame", _RESULT_FRAME.read_line)
 
 
 def read_results(path: str) -> List[FrameResult]:
@@ -351,6 +376,19 @@ def read_results(path: str) -> List[FrameResult]:
 
 def write_results(path: str, results: Iterable[FrameResult]) -> None:
     write_records(path, results, encode_result)
+
+
+def read_predictions(path: str) -> List[PredictedFrame]:
+    """results_to_predictions(iter_results(path)), with its errors, read a
+    line at a time straight into prediction columns."""
+    frames = []
+    for frame in _iter(path, "result frame", _prediction_line):
+        if isinstance(frame, FrameResult):  # valid, but refused by the screen: fails as results_to_predictions does
+            results_to_predictions([frame])
+            raise ValueError(f"frame {frame.frame_index}: the prediction screen refuses a frame that "
+                             "read_results and results_to_predictions accept")
+        frames.append(frame)
+    return frames
 
 
 def results_to_predictions(results: Iterable[FrameResult]) -> List[PredictedFrame]:

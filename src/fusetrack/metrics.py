@@ -20,24 +20,28 @@ The raw MOTAR formula can exceed 1 when the achieved recall overshoots the
 target (discrete confidences), so the value is clamped into [0, 1]; without
 the upper clamp a perfect tracker would not score AMOTA = 1.
 
-Every distinct confidence of a class is a floor. amota walks the floors
-once per class, highest first, with the counts of a full replay at each.
-Candidate pairs (same class, in the gate) are sorted once per frame. A
-frame's outcome depends only on its kept predictions and the sticky map it
-starts with, and a lower floor adds predictions only in the frames holding
-that confidence. So a floor replays from its first changed frame until an
-unchanged frame starts with the map stored for it at the previous floor;
-the frames up to the next changed one then repeat their stored outcomes.
-The cost follows the frames a floor changes, not floors x frames. Distances
-are summed (math.fsum, order-independent) only at the floors reported.
+Frames hold their objects as columns. amota stacks them once, splits the
+rows by class, and builds a class's candidate pairs (same class, in the
+gate) in numpy passes of a bounded size. Every distinct confidence of
+a class is a floor, walked once, highest first, with the counts of a full
+replay at each. A frame's outcome depends only on its kept predictions and
+the sticky map it starts with, and a lower floor keeps more predictions
+only in the frames holding that confidence. So a floor replays from its
+first changed frame until a frame starts with the map stored for it at the
+previous floor; the frames up to the next changed one then repeat their
+stored outcomes. The cost follows the frames a floor changes, not floors x
+frames. Distances are summed (math.fsum, order-independent) only at the
+floors reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from functools import cache
+from itertools import chain, zip_longest
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,19 +61,6 @@ class GroundTruthObject:
 
 
 @dataclass(frozen=True)
-class GroundTruthFrame:
-    frame_index: int
-    objects: Tuple[GroundTruthObject, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
-        object.__setattr__(self, "objects", tuple(self.objects))
-        ids = [o.gt_id for o in self.objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"frame {self.frame_index}: duplicate ground-truth ids")
-
-
-@dataclass(frozen=True)
 class PredictedObject:
     """A reported track at one frame, already in ground-plane coordinates."""
 
@@ -84,13 +75,64 @@ class PredictedObject:
             raise ValueError("confidence must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class PredictedFrame:
-    frame_index: int
-    objects: Tuple[PredictedObject, ...]
+@cache
+def _names(kind) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(kind))
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+
+class _Columns:
+    """A frame of objects of type _object, held as one tuple per field of
+    that type, in object order. objects builds the objects again."""
+
+    def __init__(self, frame_index: int, objects: Iterable = ()):
+        self._fill(frame_index, zip(*map(attrgetter(*_names(self._object)), objects)))
+
+    def _fill(self, frame_index: int, columns: Iterable[Sequence]) -> None:
+        object.__setattr__(self, "frame_index", checked_frame_index(frame_index))
+        for name, column in zip_longest(_names(self._object), columns, fillvalue=()):
+            object.__setattr__(self, name, tuple(column))
+
+    columns = property(lambda self: tuple(getattr(self, name) for name in _names(self._object)))
+    objects = property(lambda self: tuple(map(self._object, *self.columns)))
+
+
+@dataclass(frozen=True, init=False)
+class GroundTruthFrame(_Columns):
+    frame_index: int
+    gt_id: Tuple[int, ...]
+    x: Tuple[float, ...]
+    y: Tuple[float, ...]
+    class_id: Tuple[int, ...]
+    _object = GroundTruthObject
+
+    def __init__(self, frame_index: int, objects: Iterable[GroundTruthObject] = ()):
+        super().__init__(frame_index, objects)
+        if len(set(self.gt_id)) != len(self.gt_id):
+            raise ValueError(f"frame {self.frame_index}: duplicate ground-truth ids")
+
+
+@dataclass(frozen=True, init=False)
+class PredictedFrame(_Columns):
+    frame_index: int
+    track_id: Tuple[int, ...]
+    x: Tuple[float, ...]
+    y: Tuple[float, ...]
+    class_id: Tuple[int, ...]
+    confidence: Tuple[float, ...]
+    _object = PredictedObject
+
+    @classmethod
+    def from_columns(cls, frame_index: int, *columns: Sequence) -> "PredictedFrame":
+        """A frame from its columns in field order, one value per object. The
+        first confidence that breaks PredictedObject's rule raises its message."""
+        if len(columns) != len(_names(PredictedObject)) or len(set(map(len, columns))) > 1:
+            raise ValueError(f"expected {len(_names(PredictedObject))} columns of one length")
+        if not all(0.0 <= c < math.inf for c in columns[-1]):
+            PredictedObject(*next(row for row in zip(*columns) if not 0.0 <= row[-1] < math.inf))
+            raise ValueError("a prediction that PredictedObject accepts fails the confidence screen")
+        frame = cls.__new__(cls)
+        frame._fill(frame_index, columns)
+        return frame
 
 
 @dataclass(frozen=True)
@@ -150,52 +192,92 @@ class MetricsReport:
             raise ValueError("AMOTA and MOTAR must lie in [0, 1]")
 
 
-def _prepare(gts, preds, dist_threshold: float):
-    """One frame's inputs to _match at any floor: (gts, preds, candidate
-    pairs as (gt index, pred index, distance) sorted by (d2, gt index, pred
-    index), their distances by (gt index, pred index)). A candidate pair is
-    same-class with d2 = dx * dx + dy * dy <= dist_threshold^2 in float64."""
+_PAIR_BUDGET = 1 << 14  # pairs built at once, unless one ground-truth row has more
+
+
+def _stack(frames: Sequence[_Columns], kind) -> List[np.ndarray]:
+    """The rows of a sequence of frames of objects of type kind, as the
+    frame number of each row, then one column per field (x and y float64,
+    the others Python objects)."""
+    columns = [np.repeat(np.arange(len(frames)), [len(frame.x) for frame in frames])]
+    for name in _names(kind):
+        values = chain.from_iterable(getattr(frame, name) for frame in frames)
+        columns.append(np.fromiter(values, float if name in ("x", "y") else object, len(columns[0])))
+    return columns
+
+
+def _prepare(gts, preds, num_frames: int, dist_threshold: float):
+    """Each frame's (gt ids, track ids, candidate pairs as {(gt index, pred
+    index): distance} in (d2, gt index, pred index) order), from _stack
+    columns. A candidate pair is same-class with d2 = dx * dx + dy * dy <=
+    dist_threshold^2 in float64. The pairs of each gt row with its frame's
+    predictions are built in numpy passes over batches of gt rows (at most
+    _PAIR_BUDGET pairs, or one row), gt-major; the candidates are then
+    ordered by frame and stably by d2."""
     if not (dist_threshold > 0):
         raise ValueError("dist_threshold must be positive")
-    g = np.array([(o.x, o.y) for o in gts], dtype=float).reshape(-1, 2)
-    p = np.array([(o.x, o.y) for o in preds], dtype=float).reshape(-1, 2)
-    dx, dy = g[:, :1] - p[:, 0], g[:, 1:] - p[:, 1]
-    d2 = dx * dx + dy * dy
-    gi, pj = np.nonzero(d2 <= dist_threshold * dist_threshold)  # in (gt, pred) order, kept by the stable sort
-    order = np.argsort(d2[gi, pj], kind="stable")
-    gi, pj = gi[order], pj[order]
-    dist = np.sqrt(d2[gi, pj]).tolist()
-    pairs = [(i, j, d) for i, j, d in zip(gi.tolist(), pj.tolist(), dist) if gts[i].class_id == preds[j].class_id]
-    return gts, preds, pairs, {(i, j): d for i, j, d in pairs}
+    (g_frame, g_id, gx, gy, g_class), (p_frame, p_id, px, py, p_class) = gts, preds[:5]
+    g_count, p_count = np.bincount(g_frame, minlength=num_frames), np.bincount(p_frame, minlength=num_frames)
+    g_start, p_start = np.cumsum(g_count) - g_count, np.cumsum(p_count) - p_count
+    reps = p_count[g_frame]  # each gt row pairs with every prediction of its frame
+    pair_end = np.cumsum(reps)
+    pair_start = pair_end - reps
+    candidates = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
+    a = 0
+    while a < len(reps):
+        b = max(a + 1, int(np.searchsorted(pair_end, pair_start[a] + _PAIR_BUDGET, "right")))
+        gi = np.repeat(np.arange(a, b), reps[a:b])
+        pj = np.arange(pair_start[a], pair_end[b - 1]) - np.repeat(pair_start[a:b] - p_start[g_frame[a:b]], reps[a:b])
+        dx, dy = gx[gi] - px[pj], gy[gi] - py[pj]
+        d2 = dx * dx + dy * dy
+        near = np.flatnonzero(d2 <= dist_threshold * dist_threshold)
+        near = near[g_class[gi[near]] == p_class[pj[near]]]
+        candidates.append((gi[near], pj[near], d2[near]))
+        a = b
+    gi, pj, d2 = (np.concatenate(column) for column in zip(*candidates))
+    order = np.lexsort((d2, g_frame[gi]))
+    gi, pj, d2 = gi[order], pj[order], d2[order]
+    pairs: List[Dict[Tuple[int, int], float]] = [{} for _ in range(num_frames)]
+    keys = zip((gi - g_start[g_frame[gi]]).tolist(), (pj - p_start[p_frame[pj]]).tolist())
+    for t, key, dist in zip(g_frame[gi].tolist(), keys, np.sqrt(d2).tolist()):
+        pairs[t][key] = dist
+    g_ids, p_ids = g_id.tolist(), p_id.tolist()
+    return [(g_ids[g:g + m], p_ids[p:p + n], pairs[t])
+            for t, (g, m, p, n) in enumerate(zip(g_start.tolist(), g_count.tolist(), p_start.tolist(), p_count.tolist()))]
 
 
-def _match(frame, dropped: List[bool], sticky: Mapping[int, int]):
+def _match(frame, state, sticky: Mapping[int, int]):
     """One frame at one floor: (matches as (gt index, pred index, distance)
-    in order, ids, fp, fn, matched distances, sticky map on exit). Dropped
-    predictions take no part. Pass 1, ground truth in input order, keeps
-    the remembered pair (sticky maps gt_id -> track id; the first kept
-    prediction with that id) when both are free and it is a candidate pair.
-    Pass 2 takes the remaining candidate pairs greedily. The map on entry
-    is never modified, and is the exit map when no id changed."""
-    gts, preds, pairs, near = frame
-    gt_taken = [False] * len(gts)
-    pred_taken = list(dropped)
+    in order, ids, fp, fn, sticky map on exit). state is [dropped flags,
+    kept count, first kept index of each track id]; dropped predictions take
+    no part. Pass 1, ground truth in input order, keeps the remembered pair
+    (sticky maps gt_id -> track id) when both are free and it is a candidate
+    pair. Pass 2 takes the remaining candidate pairs greedily. The map on
+    entry is never modified, and is the exit map when no id changed."""
+    gt_ids, track_ids, pairs = frame
+    dropped, kept, first = state
+    gt_taken = [False] * len(gt_ids)
+    pred_taken = dropped.copy()
     matches = []
-    first = {preds[j].track_id: j for j in range(len(preds) - 1, -1, -1) if not dropped[j]} if sticky else {}
-    for i, gt in enumerate(gts if sticky else ()):
-        j = first.get(sticky.get(gt.gt_id))
-        dist = None if j is None or pred_taken[j] else near.get((i, j))
+    for i, gt_id in enumerate(gt_ids if sticky else ()):
+        j = first.get(sticky.get(gt_id))
+        dist = None if j is None or pred_taken[j] else pairs.get((i, j))
         if dist is not None:
             matches.append((i, j, dist))
             gt_taken[i] = pred_taken[j] = True
-    for i, j, dist in pairs:
+    for (i, j), dist in pairs.items():
         if not (gt_taken[i] or pred_taken[j]):
             matches.append((i, j, dist))
             gt_taken[i] = pred_taken[j] = True
-    changes = {gts[i].gt_id: preds[j].track_id for i, j, _ in matches if sticky.get(gts[i].gt_id) != preds[j].track_id}
-    ids = len(changes.keys() & sticky.keys())  # switches: changed ids that were remembered
-    fp, fn = dropped.count(False) - len(matches), len(gts) - len(matches)
-    return matches, ids, fp, fn, tuple(d for _, _, d in matches), {**sticky, **changes} if changes else sticky
+    ids, exit_map = 0, sticky
+    for i, j, _ in matches:
+        gt_id, track_id = gt_ids[i], track_ids[j]
+        if sticky.get(gt_id) != track_id:
+            if exit_map is sticky:
+                exit_map = dict(sticky)
+            exit_map[gt_id] = track_id
+            ids += gt_id in sticky  # a switch: a changed id that was remembered
+    return matches, ids, kept - len(matches), len(gt_ids) - len(matches), exit_map
 
 
 def match_frame(
@@ -212,13 +294,15 @@ def match_frame(
     with (distance, gt input index, pred input index) as the deterministic
     order. Pairs beyond dist_threshold or across classes never match.
     """
-    gts, preds = gt_frame.objects, tuple(pred_objects)
-    matches, *_ = _match(_prepare(gts, preds, dist_threshold), [False] * len(preds), sticky or {})
+    preds = _stack([PredictedFrame(gt_frame.frame_index, pred_objects)], PredictedObject)
+    gt_ids, track_ids, pairs = frame = _prepare(_stack([gt_frame], GroundTruthObject), preds, 1, dist_threshold)[0]
+    first = {track_id: j for j, track_id in reversed(list(enumerate(track_ids)))}
+    matches, *_ = _match(frame, ([False] * len(track_ids), len(track_ids), first), sticky or {})
     gt_taken, pred_taken = {i for i, _, _ in matches}, {j for _, j, _ in matches}
     return FrameMatches(
-        tuple((gts[i].gt_id, preds[j].track_id, d) for i, j, d in matches),
-        tuple(p.track_id for j, p in enumerate(preds) if j not in pred_taken),
-        tuple(g.gt_id for i, g in enumerate(gts) if i not in gt_taken),
+        tuple((gt_ids[i], track_ids[j], d) for i, j, d in matches),
+        tuple(t for j, t in enumerate(track_ids) if j not in pred_taken),
+        tuple(g for i, g in enumerate(gt_ids) if i not in gt_taken),
     )
 
 
@@ -249,51 +333,54 @@ def count_sequence_errors(
     id it was matched to the last time it was matched (gaps allowed).
     """
     _check_alignment(pred_frames, gt_frames)
-    sticky: Dict[int, int] = {}
-    ids = fp = fn = total_gt = 0
-    distances: List[float] = []
-    for p, g in zip(pred_frames, gt_frames):
-        dropped = [not (o.confidence >= confidence_floor) for o in p.objects]
-        _, f_ids, f_fp, f_fn, f_dist, sticky = _match(_prepare(g.objects, p.objects, dist_threshold), dropped, sticky)
-        ids, fp, fn, total_gt = ids + f_ids, fp + f_fp, fn + f_fn, total_gt + len(g.objects)
-        distances.extend(f_dist)
-    recall = (total_gt - fn) / total_gt if total_gt else 0.0
-    return ErrorCounts(ids, fp, fn, recall, tuple(distances), confidence_floor)
+    gts, preds = _stack(gt_frames, GroundTruthObject), _stack(pred_frames, PredictedObject)
+    preds = [column[preds[-1] >= confidence_floor] for column in preds]  # a NaN floor keeps nothing
+    preds[-1][:] = confidence_floor  # the kept ones, walked as one floor
+    walk = _walk_floors(gts, preds, len(gt_frames), dist_threshold)
+    _, ids, fp, fn, distances = next(walk, (None, 0, 0, len(gts[0]), ()))
+    recall = (len(gts[0]) - fn) / len(gts[0]) if len(gts[0]) else 0.0
+    return ErrorCounts(ids, fp, fn, recall, tuple(chain.from_iterable(distances)), confidence_floor)
 
 
-def _walk_floors(frames, dist_threshold: float):
+def _walk_floors(gts, preds, num_frames: int, dist_threshold: float):
     """Yields (floor, ids, fp, fn, per-frame matched distances) at each floor
-    of (ground-truth objects, predictions) frames, walked as the module
-    docstring describes."""
-    floors = sorted({p.confidence for _, preds in frames for p in preds}, reverse=True)
+    of a sequence given as _stack columns, walked as the module docstring
+    describes."""
+    frames = _prepare(gts, preds, num_frames, dist_threshold)
+    confidence = preds[-1].tolist()
+    floors = sorted(set(confidence), reverse=True)
     rank = {floor: k for k, floor in enumerate(floors)}
-    ranks = [[rank[p.confidence] for p in preds] for _, preds in frames]
-    changed: List[List[int]] = [[] for _ in floors]
-    for t, frame_ranks in enumerate(ranks):
-        for k in set(frame_ranks):
-            changed[k].append(t)
-    prepared = [_prepare(gts, preds, dist_threshold) for gts, preds in frames]
+    kept_at: List[List[Tuple[int, int]]] = [[] for _ in floors]  # (frame, pred index), in frame order
+    in_frame = np.arange(len(preds[0])) - np.searchsorted(preds[0], preds[0])  # each row's index in its frame
+    for t, j, c in zip(preds[0].tolist(), in_frame.tolist(), confidence):
+        kept_at[rank[c]].append((t, j))
+    state = [[[True] * len(track_ids), 0, {}] for _, track_ids, _ in frames]  # _match's, nothing kept
     # Per frame, as of the previous floor (at first one above the highest,
     # where nothing is kept): sticky map on entry, ids, fp, fn, distances.
-    entry: List[Dict[int, int]] = [{}] * len(frames)
-    f_ids, f_fp, f_fn = [0] * len(frames), [0] * len(frames), [len(gts) for gts, _ in frames]
-    f_dist: List[Tuple[float, ...]] = [()] * len(frames)
+    entry: List[Mapping[int, int]] = [{}] * num_frames
+    f_ids, f_fp, f_fn = [0] * num_frames, [0] * num_frames, [len(gt_ids) for gt_ids, _, _ in frames]
+    f_dist: List[Tuple[float, ...]] = [()] * num_frames
     ids, fp, fn = 0, 0, sum(f_fn)
     for k, floor in enumerate(floors):
+        for t, j in kept_at[k]:  # kept from this floor on
+            dropped, _, first = state[t]
+            dropped[j], state[t][1] = False, state[t][1] + 1
+            if first.get(frames[t][1][j], j) >= j:
+                first[frames[t][1][j]] = j
         t = 0  # frames before t are settled at this floor
-        for start in changed[k]:
+        for start, _ in kept_at[k]:  # the frames this floor changes, ascending
             if start < t:  # already replayed on the way from an earlier one
                 continue
             t, sticky = start, entry[start]
             while True:
-                dropped = [r > k for r in ranks[t]]
                 entry[t] = sticky
-                _, a, b, c, f_dist[t], sticky = _match(prepared[t], dropped, sticky)
+                matches, a, b, c, sticky = _match(frames[t], state[t], sticky)
                 ids, fp, fn = ids + a - f_ids[t], fp + b - f_fp[t], fn + c - f_fn[t]
-                f_ids[t], f_fp[t], f_fn[t] = a, b, c
+                f_ids[t], f_fp[t], f_fn[t], f_dist[t] = a, b, c, tuple(d for _, _, d in matches)
                 t += 1
-                # Converged: the frames up to the next changed one repeat.
-                if t == len(frames) or (k not in ranks[t] and sticky == entry[t]):
+                # Converged: the frames up to the next changed one repeat,
+                # and that one starts from the map it started from before.
+                if t == num_frames or sticky == entry[t]:
                     break
         yield floor, ids, fp, fn, list(f_dist)
 
@@ -364,19 +451,17 @@ def amota(
     if num_thresholds < 2:
         raise ValueError("num_thresholds must be >= 2")
     _check_alignment(pred_frames, gt_frames)
-    class_ids = sorted({o.class_id for g in gt_frames for o in g.objects})
+    g_rows, p_rows = _stack(gt_frames, GroundTruthObject), _stack(pred_frames, PredictedObject)
+    class_ids = sorted(set(g_rows[4].tolist()))
     if not class_ids:
         raise ValueError("ground truth contains no objects")
 
-    def run(class_id: int) -> ClassMetrics:
-        frames = [
-            ([o for o in g.objects if o.class_id == class_id], [o for o in p.objects if o.class_id == class_id])
-            for p, g in zip(pred_frames, gt_frames)
-        ]
-        return _class_metrics(_walk_floors(frames, dist_threshold), num_thresholds, sum(len(g) for g, _ in frames))
-
-    per_class = {class_id: run(class_id) for class_id in class_ids}
+    per_class = {}
+    for class_id in class_ids:  # one class's rows of the whole sequence at a time
+        gts, preds = ([column[rows[4] == class_id] for column in rows] for rows in (g_rows, p_rows))
+        walk = _walk_floors(gts, preds, len(gt_frames), dist_threshold)
+        per_class[class_id] = _class_metrics(walk, num_thresholds, len(gts[0]))
 
     fields = ("amota", "amotp", "motar", "mota", "motp", "recall")
     means = {f: math.fsum(getattr(m, f) for m in per_class.values()) / len(per_class) for f in fields}
-    return MetricsReport(per_class, **means, num_thresholds=num_thresholds, num_gt=sum(len(g.objects) for g in gt_frames))
+    return MetricsReport(per_class, **means, num_thresholds=num_thresholds, num_gt=len(g_rows[0]))

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from fusetrack.association import CostWeights
-from fusetrack.cli import main
+from fusetrack.cli import _format_report, main
 from fusetrack.fileio import (
     ParseError,
     config_to_dict,
     load_yaml,
+    read_ground_truth,
     read_replay,
     read_results,
     results_to_predictions,
@@ -516,6 +517,43 @@ def test_evaluate_bad_results_line_is_named_once(workdir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", str(results), gt_path(workdir)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {results}:5: invalid JSON: ")
+
+
+def test_evaluate_fuzzed_results_fail_as_the_reader_does(workdir, tmp_path, capsys):
+    """A sample of fuzzed results files (tests/reader_fuzz.py) through
+    evaluate, which reads them straight into prediction columns: a line
+    read_results refuses fails with exactly its ParseError; any other file
+    fails as results_to_predictions or amota does on what read_results
+    gives, or reports what they report."""
+    results, fuzzed, gt = tmp_path / "results.jsonl", tmp_path / "fuzzed.jsonl", tmp_path / "gt.jsonl"
+    assert main(["track", replay_path(workdir), "--scene", scenario_path(workdir), "--out", str(results)]) == 0
+    source = results.read_text().splitlines()[:8]
+    gt.write_text("".join(Path(gt_path(workdir)).read_text().splitlines(keepends=True)[:8]))
+    failed = 0
+    for index, line, mutation in list(fuzz_lines(seed=7, lines=source, trials=250))[::8]:
+        fuzzed.write_text("\n".join(source[:index] + [line] + source[index + 1:]) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", str(fuzzed), str(gt)])
+        got = (code, *capsys.readouterr())
+        try:
+            reference_record("results", line)
+        except Invalid:
+            with pytest.raises(ParseError) as refused:
+                read_results(str(fuzzed))
+            assert got == (1, "", f"error: {refused.value}\n"), (mutation, line)
+            failed += 1
+            continue
+        try:
+            preds = results_to_predictions(read_results(str(fuzzed)))
+        except ValueError as exc:
+            assert got == (1, "", f"error: {fuzzed}: {exc}\n"), (mutation, line)
+            continue
+        try:
+            expected = (0, _format_report(amota(preds, read_ground_truth(str(gt))), None, 2.0), "")
+        except ValueError as exc:  # a valid line may still break the frame alignment
+            expected = (1, "", f"error: {exc}\n")
+        assert got == expected, (mutation, line)
+    assert failed >= 10
 
 
 def test_evaluate_report_to_file(tmp_path, capsys):

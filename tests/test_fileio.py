@@ -20,6 +20,7 @@ from fusetrack.fileio import (
     iter_replay,
     load_yaml,
     read_ground_truth,
+    read_predictions,
     read_replay,
     read_results,
     results_to_predictions,
@@ -30,7 +31,7 @@ from fusetrack.fileio import (
     write_results,
 )
 from fusetrack.fusion import PillarDims, RadarPoint
-from fusetrack.metrics import GroundTruthFrame, GroundTruthObject
+from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, run_sequence
 from reader_fuzz import Invalid, fuzz_lines, reference_record
@@ -609,3 +610,44 @@ def test_replay_reader_builds_no_detection_rows(tmp_path, monkeypatch, scene):
     calls = _counting(monkeypatch, DetectionBatch, "from_detections")
     assert read_replay(path) == list(scene.frames)
     assert calls == []
+
+
+def test_read_predictions_is_results_to_predictions_of_read_results(tmp_path, results):
+    path = str(tmp_path / "results.jsonl")
+    write_results(path, results)
+    assert read_predictions(path) == results_to_predictions(read_results(path))
+
+
+@pytest.mark.parametrize(
+    "tracks, message",
+    [
+        ([{k: v for k, v in _TRACK.items() if k not in "xyz"}], "frame 0: track 1 has no ground-plane position"),
+        ([{**_TRACK, "confidence": -0.5}], "confidence must be finite and non-negative"),
+        # the first track that results_to_predictions refuses is named, whichever rule it breaks
+        ([{**_TRACK, "confidence": -0.5}, {k: v for k, v in {**_TRACK, "id": 2}.items() if k not in "xyz"}],
+         "confidence must be finite and non-negative"),
+        ([_TRACK, {k: v for k, v in {**_TRACK, "id": 2, "confidence": -0.5}.items() if k not in "xyz"}],
+         "frame 0: track 2 has no ground-plane position"),
+    ],
+    ids=["no-position", "negative-confidence", "confidence-first", "position-first"],
+)
+def test_read_predictions_fails_as_results_to_predictions_does(tmp_path, tracks, message):
+    path = _write_lines(tmp_path, _VALID["results"], _with("results", ("tracks",), tracks))
+    with pytest.raises(ValueError) as expected:
+        results_to_predictions(read_results(path))
+    with pytest.raises(ValueError) as got:
+        read_predictions(path)
+    assert type(got.value) is ValueError and str(got.value) == str(expected.value)
+    assert str(got.value).startswith(message)
+
+
+def test_read_predictions_never_passes_a_line_its_screen_refuses(tmp_path, monkeypatch):
+    """With the column screen refusing every line, a valid file still fails:
+    a line that read_results and results_to_predictions accept raises."""
+    def refuse(cls, *columns):
+        raise ValueError("refused")
+
+    path = _write_lines(tmp_path, _VALID["results"])
+    monkeypatch.setattr(PredictedFrame, "from_columns", classmethod(refuse))
+    with pytest.raises(ValueError, match="the prediction screen refuses a frame that read_results"):
+        read_predictions(path)

@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from itertools import chain
 
+import numpy as np
 import pytest
 from reference import (
     random_micro_scene,
@@ -14,12 +16,14 @@ from reference import (
     reference_match_frame,
 )
 
+from fusetrack import metrics
 from fusetrack.metrics import (
     ErrorCounts,
     GroundTruthFrame,
     GroundTruthObject,
     PredictedFrame,
     PredictedObject,
+    _stack,
     _walk_floors,
     amota,
     count_sequence_errors,
@@ -318,22 +322,19 @@ def test_recount_agrees_on_random_micro_scenes():
 # ------------------------------------------- incremental floor walk vs replay
 
 def class_split(pf, gf, class_id):
-    """amota's view of one class: (gt objects, predictions) per frame, plus
-    the same frames as PredictedFrame/GroundTruthFrame for the references."""
-    frames = [
-        (tuple(o for o in g.objects if o.class_id == class_id), tuple(o for o in p.objects if o.class_id == class_id))
-        for p, g in zip(pf, gf)
-    ]
-    pred_c = [PredictedFrame(p.frame_index, preds) for p, (_, preds) in zip(pf, frames)]
-    gt_c = [GroundTruthFrame(g.frame_index, gts) for g, (gts, _) in zip(gf, frames)]
-    return frames, pred_c, gt_c
+    """amota's view of one class: its ground-truth and prediction columns and
+    the frame count, plus the same frames as PredictedFrame/GroundTruthFrame
+    for the references."""
+    pred_c = [PredictedFrame(p.frame_index, (o for o in p.objects if o.class_id == class_id)) for p in pf]
+    gt_c = [GroundTruthFrame(g.frame_index, (o for o in g.objects if o.class_id == class_id)) for g in gf]
+    return (_stack(gt_c, GroundTruthObject), _stack(pred_c, PredictedObject), len(gt_c)), pred_c, gt_c
 
 
 def walked_counts(frames, num_gt):
     """ErrorCounts at every floor of the incremental walk, highest first."""
     return [
         ErrorCounts(ids, fp, fn, (num_gt - fn) / num_gt if num_gt else 0.0, tuple(chain.from_iterable(dist)), floor)
-        for floor, ids, fp, fn, dist in _walk_floors(frames, 2.0)
+        for floor, ids, fp, fn, dist in _walk_floors(*frames, 2.0)
     ]
 
 
@@ -399,3 +400,127 @@ def test_floor_walk_edge_frames():
     assert (by_floor[0.5].ids, by_floor[0.5].fp, by_floor[0.5].fn) == (0, 2, 2)
     assert (by_floor[0.3].ids, by_floor[0.3].fp, by_floor[0.3].fn) == (1, 3, 2)
     assert amota(pf, gf, num_thresholds=5) == reference_amota(pf, gf, num_thresholds=5)
+
+
+# ------------------------------------------------ column walk, batched pairs
+
+def column_walk_scene(rng):
+    """Seeded scene for the column walk: ground-truth objects and
+    predictions on a 0.25 m grid (exact distances), with predictions on the
+    2 m gate (d2 == 4.0), ground truth on both sides of a prediction and
+    predictions on the same point (ties broken by gt index, then pred
+    index), track ids from a small pool (repeated in a frame with other
+    scores), far clutter with no candidate pair, class 3 only in
+    predictions, and empty frames on either side. Returns (pred_frames,
+    gt_frames)."""
+
+    def grid(lo, hi):
+        return rng.randrange(int(lo * 4), int(hi * 4) + 1) / 4
+
+    def score():
+        return rng.choice((0.25, 0.5, 0.75, 1.0)) if rng.random() < 0.6 else round(rng.uniform(0.05, 1.0), 2)
+
+    pred_frames, gt_frames = [], []
+    for k in range(rng.randrange(1, 14)):
+        gts, preds = [], []
+        if rng.random() > 0.15:  # else an empty ground-truth frame
+            for g in range(rng.randrange(5)):
+                x, y, cls = grid(-3, 3), grid(-3, 3), rng.randrange(2)
+                gts.append(GroundTruthObject(g, x, y, cls))
+                if rng.random() < 0.2:  # a second object 2 m across a prediction added below
+                    gts.append(GroundTruthObject(10 + g, x + 2.0, y, cls))
+        if rng.random() > 0.15:  # else an empty prediction frame
+            for o in gts:
+                if rng.random() < 0.8:
+                    dx, dy = rng.choice(((2.0, 0.0), (0.0, -2.0), (1.0, 0.0), (0.0, 0.0), (grid(-1, 1), grid(-1, 1))))
+                    preds.append(PredictedObject(rng.randrange(6), o.x + dx, o.y + dy, o.class_id, score()))
+            if preds and rng.random() < 0.4:  # the same point, or the same track id, twice
+                twin = rng.choice(preds)
+                x = twin.x if rng.random() < 0.5 else twin.x + grid(-3, 3)
+                preds.insert(rng.randrange(len(preds) + 1), PredictedObject(twin.track_id, x, twin.y, twin.class_id, score()))
+            if rng.random() < 0.3:  # clutter far from everything, or a class only predictions hold
+                preds.append(PredictedObject(rng.randrange(6), 50.0 + k, 0.0, rng.randrange(2), score()))
+                preds.append(PredictedObject(rng.randrange(6), grid(-3, 3), grid(-3, 3), 3, score()))
+        gt_frames.append(GroundTruthFrame(k, gts))
+        pred_frames.append(PredictedFrame(k, preds))
+    return pred_frames, gt_frames
+
+
+def test_column_walk_matches_reference_replay_in_batches(monkeypatch):
+    # Every floor of every class, the report and whole-sequence counts
+    # against the object-based references, with pair batches of a few
+    # ground-truth rows: across frames (total pairs above the budget, each
+    # frame below it) and inside a frame above the budget.
+    rng = random.Random(8080)
+    seen = {"gate": 0, "tie": 0, "no pair": 0, "repeated id, first copy lower": 0, "batched": 0, "frame over budget": 0}
+    for n in range(200):
+        budget = (metrics._PAIR_BUDGET, 6, 1)[n % 3]
+        monkeypatch.setattr(metrics, "_PAIR_BUDGET", budget)
+        pf, gf = column_walk_scene(rng)
+        for class_id in (0, 1, 3):
+            frames, pred_c, gt_c = class_split(pf, gf, class_id)
+            pairs = [len(g.gt_id) * len(p.track_id) for p, g in zip(pred_c, gt_c)]
+            seen["batched"] += sum(pairs) > budget and max(pairs) <= budget
+            seen["frame over budget"] += max(pairs) > budget
+            for p, g in zip(pred_c, gt_c):
+                d2 = [(o.x - q.x) ** 2 + (o.y - q.y) ** 2 for o in g.objects for q in p.objects]
+                seen["gate"] += d2.count(4.0)
+                seen["tie"] += len(d2) - len(set(d2))
+                seen["no pair"] += sum(all((o.x - q.x) ** 2 + (o.y - q.y) ** 2 > 4.0 for o in g.objects) for q in p.objects)
+                first = {}
+                for q in p.objects:
+                    seen["repeated id, first copy lower"] += first.setdefault(q.track_id, q.confidence) < q.confidence
+            walked = walked_counts(frames, sum(len(g.objects) for g in gt_c))
+            assert [c.confidence_floor for c in walked] == sorted(set(chain(*(p.confidence for p in pred_c))), reverse=True)
+            for counts in walked:
+                assert counts == reference_count_sequence_errors(pred_c, gt_c, counts.confidence_floor, 2.0)
+        if any(g.objects for g in gf):
+            assert amota(pf, gf, num_thresholds=11) == reference_amota(pf, gf, num_thresholds=11)
+        for floor in (0.0, 0.5, 1.0):
+            assert count_sequence_errors(pf, gf, floor, 2.0) == reference_count_sequence_errors(pf, gf, floor, 2.0)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("index", [True, False, np.bool_(True), 1.5, np.float64(3.0), 2**63, -(2**63) - 1, "3"])
+def test_predicted_frame_refuses_what_is_not_a_frame_number(index):
+    with pytest.raises(ValueError, match="frame_index must be an integer"):
+        PredictedFrame(index, ())
+    with pytest.raises(ValueError, match="frame_index must be an integer"):
+        PredictedFrame.from_columns(index, (), (), (), (), ())
+
+
+def test_predicted_frame_keeps_frame_numbers_as_int():
+    for frame in (PredictedFrame(np.int64(3), ()), PredictedFrame.from_columns(np.int32(3), (), (), (), (), ())):
+        assert frame.frame_index == 3 and type(frame.frame_index) is int
+    # A True frame index would pair with ground-truth frame 1 (True == 1)
+    # and score a perfect AMOTA; it is refused before amota can run.
+    with pytest.raises(ValueError, match="frame_index"):
+        PredictedFrame(True, (pred(1, 0.0, conf=0.9),))
+
+
+def test_predicted_frame_columns_refuse_as_predicted_object_does():
+    with pytest.raises(ValueError, match="confidence must be finite and non-negative"):
+        PredictedFrame.from_columns(0, (1, 2), (0.0, 0.0), (0.0, 0.0), (0, 0), (0.5, -0.1))
+    for columns in [((1, 2), (0.0,), (0.0, 0.0), (0, 0), (0.5, 0.5)), ((1,), (0.0,), (0.0,), (0,))]:
+        with pytest.raises(ValueError, match="expected 5 columns of one length"):
+            PredictedFrame.from_columns(0, *columns)
+    frame = PredictedFrame.from_columns(0, (1, 2), (0.0, 1.0), (0.0, 0.0), (0, 1), (0.5, 0.0))
+    assert frame == PredictedFrame(0, (pred(1, 0.0, conf=0.5), pred(2, 1.0, cls=1, conf=0.0)))
+    assert frame.objects == (pred(1, 0.0, conf=0.5), pred(2, 1.0, cls=1, conf=0.0))
+
+
+def test_pair_building_memory_follows_the_budget_not_the_frame():
+    # One frame of 1,500 objects 1 m apart and 1,500 predictions: 2.25
+    # million gt x prediction pairs, a few thousand of them in the gate.
+    # Distance matrices of the whole frame would take 18 MB each.
+    rng = random.Random(3)
+    gf = [GroundTruthFrame(0, [gt(i, float(i)) for i in range(1500)])]
+    pf = [PredictedFrame(0, [pred(i, i + rng.uniform(-1, 1), conf=round(rng.random(), 2)) for i in range(1500)])]
+    tracemalloc.start()
+    try:
+        counts = count_sequence_errors(pf, gf, 0.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == reference_count_sequence_errors(pf, gf, 0.0, 2.0)
+    assert peak < 8e6, peak
