@@ -41,7 +41,7 @@ import numpy as np
 import yaml
 
 from .association import DetectionBatch, RowError
-from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
+from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame
 from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, _snapshot_from_row
 
 
@@ -295,13 +295,28 @@ _RESULT_TRACK = _Kind(_snapshot, (
     ("x", "position", NUMBER, None),
     ("y", "position", NUMBER, None),
     ("z", "position", NUMBER, None),
-), lambda tracks: [(*t[:10], *((None,) * 3 if t.position is None else map(float, t.position))) for t in tracks])
+))
 _RESULT_FRAME = _Kind(FrameResult, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
-    ("tracks", "tracks", _RESULT_TRACK.list, []),
+    ("tracks", "track_id", _RESULT_TRACK.list._replace(write=lambda ids: []), []),  # rows written by encode_result
 ))
-encode_result = _RESULT_FRAME.line  # a FrameResult's JSON text
+
+# A result track's JSON text as the encoder writes it (keys in table order, float repr, true/false),
+# from its 13 values: without a position, the text consumes x, y and z and writes nothing (%.0s).
+_TRACK_FIELDS = [f'"{k}":%{"d" if t is INTEGER else "s" if t is FLAG else "r"}' for k, _, t, _ in _RESULT_TRACK.rows]
+_TRACK_TEXTS = ("{" + ",".join(_TRACK_FIELDS[:10]) + "}%.0s%.0s%.0s", "{" + ",".join(_TRACK_FIELDS) + "}")
+
+
+def encode_result(result: FrameResult) -> str:
+    """A FrameResult's JSON text, encode_record's bytes for its record, formatted from its columns."""
+    columns = [getattr(result, attr) for _, attr, _, _ in _RESULT_TRACK.rows[:10]]
+    if not all(np.isfinite(column).all() for column in (*columns, result.position[result.has_position])):
+        raise ValueError("Out of range float values are not JSON compliant")
+    flags = map(("false", "true").__getitem__, result.fused.tolist())
+    rows = zip(*(column.tolist() for column in columns[:9]), flags, *result.position.T.tolist())
+    tracks = ",".join(map(_TRACK_TEXTS.__getitem__, result.has_position.tolist())) % tuple(chain.from_iterable(rows))
+    return _RESULT_FRAME.line(result)[:-2] + tracks + "]}"
 
 
 _PREDICTION_COLUMNS = _Kind(lambda *values: values, (  # a results line as columns, read by the same table
@@ -392,20 +407,19 @@ def read_predictions(path: str) -> List[PredictedFrame]:
 
 
 def results_to_predictions(results: Iterable[FrameResult]) -> List[PredictedFrame]:
-    """Evaluation view of tracker output, read one result at a time. Requires
-    vehicle-frame positions (tracks written without a camera cannot be
-    evaluated on the ground plane)."""
+    """Evaluation view of tracker output, read one result at a time from its
+    columns. Requires vehicle-frame positions (tracks written without a
+    camera cannot be evaluated on the ground plane)."""
     frames = []
     for result in results:
-        objects = []
-        for t in result.tracks:
-            if t.position is None:
-                raise ValueError(
-                    f"frame {result.frame_index}: track {t.track_id} has no ground-plane "
-                    "position; produce results with a scene camera"
-                )
-            objects.append(PredictedObject(t.track_id, t.position[0], t.position[1], t.class_id, t.confidence))
-        frames.append(PredictedFrame(result.frame_index, tuple(objects)))
+        # The tracks before the first without a position, whose confidences are checked first.
+        end = len(result.has_position) if result.has_position.all() else int(np.argmin(result.has_position))
+        x, y = result.position[:end, :2].T
+        columns = (result.track_id[:end], x, y, result.class_id[:end], result.confidence[:end])
+        frames.append(PredictedFrame.from_columns(result.frame_index, *(column.tolist() for column in columns)))
+        if end < len(result.has_position):
+            raise ValueError(f"frame {result.frame_index}: track {result.track_id[end]} has no ground-plane "
+                             "position; produce results with a scene camera")
     return frames
 
 

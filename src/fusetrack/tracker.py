@@ -9,7 +9,9 @@ One Tracker instance consumes an ordered stream of FrameInputs. Each step:
 4. updates matched tracks, ages the rest, drops tracks that have been
    missing for max_age consecutive frames, and spawns new tracks (fresh
    monotonically increasing ids, assigned in descending confidence order)
-   for the leftovers.
+   for the leftovers,
+5. reports the tracks seen this frame as FrameResult columns, back-projected
+   to vehicle positions in one batch, with no object per track.
 
 There is no re-identification and no motion extrapolation: a coasted track
 keeps its last observed state, and once an identity is dropped it never
@@ -25,12 +27,13 @@ import time
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .association import AssociationResult, CostWeights, DetectionBatch, Track, TrackTable, greedy_associate
-from .association import checked_frame_index, checked_timestamp
+from .association import _DTYPES, checked_frame_index, checked_timestamp
 # expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
 from .geometry import CameraModel, image_to_vehicle
@@ -125,20 +128,48 @@ class TrackSnapshot(NamedTuple):
 _snapshot_from_row = partial(tuple.__new__, TrackSnapshot)
 
 
-@dataclass(frozen=True)
+_COLUMNS = (*TrackSnapshot._fields[:10], "position", "has_position")  # a FrameResult's columns
+
+
+@dataclass(frozen=True, init=False)
 class FrameResult:
     """Tracks reported for one frame: matched or newly spawned this frame
-    (coasting tracks are withheld until they are seen again)."""
+    (coasting tracks are withheld until they are seen again).
+
+    The tracks are read-only numpy columns named like the TrackSnapshot
+    fields, with an (N, 3) position that counts only where has_position is
+    set, so a missing position stays apart from a NaN one. FrameResult(
+    frame_index, timestamp, tracks) takes any iterable of snapshots. tracks
+    builds the snapshots again on each access: keep it in a local variable."""
 
     frame_index: int
     timestamp: float
-    tracks: Tuple[TrackSnapshot, ...]
+    # A field, so that dataclass equality and repr go through the snapshots.
+    tracks: Tuple[TrackSnapshot, ...] = property(lambda self: tuple(map(_snapshot_from_row, zip(
+        *(getattr(self, name).tolist() for name in _COLUMNS[:10]),
+        [tuple(p) if has else None for p, has in zip(self.position.tolist(), self.has_position.tolist())]))))
+
+    def __init__(self, frame_index: int, timestamp: float, tracks: Iterable[TrackSnapshot]):
+        tracks = tuple(tracks)
+        position = np.array([(math.nan,) * 3 if t.position is None else t.position for t in tracks], float)
+        self._fill(frame_index, timestamp, *(np.fromiter(map(attrgetter(name), tracks), _DTYPES.get(name, float))
+                                             for name in _COLUMNS[:10]),
+                   position.reshape(len(tracks), 3), np.array([t.position is not None for t in tracks], dtype=bool))
+
+    def _fill(self, frame_index: int, timestamp: float, *columns: np.ndarray) -> None:
+        """Take over the columns, arrays in _COLUMNS order, read-only, and check the result."""
+        self.__dict__.update(frame_index=frame_index, timestamp=timestamp, **dict(zip(_COLUMNS, columns)))
+        for column in columns:
+            column.flags.writeable = False
+        self.__post_init__()
+
+    def __hash__(self):  # equal results hold equal ids; a NaN value, never equal to itself, keeps the hash stable
+        return hash((self.frame_index, self.timestamp, self.track_id.tobytes()))
 
     def __post_init__(self):
         object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
         object.__setattr__(self, "timestamp", checked_timestamp(self.timestamp))
-        ids = [t.track_id for t in self.tracks]
-        if len(set(ids)) != len(ids):
+        if len(set(self.track_id.tolist())) != self.track_id.size:
             raise ValueError("track ids must be unique within a frame")
 
 
@@ -274,28 +305,18 @@ class Tracker:
             tracks = tracks.append(TrackTable(ids, *(column[born] for column in state), *lifecycle, fused[born]))
             self._next_id += n
         self._tracks = tracks
-        return FrameResult(frame.frame_index, frame.timestamp, self._snapshots(frame.frame_index))
+        return self._report(frame)
 
-    def _snapshots(self, frame_index: int) -> Tuple[TrackSnapshot, ...]:
-        """The tracks seen in this frame (matched or born), by track id.
-        Their state is exactly the detection they took."""
+    def _report(self, frame: FrameInput) -> FrameResult:
+        """The tracks seen in this frame (matched or born), by track id: the detection each took."""
         tracks = self._tracks
-        seen = np.flatnonzero(tracks.last_seen == frame_index)
-        if not seen.size:
-            return ()
-        u, v, depth = tracks.u[seen], tracks.v[seen], tracks.depth[seen]
-        if self.camera is None:
-            positions = [None] * seen.size
-        else:
-            positions = list(zip(*image_to_vehicle(u, v, depth, self.camera).T.tolist()))
-        columns = [
-            column.tolist()
-            for column in (
-                tracks.track_id[seen], u, v, depth, tracks.vx[seen], tracks.vy[seen],
-                tracks.class_id[seen], tracks.confidence[seen], tracks.age[seen], tracks.fused[seen],
-            )
-        ]
-        return tuple(map(_snapshot_from_row, zip(*columns, positions)))
+        seen = np.flatnonzero(tracks.last_seen == frame.frame_index)
+        columns = [getattr(tracks, name)[seen] for name in _COLUMNS[:10]]
+        known = self.camera is not None
+        position = image_to_vehicle(*columns[1:4], self.camera) if known else np.full((seen.size, 3), math.nan)
+        result = FrameResult.__new__(FrameResult)
+        result._fill(frame.frame_index, frame.timestamp, *columns, position, np.full(seen.size, known))
+        return result
 
 
 def run_sequence(

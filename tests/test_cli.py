@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import fusetrack.fileio
+import fusetrack.tracker
 from fusetrack.association import CostWeights
 from fusetrack.cli import _format_report, main
 from fusetrack.fileio import (
@@ -218,6 +220,22 @@ def test_track_file_stdout_and_library_bytes_agree(tmp_path, capsys):
     write_results(str(library), run_sequence(read_replay(replay), TrackerConfig(), camera)[0])
     assert to_file.read_text().count("\n") == 41
     assert to_file.read_bytes() == library.read_bytes() == to_stdout.encode()
+
+
+def test_track_builds_no_track_snapshot(tmp_path, monkeypatch):
+    """track --scene writes each result line from the step's columns: no
+    TrackSnapshot is built between the replay and the results file, while
+    reading the file back builds one per track."""
+    assert main(["simulate", CROSSING_CONFIG, "--out", str(tmp_path / "scene")]) == 0
+    calls = []
+    for module in (fusetrack.tracker, fusetrack.fileio):  # the modules that build snapshots
+        build = module._snapshot_from_row
+        monkeypatch.setattr(module, "_snapshot_from_row", lambda row, build=build: calls.append(1) or build(row))
+    out = str(tmp_path / "results.jsonl")
+    assert main(["track", str(tmp_path / "scene" / "replay.jsonl"), "--scene", CROSSING_CONFIG, "--out", out]) == 0
+    assert calls == []
+    tracks = sum(len(result.tracks) for result in read_results(out))
+    assert tracks > 0 and len(calls) == 2 * tracks  # once by the reader, once by .tracks
 
 
 @pytest.mark.parametrize("bad_line", [1, 2, 30])

@@ -17,6 +17,7 @@ from fusetrack.fileio import (
     ParseError,
     config_to_dict,
     encode_record,
+    encode_result,
     iter_replay,
     load_yaml,
     read_ground_truth,
@@ -31,9 +32,9 @@ from fusetrack.fileio import (
     write_results,
 )
 from fusetrack.fusion import PillarDims, RadarPoint
-from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame
+from fusetrack.metrics import GroundTruthFrame, GroundTruthObject
 from fusetrack.simulator import crossing_scenario, generate
-from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, run_sequence
+from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, run_sequence
 from reader_fuzz import Invalid, fuzz_lines, reference_record
 
 
@@ -299,6 +300,31 @@ def test_radar_rows_are_written_as_the_json_encoder_writes_them(tmp_path):
     ]
     assert path.read_text() == "".join(encode_record(record) + "\n" for record in expected)
     assert read_replay(str(path)) == frames
+
+
+def test_result_tracks_are_written_as_the_json_encoder_writes_them(tmp_path):
+    """Result tracks, formatted from the result's columns without an object
+    per track, give the encoder's bytes: signed zeros, tiny, huge and
+    inexact floats, int64 extremes, both flags, with and without x, y, z."""
+    low, high = -(2**63), 2**63 - 1
+    tracks = [
+        TrackSnapshot(high, 0.0, -0.0, 5e-324, 1e22, 0.1 + 0.2, low, 0.5, high, True, (-0.0, 1e22, 5e-324)),
+        TrackSnapshot(low, 1.7976931348623157e308, 1e-7, 3.0, -3.0, 0.0, high, 1.0, 0, False, None),
+        TrackSnapshot(7, 123456789.0, 2.5, 1.0, 0.0, -0.0, 0, 0.0, low, True, (0.1 + 0.2, -1.0, 0.0)),
+    ]
+    frames = [FrameResult(0, 0.0, tracks), FrameResult(1, 0.1, ())]
+    path = tmp_path / "results.jsonl"
+    write_results(str(path), iter(frames))  # any iterable, consumed once
+    keys = ("id", "u", "v", "depth", "vx", "vy", "class", "confidence", "age", "fused")
+    records = [{**dict(zip(keys, t)), **dict(zip("xyz", t.position or ()))} for t in tracks]
+    expected = [{"frame": 0, "time": 0.0, "tracks": records}, {"frame": 1, "time": 0.1, "tracks": []}]
+    assert path.read_text() == "".join(encode_record(record) + "\n" for record in expected)
+    assert [encode_result(frame) for frame in frames] == [encode_record(record) for record in expected]
+    assert read_results(str(path)) == frames
+    for bad in (math.nan, math.inf, -math.inf):
+        frame = FrameResult(0, 0.0, [tracks[1], tracks[0]._replace(position=(0.0, bad, 0.0))])
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            encode_result(frame)
 
 
 def test_iter_replay_reads_a_line_at_a_time(tmp_path, scene):
@@ -643,11 +669,12 @@ def test_read_predictions_fails_as_results_to_predictions_does(tmp_path, tracks,
 
 def test_read_predictions_never_passes_a_line_its_screen_refuses(tmp_path, monkeypatch):
     """With the column screen refusing every line, a valid file still fails:
-    a line that read_results and results_to_predictions accept raises."""
-    def refuse(cls, *columns):
+    a line that read_results and results_to_predictions accept raises. The
+    screen's column read refuses, so its fallback runs as for any refusal."""
+    def refuse(record):
         raise ValueError("refused")
 
     path = _write_lines(tmp_path, _VALID["results"])
-    monkeypatch.setattr(PredictedFrame, "from_columns", classmethod(refuse))
+    monkeypatch.setattr(fileio._PREDICTION_COLUMNS, "read_line", refuse)
     with pytest.raises(ValueError, match="the prediction screen refuses a frame that read_results"):
         read_predictions(path)

@@ -1,6 +1,7 @@
 """Tracker lifecycle: spawning, identity, coasting, fusion plumbing."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fusetrack.tracker import (
     LatencyStats,
     Tracker,
     TrackerConfig,
+    TrackSnapshot,
     run_sequence,
 )
 
@@ -417,3 +419,65 @@ def test_columnar_step_matches_object_reference(case):
             assert _column_bits(dets) == _column_bits(DetectionBatch.from_detections(slow_dets)), f"frame {frame.frame_index}"
             assert _column_bits(tracks) == _column_bits(TrackTable.from_tracks(slow_tracks)), f"frame {frame.frame_index}"
             assert _bits(result) == _bits(slow_result), f"frame {frame.frame_index}"
+
+
+_SNAPSHOT_TYPES = [int, float, float, float, float, float, int, float, int, bool]
+
+
+@pytest.mark.parametrize("camera", [CAM, None], ids=["camera", "no camera"])
+def test_step_and_constructor_results_agree(camera):
+    """A step hands over its columns; FrameResult(frame_index, timestamp,
+    tracks) transposes snapshots into the same columns. Both compare, hash
+    and give back the same snapshots, of Python types, and both refuse a
+    repeated track id."""
+    tracker = Tracker(TrackerConfig(fusion_enabled=camera is not None), camera)
+    frames = dense_frames(np.random.default_rng(5), CAM, 4)
+    for f in frames:
+        result = tracker.step(f)
+        rebuilt = FrameResult(result.frame_index, result.timestamp, result.tracks)
+        assert rebuilt == result and hash(rebuilt) == hash(result)
+        assert _bits(rebuilt.tracks) == _bits(result.tracks)
+        assert len(result.tracks) == len(f.detections)
+        for snapshot in result.tracks + rebuilt.tracks:
+            assert [type(value) for value in snapshot[:10]] == _SNAPSHOT_TYPES
+            if camera is None:
+                assert snapshot.position is None
+            else:
+                assert type(snapshot.position) is tuple and list(map(type, snapshot.position)) == [float] * 3
+
+    first, second = result.tracks[:2]
+    with pytest.raises(ValueError, match="^track ids must be unique within a frame$"):
+        FrameResult(0, 0.0, [first, second._replace(track_id=first.track_id)])
+    tracker._tracks.track_id[1] = tracker._tracks.track_id[0]  # a table that breaks its own rule
+    with pytest.raises(ValueError, match="^track ids must be unique within a frame$"):
+        tracker._report(frames[-1])
+
+
+def test_result_from_any_iterable_is_frozen_and_hashable():
+    """A result keeps its own read-only columns whatever iterable of
+    snapshots it was built from, so results from a list, a tuple and a
+    generator of the same snapshots are equal, with equal hashes."""
+    with_position = TrackSnapshot(3, 1.0, 2.0, 3.0, 0.0, -0.0, 1, 0.5, 2, True, (1.0, -2.0, 3.0))
+    without = TrackSnapshot(1, 4.0, 5.0, 6.0, 0.5, 0.25, 0, 0.75, 1, False, None)
+    snapshots = [with_position, without]
+    from_list = FrameResult(0, 0.0, snapshots)
+    snapshots.append(without._replace(track_id=2))  # changes nothing built before
+    from_tuple, from_iterator = FrameResult(0, 0.0, tuple(snapshots[:2])), FrameResult(0, 0.0, iter(snapshots[:2]))
+    assert from_list == from_tuple == from_iterator
+    assert hash(from_list) == hash(from_tuple) == hash(from_iterator)
+    assert hash(FrameResult(0, 0.0, [])) == hash(FrameResult(0, 0.0, ()))
+    assert from_list.tracks == (with_position, without)
+    with pytest.raises(FrozenInstanceError):
+        from_list.tracks = ()
+    for column in (from_list.track_id, from_list.u, from_list.fused, from_list.position, from_list.has_position):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    with pytest.raises(ValueError):  # a position of other than 3 values
+        FrameResult(0, 0.0, [without._replace(position=(1.0, 2.0))])
+
+    # A NaN position is a position: kept apart from a missing one, and the
+    # result's hash stays the same from one call to the next.
+    nan = FrameResult(0, 0.0, [with_position._replace(position=(math.nan, 0.0, 0.0)), without])
+    (kept, missing) = nan.tracks
+    assert math.isnan(kept.position[0]) and missing.position is None
+    assert hash(nan) == hash(nan)
