@@ -143,7 +143,7 @@ def _cmd_simulate(args) -> int:
     write_ground_truth(gt_path, scene.ground_truth)
     n_det = sum(len(f.detections) for f in scene.frames)
     n_radar = sum(len(f.radar) for f in scene.frames)
-    n_gt = sum(len(g.objects) for g in scene.ground_truth)
+    n_gt = sum(len(g.gt_id) for g in scene.ground_truth)
     print(
         f"seed {cfg.seed}: {len(scene.frames)} frames, {n_det} detections, "
         f"{n_radar} radar points, {n_gt} ground-truth observations"
@@ -200,7 +200,7 @@ def _format_report(report: MetricsReport, names: Optional[List[str]], dist_thres
 
 
 def _cmd_evaluate(args) -> int:
-    try:  # the results file is read a line at a time, straight into prediction columns
+    try:  # the results file is read a batch of lines at a time, straight into prediction columns
         preds = read_predictions(args.results)
     except ParseError:
         raise  # names its file and line already
@@ -209,11 +209,9 @@ def _cmd_evaluate(args) -> int:
     gt = read_ground_truth(args.gt)
     report = amota(preds, gt, num_thresholds=args.num_thresholds, dist_threshold=args.dist_threshold)
     text = _format_report(report, _parse_class_names(args.classes), args.dist_threshold)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    # UTF-8 whatever the locale; class names come back as the bytes given on the command line.
+    with open(args.out, "w", encoding="utf-8", errors="surrogateescape") if args.out else nullcontext(sys.stdout) as out:
+        out.write(text)
     return 0
 
 
@@ -300,11 +298,8 @@ def _cmd_sweep(args) -> int:
             f"{report.amota:>9.4f}{report.amotp:>9.4f}{gap_text:>13}{gap_frames:>8}{shortfall:>11}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        out.write(text)
     return 0
 
 

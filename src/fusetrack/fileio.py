@@ -9,20 +9,20 @@ replay of N frames is exactly N lines):
   vehicle-frame position when the tracker knew its camera.
 
 Each record kind is stated once, in a field table of (JSON key, attribute,
-JSON type, default) rows that both its reader and its writer walk;
+JSON type, default) rows that its readers and its writer walk;
 docs/file_formats.md lists the same fields and the type rules, which the
-YAML configs share. Readers take a list of records (a line is a list of one)
-a column at a time: each field's values are type-tested and converted at
-once, and detections and radar returns stay columns. Only when a column fails
-are the records read one at a time, to name the first bad item and field.
+YAML configs share. Readers read a list of records a column at a time
+(read_column): a line's list items or, in evaluation's whole-file readers,
+the lines of a batch (_BATCH_OBJECTS). Only when a column fails are the
+records read one at a time, to name the first bad line, item and field.
 NaN and Infinity fail at decode time and writers refuse them. Every failure
 names the file and line, as in ``path:3: bad frame: field 'time': expected a
 number, got '0.5'``.
 
 Readers ignore unknown fields, and writers do not write them. Writers emit
 compact JSON with the known fields in table order, so identical data always
-produces identical bytes. Files are read (iter_replay, iter_results) and
-written a line at a time, so a stream of frames is never held whole.
+produces identical bytes. iter_replay and iter_results read a line at a
+time, and writers write one, so a stream of frames is never held whole.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from itertools import chain, repeat
 from operator import methodcaller
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -98,6 +98,25 @@ def _objects(path: str, what: str, read: Callable) -> Iterator:
             yield item
 
 
+_BATCH_OBJECTS = 2048  # list items (tracks or objects), and lines, read at once, unless one line holds more
+
+
+def _read_batches(path: str, key: str, screen: Callable) -> Optional[list]:
+    """screen(records) of a JSONL file's lines, a batch at a time (_BATCH_OBJECTS);
+    None if a line does not decode or the screen refuses a batch."""
+    frames, batch, size = [], [], 0
+    try:
+        for record in _iter(path, "line", lambda record: record):
+            if batch and (size + len(record.get(key, ())) > _BATCH_OBJECTS or len(batch) == _BATCH_OBJECTS):
+                frames += screen(batch)
+                batch, size = [], 0
+            batch.append(record)
+            size += len(record.get(key, ()))
+        return frames + screen(batch)
+    except (ValueError, TypeError, AttributeError, OverflowError):  # a ParseError included
+        return None
+
+
 def write_records(path: str, records: Iterable, encode: Callable[..., str] = encode_record) -> None:
     """One line of encode(record) per record, written as each comes."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -127,7 +146,7 @@ class _Type(NamedTuple):
 
 
 def _int64(value: int) -> int:
-    if not -(2**63) <= value < 2**63:
+    if value not in _INT64:
         raise ValueError(f"{value} does not fit in a signed 64-bit integer")
     return value
 
@@ -142,20 +161,25 @@ NUMBER = _Type("a number", frozenset({int, float}), float)
 INTEGER = _Type("an integer", frozenset({int}), _int64)
 FLAG = _Type("true or false", frozenset({bool}), bool)
 BOX = _Type("a list of 4 numbers", frozenset({list}), _box, write=list)
+_LIST = _Type("a list", frozenset({list}), list)
+_INT64 = range(-(2**63), 2**63)  # the values of a signed 64-bit integer
 
 
-def read_column(column: list, key: str, kind: _Type, default=REQUIRED) -> list:
+def read_column(records: list, key: str, kind: _Type, default=REQUIRED) -> list:
     """The values of key in a list of records (default where absent) read as
     kind: _Type.read's type rule tests the whole column at once, then one pass
     converts it. A None default also makes null valid. The ValueError names
     the field."""
+    column = list(map(dict.get, records, repeat(key), repeat(default)))
     types = set(map(type, column))
-    if default is None and type(None) in types:  # convert the values present
-        values = iter(read_column([value for value in column if value is not None], key, kind))
+    if default is None and type(None) in types:  # read the records that hold a value
+        values = iter(read_column([r for r, value in zip(records, column) if value is not None], key, kind))
         return [None if value is None else next(values) for value in column]
     if type(REQUIRED) in types:
         raise ValueError(f"missing field {key!r}")
     try:
+        if kind is INTEGER and types == {int} and min(column) in _INT64 and max(column) in _INT64:
+            return column  # within int64 at its extremes: _int64 would return each value as it is
         return list(map(kind.convert if types <= kind.accepts else kind.read, column))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise ValueError(f"field {key!r}: {exc}") from None
@@ -189,8 +213,7 @@ class _Kind:
                 if not all(map(isinstance, records, repeat(dict))):
                     bad = next(record for record in records if not isinstance(record, dict))
                     raise ValueError(f"expected a JSON object, got {reprlib.repr(bad)}")
-                columns = [read_column(list(map(dict.get, records, repeat(key), repeat(default))), key, t, default)
-                           for key, _, t, default in self.rows]
+                columns = [read_column(records, key, t, default) for key, _, t, default in self.rows]
             except ValueError:
                 if items:  # read the records one at a time, to name the first bad one
                     for record in records:
@@ -319,26 +342,27 @@ def encode_result(result: FrameResult) -> str:
     return _RESULT_FRAME.line(result)[:-2] + tracks + "]}"
 
 
-_PREDICTION_COLUMNS = _Kind(lambda *values: values, (  # a results line as columns, read by the same table
-    *_RESULT_FRAME.rows[:2],
-    ("tracks", "tracks", _Kind(lambda *columns: columns, _RESULT_TRACK.rows, by_columns=True).list, []),
-))
+def _screen(kind: _Kind, items: _Kind, cls: type, fields: Sequence[str], records: list) -> list:
+    """cls.from_columns(frame, *the columns of fields) of each record of kind,
+    each field (of its last field's items too) read once per batch. A
+    ValueError also where a number is not finite or a field of fields absent."""
+    *heads, (key, _, _, default) = kind.rows
+    lists = read_column(records, key, _LIST, default)
+    rows = list(chain.from_iterable(lists))
+    columns = {k: read_column(records, k, t, d) for k, _, t, d in heads}
+    columns.update({k: read_column(rows, k, t, d) for k, _, t, d in items.rows})
+    numbers = chain.from_iterable(columns[k] for k, _, t, _ in (*heads, *items.rows) if t is NUMBER)
+    if np.isinf(np.array(list(numbers), np.float64)).any():  # None reads as NaN
+        raise ValueError("a number that is not finite")
+    if any(None in columns[k] for k in items.nullable.intersection(fields)):
+        raise ValueError("a field absent")
+    ends = np.cumsum(list(map(len, lists))).tolist()
+    return [cls.from_columns(frame, *(columns[key][start:end] for key in fields))
+            for frame, start, end in zip(columns["frame"], [0, *ends], ends)]
 
 
-def _prediction_line(record) -> Union[PredictedFrame, FrameResult]:
-    """A results line read straight into a PredictedFrame, the rules of
-    _snapshot, FrameResult and results_to_predictions screened a column at a
-    time. A line the screen refuses is read again by read_results' reader,
-    which fails with its message, or else is returned as a FrameResult."""
-    try:
-        frame_index, timestamp, tracks = _PREDICTION_COLUMNS.read_line(record)
-        track_id, u, v, depth, vx, vy, class_id, confidence, _, _, x, y, z = tracks
-        numbers = chain((timestamp,), u, v, depth, vx, vy, x, y, (value for value in z if value is not None))
-        if None in x or None in y or len(set(track_id)) != len(track_id) or not all(map(math.isfinite, numbers)):
-            raise ValueError("refused")
-        return PredictedFrame.from_columns(frame_index, track_id, x, y, class_id, confidence)
-    except ValueError:
-        return _RESULT_FRAME.read_line(record)
+_screen_ground_truth = partial(_screen, _GROUND_TRUTH_FRAME, _GROUND_TRUTH_OBJECT, GroundTruthFrame, ("id", "x", "y", "class"))
+_screen_predictions = partial(_screen, _RESULT_FRAME, _RESULT_TRACK, PredictedFrame, ("id", "x", "y", "class", "confidence"))
 
 
 # ------------------------------------------------------------------ replay
@@ -372,7 +396,8 @@ def write_replay(path: str, frames: Iterable[FrameInput]) -> None:
 # ------------------------------------------------------------- ground truth
 
 def read_ground_truth(path: str) -> List[GroundTruthFrame]:
-    return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME.read_line))
+    frames = _read_batches(path, "objects", _screen_ground_truth)
+    return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME.read_line)) if frames is None else frames
 
 
 def write_ground_truth(path: str, frames: Iterable[GroundTruthFrame]) -> None:
@@ -395,14 +420,11 @@ def write_results(path: str, results: Iterable[FrameResult]) -> None:
 
 def read_predictions(path: str) -> List[PredictedFrame]:
     """results_to_predictions(iter_results(path)), with its errors, read a
-    line at a time straight into prediction columns."""
-    frames = []
-    for frame in _iter(path, "result frame", _prediction_line):
-        if isinstance(frame, FrameResult):  # valid, but refused by the screen: fails as results_to_predictions does
-            results_to_predictions([frame])
-            raise ValueError(f"frame {frame.frame_index}: the prediction screen refuses a frame that "
-                             "read_results and results_to_predictions accept")
-        frames.append(frame)
+    batch of lines at a time straight into prediction columns."""
+    frames = _read_batches(path, "tracks", _screen_predictions)
+    if frames is None:  # fails as the plain path does, at the first bad line, or else here
+        results_to_predictions(iter_results(path))
+        raise ValueError("the prediction screen refuses a frame that read_results and results_to_predictions accept")
     return frames
 
 
@@ -470,7 +492,7 @@ def config_from_dict(cls, data: Dict, strict: bool = True):
         if key not in hints:
             raise ValueError(f"unknown key {key!r} (expected one of {sorted(hints)})")
     read = [f.name for f in fields(cls) if f.name in data or (f.default is MISSING and f.default_factory is MISSING)]
-    return cls(**{name: read_column([data.get(name, REQUIRED)], name, _config_type(hints[name]))[0] for name in read})
+    return cls(**{name: read_column([data], name, _config_type(hints[name]))[0] for name in read})
 
 
 def _config_type(hint) -> _Type:
@@ -482,4 +504,4 @@ def _config_type(hint) -> _Type:
     if get_origin(hint) is tuple:  # a tuple of one item type, read from a list
         item = _config_type(get_args(hint)[0])
         return _Type("a list", frozenset({list}), lambda values: tuple(map(item.read, values)))
-    return _Type("a list", frozenset({list}), list)  # an array, which its constructor checks
+    return _LIST  # an array, which its constructor checks

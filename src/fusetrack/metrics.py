@@ -87,6 +87,19 @@ class _Columns:
     def __init__(self, frame_index: int, objects: Iterable = ()):
         self._fill(frame_index, zip(*map(attrgetter(*_names(self._object)), objects)))
 
+    @classmethod
+    def from_columns(cls, frame_index: int, *columns: Sequence):
+        """A frame from its columns in field order, one value per object.
+        Columns that _valid refuses are built as objects, to fail as they do."""
+        if len(columns) != len(_names(cls._object)) or len(set(map(len, columns))) > 1:
+            raise ValueError(f"expected {len(_names(cls._object))} columns of one length")
+        if not cls._valid(*columns):
+            cls(frame_index, map(cls._object, *columns))
+            raise ValueError(f"columns that {cls.__name__} accepts as objects fail its column screen")
+        frame = cls.__new__(cls)
+        frame._fill(frame_index, columns)
+        return frame
+
     def _fill(self, frame_index: int, columns: Iterable[Sequence]) -> None:
         object.__setattr__(self, "frame_index", checked_frame_index(frame_index))
         for name, column in zip_longest(_names(self._object), columns, fillvalue=()):
@@ -104,6 +117,7 @@ class GroundTruthFrame(_Columns):
     y: Tuple[float, ...]
     class_id: Tuple[int, ...]
     _object = GroundTruthObject
+    _valid = staticmethod(lambda ids, x, y, _: len(set(ids)) == len(ids) and all(map(math.isfinite, chain(x, y))))
 
     def __init__(self, frame_index: int, objects: Iterable[GroundTruthObject] = ()):
         super().__init__(frame_index, objects)
@@ -120,19 +134,8 @@ class PredictedFrame(_Columns):
     class_id: Tuple[int, ...]
     confidence: Tuple[float, ...]
     _object = PredictedObject
-
-    @classmethod
-    def from_columns(cls, frame_index: int, *columns: Sequence) -> "PredictedFrame":
-        """A frame from its columns in field order, one value per object. The
-        first confidence that breaks PredictedObject's rule raises its message."""
-        if len(columns) != len(_names(PredictedObject)) or len(set(map(len, columns))) > 1:
-            raise ValueError(f"expected {len(_names(PredictedObject))} columns of one length")
-        if not all(0.0 <= c < math.inf for c in columns[-1]):
-            PredictedObject(*next(row for row in zip(*columns) if not 0.0 <= row[-1] < math.inf))
-            raise ValueError("a prediction that PredictedObject accepts fails the confidence screen")
-        frame = cls.__new__(cls)
-        frame._fill(frame_index, columns)
-        return frame
+    _valid = staticmethod(lambda ids, x, y, _, confidence: len(set(ids)) == len(ids)
+                          and all(map(math.isfinite, confidence)) and min(confidence, default=0.0) >= 0)
 
 
 @dataclass(frozen=True)

@@ -582,6 +582,22 @@ def test_evaluate_report_to_file(tmp_path, capsys):
     assert overall_row(Path(report_file).read_text())[0] == "1.0000"
 
 
+def test_report_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """evaluate --out and sweep --out write UTF-8 under the C locale with
+    Python's UTF-8 mode and locale coercion off: non-ASCII class names are
+    written as the bytes given, and the sweep table is its golden file."""
+    res_file, gt_file = perfect_files(tmp_path)
+    report, table, golden = tmp_path / "report.txt", tmp_path / "sweep.txt", Path(__file__).parent / "golden" / "crossing"
+    for argv in (["evaluate", res_file, gt_file, "--classes", "voiture,piéton,vélo", "--out", str(report)],
+                 ["sweep", str(golden / "replay.jsonl"), str(golden / "ground_truth.jsonl"), "--scene",
+                  str(Path(__file__).parent.parent / "configs" / "crossing.yaml"), "--beta", "0,0.04", "--out", str(table)]):
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+        proc = subprocess.run([sys.executable, "-m", "fusetrack", *argv], capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+    assert [line.split()[0] for line in report.read_bytes().decode("utf-8").splitlines()[2:]] == ["voiture", "piéton", "overall"]
+    assert table.read_bytes() == (golden / "sweep.txt").read_bytes()
+
+
 # --------------------------------------------------------------------- sweep
 
 def sweep_rows(text):

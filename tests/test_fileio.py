@@ -5,6 +5,7 @@ documented fields, config plumbing."""
 import copy
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from fusetrack.fusion import PillarDims, RadarPoint
 from fusetrack.metrics import GroundTruthFrame, GroundTruthObject
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, run_sequence
-from reader_fuzz import Invalid, fuzz_lines, reference_record
+from reader_fuzz import MUTATIONS, Invalid, fuzz_lines, reference_record
 
 
 @pytest.fixture(scope="module")
@@ -675,6 +676,76 @@ def test_read_predictions_never_passes_a_line_its_screen_refuses(tmp_path, monke
         raise ValueError("refused")
 
     path = _write_lines(tmp_path, _VALID["results"])
-    monkeypatch.setattr(fileio._PREDICTION_COLUMNS, "read_line", refuse)
+    monkeypatch.setattr(fileio, "_screen_predictions", refuse)
     with pytest.raises(ValueError, match="the prediction screen refuses a frame that read_results"):
         read_predictions(path)
+
+
+_READ_BY_LINE = {  # the plain paths, a line at a time
+    "results": lambda path: results_to_predictions(read_results(path)),
+    "ground_truth": lambda path: list(fileio._iter(path, "ground-truth frame", fileio._GROUND_TRUTH_FRAME.read_line)),
+}
+_READ_BY_BATCH = {"results": read_predictions, "ground_truth": read_ground_truth}
+
+
+def _outcome(read, path):
+    """read(path)'s frames, or the type and text of the error it raised."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _edits(kind, record):
+    """Hand-made lines from a valid line of one item: an id repeated in the
+    line, two items, and values null, absent, out of range or overflowing,
+    on the item or on the line."""
+    key = "tracks" if kind == "results" else "objects"
+    item = record[key][0]
+    changes = [{"x": _OVERFLOW}, {"y": 2**70}, {"class": True}, {"id": 2**63}, {"x": None}]
+    lines = [{**record, key: [item, item]}, {**record, key: [item, {**item, "id": item["id"] + 1}]},
+             {**record, "frame": 2**63}, {**record, key: None}, {k: v for k, v in record.items() if k != key}]
+    if kind == "results":
+        changes += [{"z": None}, {"z": _OVERFLOW}, {"x": None, "y": None}, {"confidence": -0.5}, {"confidence": 0},
+                    {"age": -(2**63) - 1}, {"fused": 1}, {"u": "u"}]
+        lines += [{**record, "time": _OVERFLOW}, {**record, key: [{k: v for k, v in item.items() if k not in "xyz"}]}]
+    return lines + [{**record, key: [{**item, **change}]} for change in changes]
+
+
+@pytest.mark.parametrize("cap", [1, 3, fileio._BATCH_OBJECTS])
+@pytest.mark.parametrize("kind", ["results", "ground_truth"])
+def test_batch_readers_agree_with_the_line_readers(tmp_path, monkeypatch, scene, results, kind, cap):
+    """read_predictions and read_ground_truth, which read batches of lines,
+    give the frames, or the exception type and text, of the plain path a
+    line at a time. The bad line, fuzzed (tests/reader_fuzz.py) or made by
+    hand, comes first, in the middle and last in a batch: the file's lines
+    hold one item each, so a cap of 3 items makes batches of three lines.
+    Lines with no items are batched by the same cap."""
+    monkeypatch.setattr(fileio, "_BATCH_OBJECTS", cap)
+    key, write, frames = {"results": ("tracks", write_results, results),
+                          "ground_truth": ("objects", write_ground_truth, scene.ground_truth)}[kind]
+    path = tmp_path / "lines.jsonl"
+    write(str(path), frames[:9])
+    lines = [json.dumps({**record, key: record[key][:1]}) for record in map(json.loads, path.read_text().splitlines())]
+    assert len(lines) == 9 and all(json.loads(line)[key] for line in lines)
+    path.write_text("\n".join(lines) + "\n")
+    line_reads = _counting(monkeypatch, fileio._RESULT_FRAME if kind == "results" else fileio._GROUND_TRUTH_FRAME,
+                           "read_line")
+    batches = _counting(monkeypatch, fileio, "_screen_predictions" if kind == "results" else "_screen_ground_truth")
+    frames = _READ_BY_BATCH[kind](str(path))
+    assert line_reads == [] and len(batches) == {1: 9, 3: 3}.get(cap, 1)  # the screen took every batch
+    assert frames == _READ_BY_LINE[kind](str(path))
+    path.write_text("\n".join(json.dumps({**json.loads(line), key: []}) for line in lines) + "\n")
+    batches.clear()
+    assert _READ_BY_BATCH[kind](str(path)) == _READ_BY_LINE[kind](str(path))
+    assert len(batches) == -(-9 // cap)  # lines with no items count against the cap too
+    rng = random.Random(11)
+    for index in (0, 3, 4, 5, 8):
+        bad = [mutate(rng, json.loads(lines[index])) for mutate in rng.choices(MUTATIONS, k=16)]
+        bad += [json.dumps(edit).replace(json.dumps(_OVERFLOW), "1e999") for edit in _edits(kind, json.loads(lines[index]))]
+        for line in bad:
+            path.write_text("\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n")
+            line_reads.clear()
+            got = _outcome(_READ_BY_BATCH[kind], str(path))
+            assert isinstance(got, tuple) or line_reads == [], (index, line)  # a valid file never leaves the screen
+            assert got == _outcome(_READ_BY_LINE[kind], str(path)), (index, line)

@@ -501,6 +501,9 @@ def test_predicted_frame_keeps_frame_numbers_as_int():
 def test_predicted_frame_columns_refuse_as_predicted_object_does():
     with pytest.raises(ValueError, match="confidence must be finite and non-negative"):
         PredictedFrame.from_columns(0, (1, 2), (0.0, 0.0), (0.0, 0.0), (0, 0), (0.5, -0.1))
+    # A results line never repeats a track id, so the column path refuses one that the object path accepts.
+    with pytest.raises(ValueError, match="columns that PredictedFrame accepts as objects fail its column screen"):
+        PredictedFrame.from_columns(0, (1, 1), (0.0, 1.0), (0.0, 0.0), (0, 0), (0.5, 0.5))
     for columns in [((1, 2), (0.0,), (0.0, 0.0), (0, 0), (0.5, 0.5)), ((1,), (0.0,), (0.0,), (0,))]:
         with pytest.raises(ValueError, match="expected 5 columns of one length"):
             PredictedFrame.from_columns(0, *columns)
