@@ -19,6 +19,8 @@ velocity, displacement) together with sparse radar returns:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .association import AssociationResult, CostWeights, Detection, Track, cost_matrix, greedy_associate
 from .fusion import Pillar, PillarDims, PreliminaryDetection, RadarMatch, RadarPoint, expand_pillars, frustum_associate
 from .geometry import CameraModel, image_to_vehicle, project_points
@@ -37,58 +39,7 @@ from .metrics import (
 from .simulator import NoiseModel, RadarModel, ScenarioConfig, Scene, crossing_scenario, generate
 from .tracker import FrameInput, FrameResult, LatencyStats, Tracker, TrackerConfig, TrackSnapshot, run_sequence
 
-__all__ = [
-    "__version__",
-    # geometry
-    "CameraModel",
-    "image_to_vehicle",
-    "project_points",
-    # heatmap
-    "FocalParams",
-    "Heatmap",
-    "HeatmapConfig",
-    "Peak",
-    "extract_peaks",
-    "focal_loss",
-    "render_gaussian",
-    # fusion
-    "Pillar",
-    "PillarDims",
-    "PreliminaryDetection",
-    "RadarMatch",
-    "RadarPoint",
-    "expand_pillars",
-    "frustum_associate",
-    # association
-    "AssociationResult",
-    "CostWeights",
-    "Detection",
-    "Track",
-    "cost_matrix",
-    "greedy_associate",
-    # tracker
-    "FrameInput",
-    "FrameResult",
-    "LatencyStats",
-    "Tracker",
-    "TrackerConfig",
-    "TrackSnapshot",
-    "run_sequence",
-    # metrics
-    "ErrorCounts",
-    "GroundTruthFrame",
-    "GroundTruthObject",
-    "MetricsReport",
-    "PredictedFrame",
-    "PredictedObject",
-    "amota",
-    "count_sequence_errors",
-    "motar",
-    # simulator
-    "NoiseModel",
-    "RadarModel",
-    "Scene",
-    "ScenarioConfig",
-    "crossing_scenario",
-    "generate",
-]
+# __version__ and every public name imported above; the submodules are left out.
+public = (name for name, value in list(globals().items()) if not name.startswith("_") and type(value) is not _ModuleType)
+__all__ = ["__version__", *public]
+del public

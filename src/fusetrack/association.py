@@ -13,8 +13,9 @@ suite checks it against an exhaustive reference).
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -230,19 +231,46 @@ class CostWeights:
             raise ValueError("gate radius must be positive")
 
 
-@dataclass(frozen=True)
 class AssociationResult:
-    """matches are (detection index, track id) in processing order;
-    unmatched_detections follow processing (descending confidence) order so
-    that new-track ids assigned from it are reproducible; unmatched_tracks
-    keep input order."""
+    """The outcome of one association, kept as arrays: pairs is (M, 2) rows
+    of (detection index, track row) in processing order;
+    unmatched_det_rows follow processing (descending confidence) order so
+    that new-track ids assigned from them are reproducible;
+    unmatched_track_rows keep input order; track_ids[row] is a row's id.
+    Track rows count positions in the tracks given, or, in a result built
+    from its three tuples, the matched ids and then the unmatched ones.
 
-    matches: Tuple[Tuple[int, int], ...]
-    unmatched_detections: Tuple[int, ...]
-    unmatched_tracks: Tuple[int, ...]
-    # The matches again as an (M, 2) array of (detection index, track row),
-    # rows counting positions in the tracks given; set by greedy_associate.
-    pairs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    matches ((detection index, track id) pairs), unmatched_detections and
+    unmatched_tracks (ids) are tuples of the same values, built again on
+    each access; equality and repr go through them."""
+
+    __slots__ = ("pairs", "unmatched_det_rows", "unmatched_track_rows", "track_ids")
+
+    def __init__(self, matches, unmatched_detections, unmatched_tracks):
+        ids = np.array([track_id for _, track_id in matches] + list(unmatched_tracks), dtype=np.int64)
+        pairs = np.array([(i, row) for row, (i, _) in enumerate(matches)], dtype=np.intp).reshape(-1, 2)
+        self._fill(pairs, np.array(unmatched_detections, dtype=np.intp), np.arange(len(pairs), len(ids)), ids)
+
+    def _fill(self, *arrays: np.ndarray) -> "AssociationResult":
+        """Take over the arrays, in __slots__ order."""
+        self.pairs, self.unmatched_det_rows, self.unmatched_track_rows, self.track_ids = arrays
+        return self
+
+    matches = property(lambda self: tuple(zip(self.pairs[:, 0].tolist(), self.track_ids[self.pairs[:, 1]].tolist())))
+    unmatched_detections = property(lambda self: tuple(self.unmatched_det_rows.tolist()))
+    unmatched_tracks = property(lambda self: tuple(self.track_ids[self.unmatched_track_rows].tolist()))
+
+    def _key(self) -> tuple:
+        return self.matches, self.unmatched_detections, self.unmatched_tracks
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is AssociationResult else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "AssociationResult(matches={!r}, unmatched_detections={!r}, unmatched_tracks={!r})".format(*self._key())
 
 
 def window_join(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -336,18 +364,20 @@ def greedy_associate(dets: Detections, tracks: Tracks, weights: CostWeights) -> 
     gate (||track center - (det center - displacement)|| <= radius, bounds
     closed). Cost ties fall to the lowest track id. A track serves at most
     one detection per frame. Detections and tracks may be given as objects
-    or as columns.
+    or as columns. The result keeps arrays; its tuples are built on access.
     """
     dets, tracks = _as_columns(dets, tracks)
     ids = tracks.track_id
-    unique_ids, id_rank = np.unique(ids, return_inverse=True)
-    if len(unique_ids) != len(ids):
-        raise ValueError("track ids must be distinct")
+    id_rank = None  # ascending ids, as the tracker keeps them, rank as their rows
+    if not (ids[1:] > ids[:-1]).all():
+        unique_ids, id_rank = np.unique(ids, return_inverse=True)
+        if len(unique_ids) != len(ids):
+            raise ValueError("track ids must be distinct")
 
+    result = AssociationResult.__new__(AssociationResult)
     order = np.argsort(-dets.confidence, kind="stable")  # descending confidence, ties by input index
     if not len(dets) or not len(tracks):
-        pairs = np.empty((0, 2), dtype=np.intp)
-        return AssociationResult((), tuple(order.tolist()), tuple(ids.tolist()), pairs)
+        return result._fill(np.empty((0, 2), dtype=np.intp), order, np.arange(len(ids)), ids)
 
     ii, jj, costs = _feasible_pairs(dets, tracks, weights)
     # Each detection's candidates by cost, ties to the lowest track id: one
@@ -355,43 +385,49 @@ def greedy_associate(dets: Detections, tracks: Tracks, weights: CostWeights) -> 
     # within a detection, then a stable sort by detection (a radix sort on
     # the narrowest unsigned type that holds the detection rows).
     _, cost_rank = np.unique(costs, return_inverse=True)
-    by_preference = np.argsort(cost_rank * len(ids) + id_rank[jj])
+    by_preference = np.argsort(cost_rank * len(ids) + (jj if id_rank is None else id_rank[jj]))
     rows = ii[by_preference].astype(np.min_scalar_type(len(dets)))
     by_preference = by_preference[np.argsort(rows, kind="stable")]
     ii, jj = ii[by_preference], jj[by_preference]
     row_start = np.searchsorted(ii, np.arange(len(dets) + 1))
-    # Each detection's favorite track, or -1 without candidates.
-    favorite = np.full(len(dets), -1, dtype=np.intp)
-    has = row_start[1:] > row_start[:-1]
-    favorite[has] = jj[row_start[:-1][has]]
 
-    # In confidence order, each detection takes its favorite unless an
-    # earlier one took it, and otherwise its first candidate still free.
-    candidates = jj.tolist()
-    row_start = row_start.tolist()
-    choice = favorite.tolist()
-    used = bytearray(len(tracks))
-    for i in order.tolist():
-        j = choice[i]
-        if j < 0:
-            continue
-        if not used[j]:
-            used[j] = 1
-            continue
-        choice[i] = -1
-        for k in range(row_start[i] + 1, row_start[i + 1]):
-            j = candidates[k]
-            if not used[j]:
-                used[j] = 1
-                choice[i] = j
-                break
+    # In confidence order, each detection takes its favorite (first)
+    # candidate unless an earlier one took it, and otherwise its first
+    # candidate still free. holder[j] is the position in that order of the
+    # detection holding track j, n for none. Each favorite goes to its
+    # earliest claimant; the other claimants, the losers, then walk their
+    # other candidates, earliest first. A track held by a later detection is
+    # still free at a loser's turn: the loser takes it, and the later holder
+    # becomes a loser. The holders before a loser's turn are settled by
+    # then, so this is the one-pass result, with a Python loop over the
+    # losers only.
+    n = len(dets)
+    start, stop = row_start[:-1][order], row_start[1:][order]  # each position's candidates
+    claim = np.flatnonzero(start < stop)
+    favorite = jj[start[claim]]
+    holder = np.full(len(tracks), n, dtype=np.intp)
+    np.minimum.at(holder, favorite, claim)
+    losers = claim[holder[favorite] != claim].tolist()  # ascending, so a heap
+    if losers:
+        candidates, start, stop, holder = jj.tolist(), start.tolist(), stop.tolist(), holder.tolist()
+        while losers:
+            p = heapq.heappop(losers)
+            for k in range(start[p] + 1, stop[p]):
+                j = candidates[k]
+                q = holder[j]
+                if q > p:
+                    holder[j] = p
+                    if q < n:
+                        heapq.heappush(losers, q)
+                    break
+        holder = np.array(holder, dtype=np.intp)
 
-    chosen = np.array(choice, dtype=np.intp)[order]
+    chosen = np.full(n, -1, dtype=np.intp)  # by position
+    held = np.flatnonzero(holder < n)
+    chosen[holder[held]] = held
     matched = chosen >= 0
     pairs = np.stack([order[matched], chosen[matched]], axis=1)
-    matches = tuple(zip(pairs[:, 0].tolist(), ids[pairs[:, 1]].tolist()))
-    unmatched_tracks = tuple(ids[np.frombuffer(used, dtype=np.uint8) == 0].tolist())
-    return AssociationResult(matches, tuple(order[~matched].tolist()), unmatched_tracks, pairs)
+    return result._fill(pairs, order[~matched], np.flatnonzero(holder == n), ids)
 
 
 def cost_matrix(dets: Detections, tracks: Tracks, weights: CostWeights) -> np.ndarray:

@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import cache
 from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -303,6 +304,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@cache  # built once per process: parsing leaves no state in the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusetrack",
@@ -348,9 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already written its message
         return int(exc.code or 0)
     try:

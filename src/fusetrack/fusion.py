@@ -101,6 +101,28 @@ class RadarMatch(NamedTuple):
     vy: float
 
 
+class BoxWinners:
+    """The pillars that associate_boxes found, as columns over the boxes
+    that won one, in ascending box order: box is the row in the boxes given,
+    pillar the row in the radar, depth the pillar's base depth and vx, vy
+    its velocity. Iterating yields one RadarMatch or None per box given."""
+
+    __slots__ = ("count", "box", "pillar", "depth", "vx", "vy")
+
+    def __init__(self, count: int, *columns: np.ndarray):
+        self.count = count
+        self.box, self.pillar, self.depth, self.vx, self.vy = columns
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        matches: List[Optional[RadarMatch]] = [None] * self.count
+        for row, *values in zip(self.box.tolist(), self.depth.tolist(), self.vx.tolist(), self.vy.tolist()):
+            matches[row] = RadarMatch(*values)
+        return iter(matches)
+
+
 def expand_pillars(points: Sequence[RadarPoint], dims: PillarDims | Tuple[float, float, float]) -> List[Pillar]:
     """Expand radar points into pillars, one per point, order preserved."""
     if not isinstance(dims, PillarDims):
@@ -115,15 +137,16 @@ def associate_boxes(
     dims: PillarDims | np.ndarray,
     camera: CameraModel,
     depth_tolerance: float,
-) -> List[Optional[RadarMatch]]:
+) -> BoxWinners:
     """Array-level core of frustum_associate: boxes is (D, 4) rows of
     (u_min, v_min, u_max, v_max), est_depths is (D,), radar is (N, 5) rows
     of (x, y, z, vx, vy), one pillar each, and dims the PillarDims they
     share or (half depth, half width, height) extents, shared or one row
-    per pillar. Inputs are not validated here."""
-    results: List[Optional[RadarMatch]] = [None] * len(boxes)
+    per pillar. Inputs are not validated here. The winners come back as
+    columns, with no object per box."""
     if len(boxes) == 0 or len(radar) == 0:
-        return results
+        none = np.empty(0, dtype=np.intp)
+        return BoxWinners(len(boxes), none, none, *np.empty((3, 0)))
     if isinstance(dims, PillarDims):
         dims = (0.5 * dims.depth_x, 0.5 * dims.width_y, dims.height_z)
 
@@ -160,25 +183,21 @@ def associate_boxes(
         b = boxes[di]
         pu = u9[pj]
         pv = v9[pj]
-        inside = pu >= b[:, [0]]
-        inside &= pu <= b[:, [2]]
-        inside &= pv >= b[:, [1]]
-        inside &= pv <= b[:, [3]]
+        inside = pu >= b[:, 0, None]
+        inside &= pu <= b[:, 2, None]
+        inside &= pv >= b[:, 1, None]
+        inside &= pv <= b[:, 3, None]
         some = inside.any(axis=1)
         hit_di, hit_pj = di[some], pj[some]
 
     # Per detection the smallest hit depth wins, exact depth ties to the
     # lowest pillar index (lexsort keys, minor to major).
-    if hit_di.size:
-        order = np.lexsort((hit_pj, base_depth[hit_pj], hit_di))
-        di_sorted = hit_di[order]
-        first_of_det = np.ones(len(order), dtype=bool)
-        first_of_det[1:] = di_sorted[1:] != di_sorted[:-1]
-        won = hit_pj[order][first_of_det]
-        matches = map(RadarMatch, base_depth[won].tolist(), radar[won, 3].tolist(), radar[won, 4].tolist())
-        for i, match in zip(di_sorted[first_of_det].tolist(), matches):
-            results[i] = match
-    return results
+    order = np.lexsort((hit_pj, base_depth[hit_pj], hit_di))
+    di_sorted = hit_di[order]
+    first_of_det = np.ones(len(order), dtype=bool)
+    first_of_det[1:] = di_sorted[1:] != di_sorted[:-1]
+    won = hit_pj[order][first_of_det]
+    return BoxWinners(len(boxes), di_sorted[first_of_det], won, base_depth[won], radar[won, 3], radar[won, 4])
 
 
 def frustum_associate(
@@ -205,4 +224,4 @@ def frustum_associate(
         (p.base.x, p.base.y, p.base.z, p.base.vx, p.base.vy, 0.5 * p.dims.depth_x, 0.5 * p.dims.width_y, p.dims.height_z)
         for p in pillars
     ]).reshape(-1, 8)
-    return associate_boxes(boxes, est, columns[:, :5], columns[:, 5:], camera, depth_tolerance)
+    return list(associate_boxes(boxes, est, columns[:, :5], columns[:, 5:], camera, depth_tolerance))

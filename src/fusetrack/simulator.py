@@ -36,7 +36,7 @@ import numpy as np
 from .association import DetectionBatch
 from .fileio import config_from_dict, config_to_dict
 from .geometry import CameraModel, image_to_vehicle, project_points
-from .metrics import GroundTruthFrame, GroundTruthObject
+from .metrics import GroundTruthFrame
 from .tracker import FrameInput
 
 # Philox stream channels: one per independent noise source.
@@ -240,7 +240,7 @@ def generate(cfg: ScenarioConfig) -> Scene:
         # unless occluded or dropped. Built from columns.
         seen = np.flatnonzero(in_image[:n_obj])
         gt_x, gt_y = centers[seen, :2].T.tolist()
-        gts = list(map(GroundTruthObject, seen.tolist(), gt_x, gt_y, class_ids[seen].tolist()))
+        gt_frames.append(GroundTruthFrame.from_columns(k, seen.tolist(), gt_x, gt_y, class_ids[seen].tolist()))
         radar_xy = (centers[seen, None, :2] + radar_pos_noise[seen]).reshape(-1, 2)
         radar_v = (velocity[seen, None, :2] + radar_vel_noise[seen]).reshape(-1, 2)
         radar = np.column_stack([radar_xy, np.repeat(centers[seen, 2], pts), radar_v])
@@ -260,7 +260,6 @@ def generate(cfg: ScenarioConfig) -> Scene:
         radar = np.vstack([radar, np.hstack([pos, clutter[:, 3:]])])
 
         frames.append(FrameInput(k, t, dets, radar))
-        gt_frames.append(GroundTruthFrame(k, tuple(gts)))
         provenance.append(tuple(kept.tolist()))
 
     return Scene(cfg, tuple(frames), tuple(gt_frames), tuple(provenance))

@@ -169,7 +169,8 @@ class FrameResult:
     def __post_init__(self):
         object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
         object.__setattr__(self, "timestamp", checked_timestamp(self.timestamp))
-        if len(set(self.track_id.tolist())) != self.track_id.size:
+        ids = self.track_id  # ascending, as a step reports them, they are unique
+        if not (ids[1:] > ids[:-1]).all() and len(set(ids.tolist())) != ids.size:
             raise ValueError("track ids must be unique within a frame")
 
 
@@ -254,20 +255,12 @@ class Tracker:
         """Override depth/velocity in place from the radar pillar found in
         each boxed detection's frustum; detections without a box or a hit
         keep theirs. Returns the fused-or-not flag per detection."""
+        boxed, cfg = np.flatnonzero(dets.boxed), self.config
+        won = associate_boxes(dets.bbox[boxed], dets.depth[boxed], radar, cfg.pillar_dims, self.camera, cfg.depth_tolerance)
+        rows = boxed[won.box]
+        dets.depth[rows], dets.vx[rows], dets.vy[rows] = won.depth, won.vx, won.vy
         fused = np.zeros(len(dets), dtype=bool)
-        boxed = np.flatnonzero(dets.boxed)
-        matches = associate_boxes(
-            dets.bbox[boxed],
-            dets.depth[boxed],
-            radar,
-            self.config.pillar_dims,
-            self.camera,
-            self.config.depth_tolerance,
-        )
-        for row, match in zip(boxed.tolist(), matches):
-            if match is not None:
-                dets.depth[row], dets.vx[row], dets.vy[row] = match
-                fused[row] = True
+        fused[rows] = True
         return fused
 
     def step(self, frame: FrameInput) -> FrameResult:
@@ -296,7 +289,7 @@ class Tracker:
         tracks = tracks.take(tracks.misses < cfg.max_age)
 
         # Leftover detections start tracks with fresh ids, in confidence order.
-        born = np.array(result.unmatched_detections, dtype=np.intp)
+        born = result.unmatched_det_rows
         if born.size:
             n = born.size
             state = (dets.u, dets.v, dets.depth, dets.vx, dets.vy, dets.class_id, dets.confidence)

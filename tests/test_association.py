@@ -366,6 +366,63 @@ def test_matches_slow_reference_on_dense_instances():
                     assert math.isinf(mat[i, j])
 
 
+
+def test_result_arrays_and_tuples_agree_on_random_instances():
+    """greedy_associate keeps its result as arrays. The three tuples built
+    from them on access hold the one-pass reference's values, as Python
+    ints, and a result built from those tuples equals, hashes and prints as
+    the one greedy_associate returned."""
+    rng = random.Random(606)
+    weights = CostWeights()
+    for _ in range(200):
+        dets, tracks = _random_instance(rng)
+        res = greedy_associate(dets, tracks, weights)
+        slow = _slow_greedy(dets, tracks, weights)
+        assert (res.matches, res.unmatched_detections, res.unmatched_tracks) == (
+            slow.matches, slow.unmatched_detections, slow.unmatched_tracks
+        )
+        values = [*(x for pair in res.matches for x in pair), *res.unmatched_detections, *res.unmatched_tracks]
+        assert all(type(x) is int for x in values)
+        assert all(type(pair) is tuple for pair in res.matches)
+
+        ids = [t.track_id for t in tracks]
+        assert [(i, ids[row]) for i, row in res.pairs.tolist()] == list(res.matches)
+        assert res.unmatched_det_rows.tolist() == list(res.unmatched_detections)
+        assert [ids[row] for row in res.unmatched_track_rows.tolist()] == list(res.unmatched_tracks)
+        assert res.unmatched_track_rows.tolist() == sorted(res.unmatched_track_rows.tolist())  # input order
+
+        rebuilt = AssociationResult(res.matches, res.unmatched_detections, res.unmatched_tracks)
+        assert rebuilt == res and res == rebuilt
+        assert hash(rebuilt) == hash(res) and repr(rebuilt) == repr(res)
+        if res.matches:
+            assert AssociationResult(res.matches[1:], res.unmatched_detections, res.unmatched_tracks) != res
+
+
+def test_shuffled_track_table_matches_the_sorted_one_by_id():
+    """Ids in ascending order rank as their rows; any other order ranks them
+    through np.unique. Both give the same matches by id."""
+    rng = random.Random(707)
+    weights = CostWeights()
+    shuffled_tables = 0
+    for _ in range(200):
+        dets, tracks = _random_instance(rng)
+        by_id = sorted(tracks, key=lambda t: t.track_id)
+        shuffled = rng.sample(by_id, len(by_id))
+        shuffled_tables += shuffled != by_id
+        a, b = greedy_associate(dets, shuffled, weights), greedy_associate(dets, by_id, weights)
+        assert (a.matches, a.unmatched_detections) == (b.matches, b.unmatched_detections)
+        assert sorted(a.unmatched_tracks) == list(b.unmatched_tracks)
+        assert [shuffled[row].track_id for row in a.pairs[:, 1].tolist()] == [tid for _, tid in a.matches]
+    assert shuffled_tables > 100
+
+
+@pytest.mark.parametrize("ids", [(1, 2, 2, 3), (3, 1, 3), (2, 2)])
+def test_repeated_track_ids_raise_in_any_order(ids):
+    tracks = [trk(tid, 10.0 * j, 0.0) for j, tid in enumerate(ids)]
+    for dets in ([det(0.0, 0.0)], []):
+        with pytest.raises(ValueError, match="track ids must be distinct"):
+            greedy_associate(dets, tracks, CostWeights())
+
 FINITE_FIELDS = [
     (Detection, det(100.0, 50.0, conf=0.5), field, "detection fields must be finite")
     for field in ("u", "v", "depth", "vx", "vy", "confidence", "du", "dv")

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import fusetrack.cli
 import fusetrack.fileio
+import fusetrack.fusion
 import fusetrack.tracker
-from fusetrack.association import CostWeights
+from fusetrack.association import AssociationResult, CostWeights
 from fusetrack.cli import _format_report, main
 from fusetrack.fileio import (
     ParseError,
@@ -236,6 +238,53 @@ def test_track_builds_no_track_snapshot(tmp_path, monkeypatch):
     assert calls == []
     tracks = sum(len(result.tracks) for result in read_results(out))
     assert tracks > 0 and len(calls) == 2 * tracks  # once by the reader, once by .tracks
+
+
+def test_track_builds_no_radar_match_and_no_match_tuples(tmp_path, monkeypatch):
+    """track --scene fuses from associate_boxes' winner columns and updates
+    tracks from the association's arrays: no RadarMatch is built, and no
+    tuple of matches or unmatched ids. The counting stand-ins are live:
+    iterating the winners builds one RadarMatch per hit."""
+    assert main(["simulate", CROSSING_CONFIG, "--out", str(tmp_path / "scene")]) == 0
+    built, returned = [], []
+    build = fusetrack.fusion.RadarMatch
+    monkeypatch.setattr(fusetrack.fusion, "RadarMatch", lambda *values: built.append(1) or build(*values))
+    for name in ("matches", "unmatched_detections", "unmatched_tracks"):
+        tuples = getattr(AssociationResult, name)
+        monkeypatch.setattr(AssociationResult, name, property(lambda r, t=tuples: built.append(1) or t.fget(r)))
+    associate = fusetrack.tracker.associate_boxes
+    monkeypatch.setattr(fusetrack.tracker, "associate_boxes", lambda *a: returned.append(associate(*a)) or returned[-1])
+    out = str(tmp_path / "results.jsonl")
+    assert main(["track", str(tmp_path / "scene" / "replay.jsonl"), "--scene", CROSSING_CONFIG, "--out", out]) == 0
+    assert built == []
+    winners = sum(len(won.box) for won in returned)
+    assert winners > 0 and sum(match is not None for won in returned for match in won) == winners == len(built)
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    """main builds its argparse parser once per process. A valid command,
+    a bad flag (exit 2) and another valid command in one process print
+    what they print with a fresh parser for each call."""
+    scene = tmp_path / "scene"
+    assert main(["simulate", CROSSING_CONFIG, "--out", str(scene)]) == 0
+    results = str(tmp_path / "results.jsonl")
+    assert main(["track", str(scene / "replay.jsonl"), "--scene", CROSSING_CONFIG, "--out", results]) == 0
+    commands = (
+        ["evaluate", results, str(scene / "ground_truth.jsonl")],
+        ["evaluate", results, str(scene / "ground_truth.jsonl"), "--num-thresholds", "many"],
+        ["simulate", CROSSING_CONFIG, "--out", str(scene)],
+    )
+
+    def run_all():
+        capsys.readouterr()
+        return [(main(list(argv)), *capsys.readouterr()) for argv in commands]
+
+    reused = run_all()
+    assert fusetrack.cli._build_parser() is fusetrack.cli._build_parser()
+    monkeypatch.setattr(fusetrack.cli, "_build_parser", fusetrack.cli._build_parser.__wrapped__)
+    assert [code for code, _, _ in reused] == [0, 2, 0]
+    assert "invalid int value: 'many'" in reused[1][2]
+    assert reused == run_all()
 
 
 @pytest.mark.parametrize("bad_line", [1, 2, 30])

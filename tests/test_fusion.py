@@ -6,7 +6,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fusetrack.fusion import Pillar, PillarDims, PreliminaryDetection, RadarPoint, expand_pillars, frustum_associate
+from fusetrack.fusion import (
+    Pillar,
+    PillarDims,
+    PreliminaryDetection,
+    RadarPoint,
+    associate_boxes,
+    expand_pillars,
+    frustum_associate,
+)
 from fusetrack.geometry import CameraModel, image_to_vehicle
 
 from reference import brute_force_radar_association, homogeneous_project, random_radar_scene
@@ -200,3 +208,61 @@ def test_association_matches_brute_force_with_per_pillar_dims():
         sizes = rng.uniform(0.1, 3.0, (len(pillars), 3)).tolist()
         hits += _assert_matches_brute_force(dets, [Pillar(p.base, PillarDims(*size)) for p, size in zip(pillars, sizes)])
     assert hits > 50
+
+
+YAWED = CameraModel.forward_facing(900.0, 950.0, 410.0, 230.0, 800, 448, position=(1.5, -0.4, 1.2), yaw=0.35)
+
+
+def _winners(dets, pillars, camera):
+    """associate_boxes on the array form of a scene whose pillars share one size."""
+    boxes = np.array([d.bbox2d for d in dets], dtype=float).reshape(-1, 4)
+    est = np.array([d.est_depth for d in dets], dtype=float)
+    radar = np.array([(p.base.x, p.base.y, p.base.z, p.base.vx, p.base.vy) for p in pillars], dtype=float).reshape(-1, 5)
+    return associate_boxes(boxes, est, radar, pillars[0].dims if pillars else PillarDims(), camera, 0.25)
+
+
+def _with_ties_and_behind(rng, pillars, camera):
+    """The scene's pillars plus exact depth ties (copies of some pillars
+    with other velocities, before or after the original) and returns
+    mirrored through the camera center, so behind the camera."""
+    points = [p.base for p in pillars]
+    for p in list(points):
+        if rng.random() < 0.3:
+            twin = RadarPoint(p.x, p.y, p.z, float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
+            points.insert(int(rng.integers(0, len(points) + 1)), twin)
+        if rng.random() < 0.2:
+            x, y, z = 2.0 * camera.center - (p.x, p.y, p.z)
+            points.append(RadarPoint(float(x), float(y), float(z), p.vx, p.vy))
+    return expand_pillars(points, pillars[0].dims if pillars else PillarDims())
+
+
+@pytest.mark.parametrize("camera", [CAM, YAWED], ids=["forward", "yawed"])
+def test_winner_columns_match_the_object_path_and_brute_force(camera):
+    """The columns associate_boxes returns name, per box that won a pillar
+    and in ascending box order, the pillar brute force picks, its base
+    depth and its velocity. Iterating them gives frustum_associate's list.
+    Scenes include exact depth ties, returns behind the camera, and frames
+    with no radar or no boxes."""
+    rng = np.random.default_rng(67)
+    hits = ties = 0
+    for k in range(150):
+        dets, pillars = random_radar_scene(rng, camera)
+        if k % 3 == 0:
+            pillars = _with_ties_and_behind(rng, pillars, camera)
+        elif k % 10 == 1:
+            pillars = []
+        elif k % 10 == 2:
+            dets = []
+        won = _winners(dets, pillars, camera)
+        expected = brute_force_radar_association(dets, pillars, camera, 0.25)
+        assert len(won) == won.count == len(dets)
+        assert won.box.tolist() == [i for i, idx in enumerate(expected) if idx is not None]
+        assert won.pillar.tolist() == [idx for idx in expected if idx is not None]
+        for depth, vx, vy, idx in zip(won.depth.tolist(), won.vx.tolist(), won.vy.tolist(), won.pillar.tolist()):
+            base = pillars[idx].base
+            assert (vx, vy) == (base.vx, base.vy)
+            assert depth == pytest.approx(homogeneous_project((base.x, base.y, base.z), camera)[2], abs=1e-12)
+            ties += sum((p.base.x, p.base.y, p.base.z) == (base.x, base.y, base.z) for p in pillars) > 1
+        assert list(won) == frustum_associate(dets, pillars, camera, 0.25)
+        hits += len(won.box)
+    assert hits > 100 and ties > 10
