@@ -342,10 +342,10 @@ def encode_result(result: FrameResult) -> str:
     return _RESULT_FRAME.line(result)[:-2] + tracks + "]}"
 
 
-def _screen(kind: _Kind, items: _Kind, cls: type, fields: Sequence[str], records: list) -> list:
-    """cls.from_columns(frame, *the columns of fields) of each record of kind,
-    each field (of its last field's items too) read once per batch. A
-    ValueError also where a number is not finite or a field of fields absent."""
+def _screen(kind: _Kind, items: _Kind, cls: type, fields: Sequence[str], records: list, unique_ids=False) -> list:
+    """cls.from_columns(frame, *the columns of fields) of each record of kind, each
+    field (of its last field's items too) read once per batch. A ValueError also where
+    a number is not finite, a field of fields absent or, if unique_ids, an id repeats."""
     *heads, (key, _, _, default) = kind.rows
     lists = read_column(records, key, _LIST, default)
     rows = list(chain.from_iterable(lists))
@@ -357,12 +357,15 @@ def _screen(kind: _Kind, items: _Kind, cls: type, fields: Sequence[str], records
     if any(None in columns[k] for k in items.nullable.intersection(fields)):
         raise ValueError("a field absent")
     ends = np.cumsum(list(map(len, lists))).tolist()
+    if unique_ids and any(len(set(columns["id"][start:end])) != end - start for start, end in zip([0, *ends], ends)):
+        raise ValueError("an id repeated in a line")
     return [cls.from_columns(frame, *(columns[key][start:end] for key in fields))
             for frame, start, end in zip(columns["frame"], [0, *ends], ends)]
 
 
 _screen_ground_truth = partial(_screen, _GROUND_TRUTH_FRAME, _GROUND_TRUTH_OBJECT, GroundTruthFrame, ("id", "x", "y", "class"))
-_screen_predictions = partial(_screen, _RESULT_FRAME, _RESULT_TRACK, PredictedFrame, ("id", "x", "y", "class", "confidence"))
+_screen_predictions = partial(_screen, _RESULT_FRAME, _RESULT_TRACK, PredictedFrame, ("id", "x", "y", "class", "confidence"),
+                              unique_ids=True)  # FrameResult's rule, not PredictedFrame's
 
 
 # ------------------------------------------------------------------ replay

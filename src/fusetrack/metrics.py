@@ -20,18 +20,20 @@ The raw MOTAR formula can exceed 1 when the achieved recall overshoots the
 target (discrete confidences), so the value is clamped into [0, 1]; without
 the upper clamp a perfect tracker would not score AMOTA = 1.
 
-Frames hold their objects as columns. amota stacks them once, splits the
-rows by class, and builds a class's candidate pairs (same class, in the
-gate) in numpy passes of a bounded size. Every distinct confidence of
-a class is a floor, walked once, highest first, with the counts of a full
-replay at each. A frame's outcome depends only on its kept predictions and
-the sticky map it starts with, and a lower floor keeps more predictions
-only in the frames holding that confidence. So a floor replays from its
-first changed frame until a frame starts with the map stored for it at the
-previous floor; the frames up to the next changed one then repeat their
-stored outcomes. The cost follows the frames a floor changes, not floors x
-frames. Distances are summed (math.fsum, order-independent) only at the
-floors reported.
+Frames hold their objects as columns. amota stacks them once, groups the
+rows by class with a stable sort, and builds a class's candidate pairs
+(same class, in the gate) in numpy passes of a bounded size. Every
+distinct confidence of a class is a floor, walked once, highest first
+(another stable sort groups the predictions by floor), with the counts of
+a full replay at each. A frame's outcome depends only on its kept
+predictions and the sticky map it starts with, and a lower floor keeps
+more predictions only in the frames holding that confidence. So a floor
+replays from its first changed frame until a frame starts with the map
+stored for it at the previous floor; the frames up to the next changed
+one then repeat their stored outcomes. The cost follows the frames a floor
+changes, not floors x frames. A frame's remembered pairs keep their ids,
+so only its greedy pass can change the map or count a switch. Distances
+are summed (math.fsum, order-independent) only at the floors reported.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -134,8 +136,7 @@ class PredictedFrame(_Columns):
     class_id: Tuple[int, ...]
     confidence: Tuple[float, ...]
     _object = PredictedObject
-    _valid = staticmethod(lambda ids, x, y, _, confidence: len(set(ids)) == len(ids)
-                          and all(map(math.isfinite, confidence)) and min(confidence, default=0.0) >= 0)
+    _valid = staticmethod(lambda *columns: all(map(math.isfinite, columns[-1])) and min(columns[-1], default=0.0) >= 0)
 
 
 @dataclass(frozen=True)
@@ -250,37 +251,40 @@ def _prepare(gts, preds, num_frames: int, dist_threshold: float):
 
 
 def _match(frame, state, sticky: Mapping[int, int]):
-    """One frame at one floor: (matches as (gt index, pred index, distance)
-    in order, ids, fp, fn, sticky map on exit). state is [dropped flags,
-    kept count, first kept index of each track id]; dropped predictions take
-    no part. Pass 1, ground truth in input order, keeps the remembered pair
+    """One frame at one floor: (the matched pairs' values in match order,
+    ids, sticky map on exit). pairs maps each candidate (gt index, pred
+    index) to a value, the distance in _prepare's frames. state is (dropped
+    flags, first kept index of each track id); dropped predictions take no
+    part. Pass 1, ground truth in input order, keeps the remembered pair
     (sticky maps gt_id -> track id) when both are free and it is a candidate
-    pair. Pass 2 takes the remaining candidate pairs greedily. The map on
-    entry is never modified, and is the exit map when no id changed."""
+    pair, which keeps the remembered id. Pass 2 takes the remaining pairs
+    greedily; only its matches can change the map or count a switch. The
+    map on entry is never modified, and is the exit map when none changed."""
     gt_ids, track_ids, pairs = frame
-    dropped, kept, first = state
-    gt_taken = [False] * len(gt_ids)
-    pred_taken = dropped.copy()
-    matches = []
-    for i, gt_id in enumerate(gt_ids if sticky else ()):
-        j = first.get(sticky.get(gt_id))
-        dist = None if j is None or pred_taken[j] else pairs.get((i, j))
-        if dist is not None:
-            matches.append((i, j, dist))
-            gt_taken[i] = pred_taken[j] = True
-    for (i, j), dist in pairs.items():
-        if not (gt_taken[i] or pred_taken[j]):
-            matches.append((i, j, dist))
-            gt_taken[i] = pred_taken[j] = True
+    dropped, first = state
+    gt_taken, pred_taken = [False] * len(gt_ids), dropped.copy()
+    matched, remembered = [], sticky.get
+    if sticky:
+        first_kept, value = first.get, pairs.get
+        for i, gt_id in enumerate(gt_ids):
+            j = first_kept(remembered(gt_id))
+            found = None if j is None or pred_taken[j] else value((i, j))
+            if found is not None:
+                matched.append(found)
+                gt_taken[i] = pred_taken[j] = True
     ids, exit_map = 0, sticky
-    for i, j, _ in matches:
+    for (i, j), found in pairs.items():
+        if gt_taken[i] or pred_taken[j]:
+            continue
+        matched.append(found)
+        gt_taken[i] = pred_taken[j] = True
         gt_id, track_id = gt_ids[i], track_ids[j]
-        if sticky.get(gt_id) != track_id:
+        if remembered(gt_id) != track_id:
             if exit_map is sticky:
                 exit_map = dict(sticky)
             exit_map[gt_id] = track_id
             ids += gt_id in sticky  # a switch: a changed id that was remembered
-    return matches, ids, kept - len(matches), len(gt_ids) - len(matches), exit_map
+    return matched, ids, exit_map
 
 
 def match_frame(
@@ -298,9 +302,10 @@ def match_frame(
     order. Pairs beyond dist_threshold or across classes never match.
     """
     preds = _stack([PredictedFrame(gt_frame.frame_index, pred_objects)], PredictedObject)
-    gt_ids, track_ids, pairs = frame = _prepare(_stack([gt_frame], GroundTruthObject), preds, 1, dist_threshold)[0]
+    gt_ids, track_ids, pairs = _prepare(_stack([gt_frame], GroundTruthObject), preds, 1, dist_threshold)[0]
     first = {track_id: j for j, track_id in reversed(list(enumerate(track_ids)))}
-    matches, *_ = _match(frame, ([False] * len(track_ids), len(track_ids), first), sticky or {})
+    frame = gt_ids, track_ids, {key: (*key, dist) for key, dist in pairs.items()}  # matched as (i, j, distance)
+    matches, _, _ = _match(frame, ([False] * len(track_ids), first), sticky or {})
     gt_taken, pred_taken = {i for i, _, _ in matches}, {j for _, j, _ in matches}
     return FrameMatches(
         tuple((gt_ids[i], track_ids[j], d) for i, j, d in matches),
@@ -345,47 +350,51 @@ def count_sequence_errors(
     return ErrorCounts(ids, fp, fn, recall, tuple(chain.from_iterable(distances)), confidence_floor)
 
 
+def _group(columns: Sequence[np.ndarray], key: Iterable[int], groups: int):
+    """The columns with their rows grouped by key (0 <= key < groups), each
+    row keeping its order within its group, and the bounds of the groups."""
+    key = np.fromiter(key, int, len(columns[0]))
+    order = np.argsort(key, kind="stable")
+    return [column[order] for column in columns], [0, *np.cumsum(np.bincount(key, minlength=groups)).tolist()]
+
+
 def _walk_floors(gts, preds, num_frames: int, dist_threshold: float):
-    """Yields (floor, ids, fp, fn, per-frame matched distances) at each floor
-    of a sequence given as _stack columns, walked as the module docstring
-    describes."""
+    """Yields (floor, ids, fp, fn, per-frame matched distances) at each floor of
+    a sequence given as _stack columns, walked as the module docstring says."""
     frames = _prepare(gts, preds, num_frames, dist_threshold)
     confidence = preds[-1].tolist()
     floors = sorted(set(confidence), reverse=True)
-    rank = {floor: k for k, floor in enumerate(floors)}
-    kept_at: List[List[Tuple[int, int]]] = [[] for _ in floors]  # (frame, pred index), in frame order
     in_frame = np.arange(len(preds[0])) - np.searchsorted(preds[0], preds[0])  # each row's index in its frame
-    for t, j, c in zip(preds[0].tolist(), in_frame.tolist(), confidence):
-        kept_at[rank[c]].append((t, j))
-    state = [[[True] * len(track_ids), 0, {}] for _, track_ids, _ in frames]  # _match's, nothing kept
+    rank = dict(zip(floors, range(len(floors))))
+    rows, at = _group((preds[0], in_frame, preds[1]), map(rank.__getitem__, confidence), len(floors))
+    kept_t, kept_j, kept_id = (column.tolist() for column in rows)  # frame, index, track id; by floor, then frame
+    state = [([True] * len(track_ids), {}) for _, track_ids, _ in frames]  # _match's, nothing kept
     # Per frame, as of the previous floor (at first one above the highest,
-    # where nothing is kept): sticky map on entry, ids, fp, fn, distances.
+    # where nothing is kept): sticky map on entry, ids, matched distances.
     entry: List[Mapping[int, int]] = [{}] * num_frames
-    f_ids, f_fp, f_fn = [0] * num_frames, [0] * num_frames, [len(gt_ids) for gt_ids, _, _ in frames]
-    f_dist: List[Tuple[float, ...]] = [()] * num_frames
-    ids, fp, fn = 0, 0, sum(f_fn)
-    for k, floor in enumerate(floors):
-        for t, j in kept_at[k]:  # kept from this floor on
-            dropped, _, first = state[t]
-            dropped[j], state[t][1] = False, state[t][1] + 1
-            if first.get(frames[t][1][j], j) >= j:
-                first[frames[t][1][j]] = j
+    f_ids, f_dist, ids, matched = [0] * num_frames, [[]] * num_frames, 0, 0
+    for floor, lo, hi in zip(floors, at, at[1:]):
+        for t, j, track_id in zip(kept_t[lo:hi], kept_j[lo:hi], kept_id[lo:hi]):  # kept from this floor on
+            dropped, first = state[t]
+            dropped[j] = False
+            if first.get(track_id, j) >= j:
+                first[track_id] = j
         t = 0  # frames before t are settled at this floor
-        for start, _ in kept_at[k]:  # the frames this floor changes, ascending
+        for start in kept_t[lo:hi]:  # the frames this floor changes, ascending
             if start < t:  # already replayed on the way from an earlier one
                 continue
             t, sticky = start, entry[start]
             while True:
                 entry[t] = sticky
-                matches, a, b, c, sticky = _match(frames[t], state[t], sticky)
-                ids, fp, fn = ids + a - f_ids[t], fp + b - f_fp[t], fn + c - f_fn[t]
-                f_ids[t], f_fp[t], f_fn[t], f_dist[t] = a, b, c, tuple(d for _, _, d in matches)
+                dists, switches, sticky = _match(frames[t], state[t], sticky)
+                ids, matched = ids + switches - f_ids[t], matched + len(dists) - len(f_dist[t])
+                f_ids[t], f_dist[t] = switches, dists
                 t += 1
                 # Converged: the frames up to the next changed one repeat,
                 # and that one starts from the map it started from before.
-                if t == num_frames or sticky == entry[t]:
+                if t == num_frames or sticky is entry[t] or sticky == entry[t]:
                     break
-        yield floor, ids, fp, fn, list(f_dist)
+        yield floor, ids, hi - matched, len(gts[0]) - matched, list(f_dist)  # hi predictions kept
 
 
 def motar(counts: ErrorCounts, r: float, num_gt: int) -> float:
@@ -407,35 +416,24 @@ def motar(counts: ErrorCounts, r: float, num_gt: int) -> float:
 def _class_metrics(walk, num_thresholds: int, num_gt: int) -> ClassMetrics:
     """One class's metrics from its floors, highest first: each recall
     threshold r takes the first floor whose recall reaches it, MOTA the first
-    floor with the highest value. Only the floors chosen gather distances."""
-
-    def counts(row) -> ErrorCounts:
-        ids, fp, fn, recall, distances, floor = row
-        return ErrorCounts(ids, fp, fn, recall, tuple(chain.from_iterable(distances)), floor)
-
+    floor with the highest value. Only the floors chosen sum their distances
+    (num_gt - fn of them, so the mean is ErrorCounts.motp)."""
     steps = num_thresholds - 1
-    amota_terms: List[float] = []
-    amotp_terms: List[float] = []
+    amota_terms, amotp_terms = [], []  # one per threshold reached
     best_mota, best = 0.0, (0, 0, num_gt, 0.0, (), math.inf)
     for n, (floor, ids, fp, fn, distances) in enumerate(walk):
         recall, mota = (num_gt - fn) / num_gt, 1.0 - (ids + fp + fn) / num_gt
-        row = (ids, fp, fn, recall, distances, floor)
         if n == 0 or mota > best_mota:
-            best_mota, best = mota, row
+            best_mota, best = mota, (ids, fp, fn, recall, distances, floor)
         while len(amota_terms) < steps and recall >= (len(amota_terms) + 1) / steps:
-            chosen = counts(row)
-            amota_terms.append(motar(chosen, (len(amota_terms) + 1) / steps, num_gt))
-            amotp_terms.append(chosen.motp)
-    best = counts(best)
+            errors = ErrorCounts(ids, fp, fn, recall, (), floor)  # all that motar reads
+            amota_terms.append(motar(errors, (len(amota_terms) + 1) / steps, num_gt))
+            amotp_terms.append(math.fsum(chain.from_iterable(distances)) / (num_gt - fn))
+    best = ErrorCounts(*best[:4], tuple(chain.from_iterable(best[4])), best[5])
     return ClassMetrics(  # thresholds never reached add 0 to the sums
-        amota=math.fsum(amota_terms) / steps,
-        amotp=math.fsum(amotp_terms) / steps,
+        amota=math.fsum(amota_terms) / steps, amotp=math.fsum(amotp_terms) / steps,
         motar=motar(best, best.recall, num_gt) if best.recall > 0 else 0.0,
-        mota=best_mota,
-        motp=best.motp,
-        recall=best.recall,
-        num_gt=num_gt,
-    )
+        mota=best_mota, motp=best.motp, recall=best.recall, num_gt=num_gt)
 
 
 def amota(
@@ -451,20 +449,21 @@ def amota(
     are the distinct prediction confidences of each class. Classes are
     scored one after another, in class order.
     """
-    if num_thresholds < 2:
-        raise ValueError("num_thresholds must be >= 2")
+    if isinstance(num_thresholds, bool) or not isinstance(num_thresholds, (int, np.integer)) or num_thresholds < 2:
+        raise ValueError(f"num_thresholds must be an integer >= 2, got {num_thresholds!r}")
+    num_thresholds = int(num_thresholds)
     _check_alignment(pred_frames, gt_frames)
     g_rows, p_rows = _stack(gt_frames, GroundTruthObject), _stack(pred_frames, PredictedObject)
     class_ids = sorted(set(g_rows[4].tolist()))
     if not class_ids:
         raise ValueError("ground truth contains no objects")
-
-    per_class = {}
-    for class_id in class_ids:  # one class's rows of the whole sequence at a time
-        gts, preds = ([column[rows[4] == class_id] for column in rows] for rows in (g_rows, p_rows))
+    code, per_class = dict(zip(class_ids, range(len(class_ids)))), {}
+    (g_rows, g_at), (p_rows, p_at) = (_group(rows, map(code.get, rows[4].tolist(), repeat(len(code))), len(code) + 1)
+                                      for rows in (g_rows, p_rows))  # a class absent from the ground truth last
+    for k, class_id in enumerate(class_ids):  # one class's rows of the whole sequence at a time
+        gts, preds = [c[g_at[k]:g_at[k + 1]] for c in g_rows], [c[p_at[k]:p_at[k + 1]] for c in p_rows]
         walk = _walk_floors(gts, preds, len(gt_frames), dist_threshold)
         per_class[class_id] = _class_metrics(walk, num_thresholds, len(gts[0]))
-
     fields = ("amota", "amotp", "motar", "mota", "motp", "recall")
     means = {f: math.fsum(getattr(m, f) for m in per_class.values()) / len(per_class) for f in fields}
     return MetricsReport(per_class, **means, num_thresholds=num_thresholds, num_gt=len(g_rows[0]))

@@ -20,6 +20,7 @@ from fusetrack.fileio import (
     encode_record,
     encode_result,
     iter_replay,
+    iter_results,
     load_yaml,
     read_ground_truth,
     read_predictions,
@@ -666,6 +667,21 @@ def test_read_predictions_fails_as_results_to_predictions_does(tmp_path, tracks,
         read_predictions(path)
     assert type(got.value) is ValueError and str(got.value) == str(expected.value)
     assert str(got.value).startswith(message)
+
+
+def test_read_predictions_refuses_a_repeated_track_id_as_iter_results_does(tmp_path, monkeypatch):
+    """PredictedFrame takes a repeated track id on both of its paths; a
+    results line may not hold one, and the prediction screen checks that
+    rule itself, so the file fails with iter_results' path:line error. The
+    screen refuses the batch: the lines are then read one at a time."""
+    path = _write_lines(tmp_path, _VALID["results"], _with("results", ("tracks",), [_TRACK, {**_TRACK, "x": 9.0}]))
+    with pytest.raises(ParseError) as expected:
+        list(iter_results(path))
+    assert str(expected.value).endswith(":2: bad result frame: track ids must be unique within a frame")
+    screened = _counting(monkeypatch, fileio, "_screen_predictions")
+    with pytest.raises(ParseError) as got:
+        read_predictions(path)
+    assert str(got.value) == str(expected.value) and len(screened) == 1
 
 
 def test_read_predictions_never_passes_a_line_its_screen_refuses(tmp_path, monkeypatch):

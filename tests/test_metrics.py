@@ -272,6 +272,11 @@ def test_amota_validation():
     pf, gf = two_object_fixture()
     with pytest.raises(ValueError):
         amota(pf, gf, num_thresholds=1)
+    for bad in (3.5, 40.0, True, np.float64(3.0), "40", None):
+        with pytest.raises(ValueError, match="num_thresholds must be an integer >= 2"):
+            amota(pf, gf, num_thresholds=bad)
+    report = amota(pf, gf, num_thresholds=np.int64(3))
+    assert report == amota(pf, gf, num_thresholds=3) and type(report.num_thresholds) is int
     empty_gt = [GroundTruthFrame(f.frame_index, ()) for f in gf]
     with pytest.raises(ValueError):
         amota(pf, empty_gt)
@@ -402,6 +407,74 @@ def test_floor_walk_edge_frames():
     assert amota(pf, gf, num_thresholds=5) == reference_amota(pf, gf, num_thresholds=5)
 
 
+def packed_scene(rng):
+    """Seeded scene of objects packed 0.5-1.5 m apart, so that most ground
+    truths have several candidate pairs within the 2 m gate. Predictions
+    jitter up to 1 m around their objects and take track ids from a pool
+    smaller than the objects, so a remembered track id often repeats in a
+    frame (with other scores); ids also swap between objects mid-sequence.
+    A few objects are class 1. Returns (pred_frames, gt_frames)."""
+    n = rng.randrange(3, 9)
+    spots = [(1.0 * (g % 4) + rng.uniform(-0.25, 0.25), 1.0 * (g // 4) + rng.uniform(-0.25, 0.25)) for g in range(n)]
+    classes = [int(rng.random() < 0.2) for _ in range(n)]
+    owner, pool = list(range(n)), rng.randrange(2, n + 1)
+
+    def score():
+        return rng.choice((0.3, 0.6, 0.9)) if rng.random() < 0.5 else round(rng.uniform(0.05, 1.0), 2)
+
+    pred_frames, gt_frames = [], []
+    for k in range(rng.randrange(2, 12)):
+        if rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            owner[a], owner[b] = owner[b], owner[a]
+        gts = [GroundTruthObject(g, x + rng.uniform(-0.2, 0.2), y + rng.uniform(-0.2, 0.2), classes[g])
+               for g, (x, y) in enumerate(spots) if rng.random() < 0.9]
+        preds = [PredictedObject(owner[o.gt_id] % pool, o.x + rng.uniform(-1, 1), o.y + rng.uniform(-1, 1), o.class_id,
+                                 score()) for o in gts for _ in range(rng.choice((0, 1, 1, 1, 2)))]
+        rng.shuffle(preds)
+        gt_frames.append(GroundTruthFrame(k, gts))
+        pred_frames.append(PredictedFrame(k, preds))
+    return pred_frames, gt_frames
+
+
+def test_pass_one_and_pass_two_on_packed_scenes():
+    # Every floor of both classes against the replay reference, matched
+    # distances in their order included, and match_frame against the
+    # reference matcher with the sticky map it leaves. The counts show that
+    # the scenes reach what the greedy pass alone decides: a remembered id
+    # matched again through a copy that is not the first one kept, two
+    # ground truths remembering one track, and switches.
+    rng = random.Random(1818)
+    seen = {"several candidates": 0, "repeated id": 0, "remembered id, later copy": 0, "shared memory": 0, "switch": 0}
+    for _ in range(150):
+        pf, gf = packed_scene(rng)
+        for class_id in (0, 1):
+            frames_c, pred_c, gt_c = class_split(pf, gf, class_id)
+            walked = walked_counts(frames_c, sum(len(g.gt_id) for g in gt_c))
+            assert [c.confidence_floor for c in walked] == sorted(set(chain(*(p.confidence for p in pred_c))), reverse=True)
+            for counts in walked:
+                assert counts == reference_count_sequence_errors(pred_c, gt_c, counts.confidence_floor, 2.0)
+        sticky = {}
+        for p, g in zip(pf, gf):
+            result = match_frame(p.objects, g, 2.0, sticky=sticky)
+            assert result == reference_match_frame(p.objects, g, 2.0, sticky=sticky)
+            near = {(o.gt_id, j) for o in g.objects for j, q in enumerate(p.objects)
+                    if q.class_id == o.class_id and (o.x - q.x) ** 2 + (o.y - q.y) ** 2 <= 4.0}
+            first = {}
+            for j, q in enumerate(p.objects):
+                first.setdefault(q.track_id, j)
+            seen["several candidates"] += sum(sum(i == o.gt_id for i, _ in near) > 1 for o in g.objects)
+            seen["repeated id"] += len(first) < len(p.objects)
+            remembered = [sticky[o.gt_id] for o in g.objects if o.gt_id in sticky and sticky[o.gt_id] in first]
+            seen["shared memory"] += len(set(remembered)) < len(remembered)
+            for gt_id, track_id, _ in result.matches:
+                if sticky.get(gt_id) == track_id:
+                    seen["remembered id, later copy"] += (gt_id, first[track_id]) not in near
+                seen["switch"] += gt_id in sticky and sticky[gt_id] != track_id
+            sticky.update((gt_id, track_id) for gt_id, track_id, _ in result.matches)
+    assert min(seen.values()) >= 100, seen
+
+
 # ------------------------------------------------ column walk, batched pairs
 
 def column_walk_scene(rng):
@@ -501,9 +574,9 @@ def test_predicted_frame_keeps_frame_numbers_as_int():
 def test_predicted_frame_columns_refuse_as_predicted_object_does():
     with pytest.raises(ValueError, match="confidence must be finite and non-negative"):
         PredictedFrame.from_columns(0, (1, 2), (0.0, 0.0), (0.0, 0.0), (0, 0), (0.5, -0.1))
-    # A results line never repeats a track id, so the column path refuses one that the object path accepts.
-    with pytest.raises(ValueError, match="columns that PredictedFrame accepts as objects fail its column screen"):
-        PredictedFrame.from_columns(0, (1, 1), (0.0, 1.0), (0.0, 0.0), (0, 0), (0.5, 0.5))
+    # A repeated track id is accepted on both paths, and the floor walk scores it (test_floor_walk_edge_frames).
+    repeated = PredictedFrame.from_columns(0, (1, 1), (0.0, 1.0), (0.0, 0.0), (0, 0), (0.5, 0.5))
+    assert repeated == PredictedFrame(0, (pred(1, 0.0, conf=0.5), pred(1, 1.0, conf=0.5)))
     for columns in [((1, 2), (0.0,), (0.0, 0.0), (0, 0), (0.5, 0.5)), ((1,), (0.0,), (0.0,), (0,))]:
         with pytest.raises(ValueError, match="expected 5 columns of one length"):
             PredictedFrame.from_columns(0, *columns)
