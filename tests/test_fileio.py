@@ -594,6 +594,56 @@ def test_detection_value_rule_names_the_detection(tmp_path, bad, message):
     assert str(err.value) == f"{path}:2: bad frame: field 'detections': item 2: {message}"
 
 
+_RADAR = _VALID["replay"]["radar"][0]
+
+
+def _replay_with(where, value) -> dict:
+    return _with("replay", where, value)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (_replay_with(("detections",), [{k: v for k, v in _DETECTION.items() if k != "vx"}]),
+         "field 'detections': item 0: missing field 'vx'"),
+        (_replay_with(("detections", 0, "confidence"), True),
+         "field 'detections': item 0: field 'confidence': expected a number, got True"),
+        (_replay_with(("radar", 0, "z"), "0"), "field 'radar': item 0: field 'z': expected a number, got '0'"),
+        (_replay_with(("time",), False), "field 'time': expected a number, got False"),
+        (_replay_with(("detections",), [_DETECTION, {**_DETECTION, "class": 2**63}]),
+         "field 'detections': item 1: field 'class': 9223372036854775808 does not fit in a signed 64-bit integer"),
+        (_replay_with(("detections", 0, "u"), 10**400),
+         "field 'detections': item 0: field 'u': int too large to convert to float"),
+        (_replay_with(("detections", 0, "bbox"), [1.0, 2.0, 3.0]),
+         "field 'detections': item 0: field 'bbox': expected a list of 4 numbers, got [1.0, 2.0, 3.0]"),
+        (_replay_with(("detections", 0, "bbox"), [1.0, "2", 3.0, 4.0]),
+         "field 'detections': item 0: field 'bbox': expected a list of 4 numbers, got [1.0, '2', 3.0, 4.0]"),
+        (_replay_with(("detections", 0, "bbox"), [1.0, 2.0, 3.0, -10**400]),
+         "field 'detections': item 0: field 'bbox': int too large to convert to float"),
+        (_replay_with(("detections",), [_DETECTION, {**_DETECTION, "vy": _OVERFLOW}]),
+         "field 'detections': item 1: detection fields must be finite"),
+        (_replay_with(("radar",), [_RADAR, {**_RADAR, "y": _OVERFLOW}]), "radar point fields must be finite"),
+        (_replay_with(("time",), _OVERFLOW), "timestamp must be a finite number, got inf"),
+        (_replay_with(("detections",), [_DETECTION, [1, 2]]),
+         "field 'detections': item 1: expected a JSON object, got [1, 2]"),
+        (_replay_with(("radar",), [_RADAR, 5]), "field 'radar': item 1: expected a JSON object, got 5"),
+        ({**_VALID["replay"], "detections": _DETECTION},
+         "field 'detections': expected a list, got {'bbox': [90.0, 310.0, 110.0, 330.0], 'class': 0, 'confidence': 0.9, "
+         "'depth': 20.0, ...}"),
+    ],
+    ids=["missing-field", "bool-as-number", "string-as-number", "bool-time", "class-beyond-int64", "int-beyond-float",
+         "bbox-of-3", "bbox-with-a-string", "bbox-int-beyond-float", "detection-1e999", "radar-1e999", "time-1e999",
+         "detection-not-an-object", "radar-row-not-an-object", "detections-an-object"],
+)
+def test_replay_reader_messages_are_pinned(tmp_path, record, message):
+    """The replay reader's full message for one bad line per rule, after a
+    valid line."""
+    path = _write_lines(tmp_path, _VALID["replay"], record)
+    with pytest.raises(ParseError) as err:
+        read_replay(path)
+    assert str(err.value) == f"{path}:2: bad frame: {message}"
+
+
 def _counting(monkeypatch, owner, name):
     """Count the calls of owner.name (a function or a method)."""
     calls = []
