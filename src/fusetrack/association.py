@@ -127,6 +127,7 @@ def checked_timestamp(timestamp) -> float:
 
 _DTYPES = {name: np.int64 for name in ("track_id", "class_id", "last_seen", "age", "misses")} | {"fused": bool, "boxed": bool}
 _DETECTION_VALUES = attrgetter(*(f.name for f in fields(Detection)))
+_FLOAT_COLUMNS = ("u", "v", "depth", "vx", "vy", "confidence", "du", "dv")
 
 
 class DetectionBatch(_Columns):
@@ -162,15 +163,18 @@ class DetectionBatch(_Columns):
         return list(zip(*columns, [tuple(box) if ok else None for box, ok in zip(bbox, boxed)]))
 
     def checked_copy(self) -> "DetectionBatch":
-        """A read-only copy in the column types and shapes. The first row that
+        """A read-only copy in the column types and shapes, the float columns
+        rows of one (8, N) array that is screened at once. The first row that
         Detection refuses raises RowError with Detection's message."""
         n = len(self)
-        batch = DetectionBatch(*(
-            np.array(getattr(self, name), _DTYPES.get(name, float)).reshape((n, 4) if name == "bbox" else n)
-            for name in self.__slots__
-        ))
-        batch.bbox[~batch.boxed] = math.nan
-        valid = np.isfinite(np.column_stack(batch.columns()[:9])).all(1) & (np.isfinite(batch.bbox).all(1) | ~batch.boxed)
+        floats = np.array([getattr(self, name) for name in _FLOAT_COLUMNS], np.float64).reshape(8, n)
+        class_id, boxed = np.array(self.class_id, np.int64).reshape(n), np.array(self.boxed, bool).reshape(n)
+        bbox = np.array(self.bbox, np.float64).reshape(n, 4)
+        bbox[~boxed] = math.nan
+        for column in (floats, class_id, bbox, boxed):
+            column.flags.writeable = False
+        batch = DetectionBatch(*floats[:5], class_id, *floats[5:], bbox, boxed)
+        valid = np.isfinite(floats).all(0) & (np.isfinite(bbox).all(1) | ~boxed)
         valid &= (batch.depth > 0) & (batch.confidence >= 0) & (batch.confidence <= 1)
         for row in np.flatnonzero(~valid)[:1].tolist():  # the first refused row: Detection states why
             try:
@@ -178,8 +182,6 @@ class DetectionBatch(_Columns):
             except ValueError as error:
                 raise RowError(str(error), row) from None
             raise RowError("a detection row that Detection accepts fails the batch screen", row)
-        for column in batch.columns():
-            column.flags.writeable = False
         return batch
 
 

@@ -20,12 +20,12 @@ from contextlib import nullcontext
 from dataclasses import replace
 from functools import cache
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .association import CostWeights, cost_matrix
-# read_results and write_results are not called here; bench/probes.py wraps them under these names.
+# read_replay, read_results and write_results are not called here; bench/probes.py wraps them by these names.
 from .fileio import (
     ParseError,
     encode_result,
@@ -44,7 +44,7 @@ from .fileio import (
 from .geometry import CameraModel
 from .metrics import MetricsReport, amota
 from .simulator import ScenarioConfig, generate
-from .tracker import Tracker, TrackerConfig, run_sequence
+from .tracker import FrameInput, Tracker, TrackerConfig, check_order, run_sequence
 
 
 def _resolve_config(path: str) -> str:
@@ -134,6 +134,18 @@ def _base_config(args) -> TrackerConfig:
     return replace(cfg, pillar_dims=replace(cfg.pillar_dims, **dims), **flags)
 
 
+def _in_order(frames: Iterator[FrameInput]) -> Iterator[FrameInput]:
+    """The frames of iter_replay; one that the tracker's order rule refuses
+    fails in the reader, which names its line as it names a bad line's."""
+    previous = None
+    for frame in frames:
+        try:
+            check_order(previous, frame)
+        except ValueError as exc:
+            frames.throw(exc)
+        yield (previous := frame)
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, ScenarioConfig.from_dict)
     scene = generate(cfg)  # build everything before touching the filesystem
@@ -155,7 +167,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    frames = iter_replay(args.replay)  # opened first: a missing replay leaves no results file
+    frames = _in_order(iter_replay(args.replay))  # opened first: a missing replay leaves no results file
     config = _base_config(args)
     weights = _given(args, alpha="alpha", beta="beta", delta="delta", radius="radius")
     config = replace(config, weights=replace(config.weights, **weights))
@@ -166,7 +178,8 @@ def _cmd_track(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # One frame is read, stepped and written at a time: a bad replay line k fails after k - 1 result lines.
+    # One frame is read, stepped and written at a time: a bad replay line k, or a frame out of order on it,
+    # fails after k - 1 result lines.
     with nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8") as out:
         _, stats = run_sequence(frames, config, camera, on_result=lambda r: out.write(encode_result(r) + "\n"))
     print(
@@ -259,7 +272,7 @@ def _association_gap(tracker: Tracker, weights: CostWeights, gaps: List[float]) 
 
 
 def _cmd_sweep(args) -> int:
-    frames = read_replay(args.replay)
+    frames = list(_in_order(iter_replay(args.replay)))
     gt = read_ground_truth(args.gt)
     camera = _load_camera(args.scene)
     base = _base_config(args)

@@ -33,7 +33,6 @@ import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from itertools import chain, repeat
-from operator import methodcaller
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
@@ -92,10 +91,9 @@ def _objects(path: str, what: str, read: Callable) -> Iterator:
             except (ValueError, RecursionError) as exc:
                 raise ParseError(path, number, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             try:
-                item = read(record)
-            except ValueError as exc:
+                yield read(record)
+            except ValueError as exc:  # the record's, or thrown in by a consumer that refuses its item
                 raise ParseError(path, number, f"bad {what}: {exc}") from exc
-            yield item
 
 
 _BATCH_OBJECTS = 2048  # list items (tracks or objects), and lines, read at once, unless one line holds more
@@ -117,7 +115,7 @@ def _read_batches(path: str, key: str, screen: Callable) -> Optional[list]:
         return None
 
 
-def write_records(path: str, records: Iterable, encode: Callable[..., str] = encode_record) -> None:
+def write_records(path: str, records: Iterable, encode: Callable[..., str]) -> None:
     """One line of encode(record) per record, written as each comes."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -131,13 +129,14 @@ REQUIRED = object()  # the default of a field that must be present
 
 class _Type(NamedTuple):
     """A JSON type: its name in messages, the Python types its decoded values
-    may have, their conversion (ValueError when out of range), and the writer
-    of an attribute value (None: as it is)."""
+    may have, their conversion (ValueError when out of range), and the test of
+    a whole column, given the set of its value types, that passes a column
+    whose values read as they are."""
 
     name: str
     accepts: frozenset
     convert: Callable
-    write: Optional[Callable] = None
+    same: Callable[[list, set], bool] = lambda column, types: False
 
     def read(self, value):
         if type(value) not in self.accepts:
@@ -157,10 +156,15 @@ def _box(value: list) -> Tuple[float, ...]:
     return tuple(map(float, value))
 
 
-NUMBER = _Type("a number", frozenset({int, float}), float)
-INTEGER = _Type("an integer", frozenset({int}), _int64)
+def _float_boxes(column: list, types: set) -> bool:
+    return types == {list} and set(map(len, column)) == {4} and set(map(type, chain.from_iterable(column))) == {float}
+
+
+NUMBER = _Type("a number", frozenset({int, float}), float, same=lambda column, types: types == {float})
+INTEGER = _Type("an integer", frozenset({int}), _int64,
+                same=lambda column, types: types == {int} and min(column) in _INT64 and max(column) in _INT64)
 FLAG = _Type("true or false", frozenset({bool}), bool)
-BOX = _Type("a list of 4 numbers", frozenset({list}), _box, write=list)
+BOX = _Type("a list of 4 numbers", frozenset({list}), _box, same=_float_boxes)
 _LIST = _Type("a list", frozenset({list}), list)
 _INT64 = range(-(2**63), 2**63)  # the values of a signed 64-bit integer
 
@@ -168,8 +172,9 @@ _INT64 = range(-(2**63), 2**63)  # the values of a signed 64-bit integer
 def read_column(records: list, key: str, kind: _Type, default=REQUIRED) -> list:
     """The values of key in a list of records (default where absent) read as
     kind: _Type.read's type rule tests the whole column at once, then one pass
-    converts it. A None default also makes null valid. The ValueError names
-    the field."""
+    converts it, unless kind.same passes the column as it is (all floats, all
+    ints within int64, all boxes of 4 floats). A None default also makes null
+    valid. The ValueError names the field."""
     column = list(map(dict.get, records, repeat(key), repeat(default)))
     types = set(map(type, column))
     if default is None and type(None) in types:  # read the records that hold a value
@@ -178,8 +183,8 @@ def read_column(records: list, key: str, kind: _Type, default=REQUIRED) -> list:
     if type(REQUIRED) in types:
         raise ValueError(f"missing field {key!r}")
     try:
-        if kind is INTEGER and types == {int} and min(column) in _INT64 and max(column) in _INT64:
-            return column  # within int64 at its extremes: _int64 would return each value as it is
+        if kind.same(column, types):
+            return column  # kind.convert would return each value as it is, or an equal tuple of a box
         return list(map(kind.convert if types <= kind.accepts else kind.read, column))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise ValueError(f"field {key!r}: {exc}") from None
@@ -188,19 +193,12 @@ def read_column(records: list, key: str, kind: _Type, default=REQUIRED) -> list:
 class _Kind:
     """A record kind compiled from its field table. make builds the objects:
     one from the field values in table order or, when by_columns is set, all
-    of a list's from its columns. split, when the attributes do not hold the
-    values, gives them back as one row per object of a sequence."""
+    of a list's from its columns."""
 
-    def __init__(self, make: Callable, rows, split: Optional[Callable] = None, by_columns: bool = False):
-        self.make, self.rows = make, rows
-        self.split, self.by_columns = split, by_columns
+    def __init__(self, make: Callable, rows, by_columns: bool = False):
+        self.make, self.rows, self.by_columns = make, rows, by_columns
         self.nullable = {key for key, _, _, default in rows if default is None}
-        self.write = [(key, t.write) for key, _, t, _ in rows if t.write or key in self.nullable]
-        self.list = _Type("a list", frozenset({list}), self.read_all, write=self.dump_all)
-        # The record of an object (or of its split), compiled to a dict display
-        # as collections.namedtuple compiles __new__: 2x faster than dict(zip()).
-        values = [f"o[{i}]" if split else f"o.{attr}" for i, (_, attr, _, _) in enumerate(rows)]
-        self.record = eval("lambda o: {" + ", ".join(f"{k!r}: {v}" for (k, _, _, _), v in zip(rows, values)) + "}")
+        self.list = _Type("a list", frozenset({list}), self.read_all)
 
     def read_all(self, records: list, items: bool = True):
         """The objects of a list of JSON objects, made from their read columns.
@@ -228,22 +226,8 @@ class _Kind:
             raise ValueError(f"item {len(objects)}: {exc}") from None
         return tuple(objects)
 
-    def dump_all(self, objects: Sequence) -> List[Dict]:
-        """JSON objects of objects, leaving out nullable fields that hold None."""
-        records = list(map(self.record, self.split(objects) if self.split else objects))
-        for key, write in self.write:
-            for record in records:
-                if record[key] is None and key in self.nullable:
-                    del record[key]
-                elif write:
-                    record[key] = write(record[key])
-        return records
-
     def read_line(self, record):
         return self.read_all([record], items=False)[0]
-
-    def line(self, obj) -> str:
-        return encode_record(self.dump_all((obj,))[0])
 
 
 # ------------------------------------------------------------- field tables
@@ -260,14 +244,23 @@ _DETECTION_ROW = _Kind(DetectionBatch.from_fields, (
     ("du", "du", NUMBER, 0.0),
     ("dv", "dv", NUMBER, 0.0),
     ("bbox", "bbox", BOX, None),
-), methodcaller("rows"), by_columns=True)
-_RADAR_ROW = _Kind(lambda *columns: np.array(columns, np.float64).T, (
+), by_columns=True)
+
+
+def _radar_rows(*columns) -> np.ndarray:  # read-only and owning its data, so that FrameInput keeps it as it is
+    radar = np.empty((len(columns[0]), 5))
+    radar.T[...] = columns
+    radar.flags.writeable = False
+    return radar
+
+
+_RADAR_ROW = _Kind(_radar_rows, (
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("z", "z", NUMBER, REQUIRED),
     ("vx", "vx", NUMBER, REQUIRED),
     ("vy", "vy", NUMBER, REQUIRED),
-), methodcaller("tolist"), by_columns=True)
+), by_columns=True)
 
 
 def _replay_frame(*values) -> FrameInput:
@@ -281,17 +274,17 @@ _REPLAY_FRAME = _Kind(_replay_frame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
     ("detections", "detections", _DETECTION_ROW.list, []),
-    ("radar", "radar", _RADAR_ROW.list._replace(write=lambda radar: []), []),  # rows written by _replay_line
+    ("radar", "radar", _RADAR_ROW.list, []),
 ))
 _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
     ("id", "gt_id", INTEGER, REQUIRED),
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("class", "class_id", INTEGER, REQUIRED),
-), lambda columns: zip(*columns))
+))
 _GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
-    ("objects", "columns", _GROUND_TRUTH_OBJECT.list, []),  # written from the frame's columns
+    ("objects", "columns", _GROUND_TRUTH_OBJECT.list, []),
 ))
 
 
@@ -322,13 +315,26 @@ _RESULT_TRACK = _Kind(_snapshot, (
 _RESULT_FRAME = _Kind(FrameResult, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
-    ("tracks", "track_id", _RESULT_TRACK.list._replace(write=lambda ids: []), []),  # rows written by encode_result
+    ("tracks", "track_id", _RESULT_TRACK.list, []),
 ))
 
-# A result track's JSON text as the encoder writes it (keys in table order, float repr, true/false),
-# from its 13 values: without a position, the text consumes x, y and z and writes nothing (%.0s).
-_TRACK_FIELDS = [f'"{k}":%{"d" if t is INTEGER else "s" if t is FLAG else "r"}' for k, _, t, _ in _RESULT_TRACK.rows]
-_TRACK_TEXTS = ("{" + ",".join(_TRACK_FIELDS[:10]) + "}%.0s%.0s%.0s", "{" + ",".join(_TRACK_FIELDS) + "}")
+
+def _text(kind: _Kind, end: Optional[int] = None) -> str:
+    """A record of kind (its first end fields) as the encoder writes it (keys in table order, float repr, flags given
+    as text), a % template of its values in table order: a box takes its 4 values, a list the text of its items."""
+    formats = {NUMBER: "%r", INTEGER: "%d", FLAG: "%s", BOX: "[%r,%r,%r,%r]"}
+    return "{" + ",".join(f'"{key}":{formats.get(t, "[%s]")}' for key, _, t, _ in kind.rows[:end]) + "}"
+
+
+# The texts of a row without and with its last fields (a track's position, a detection's box), from all its
+# values: the first consumes the values of those fields and writes nothing (%.0s).
+_TRACK_TEXTS = (_text(_RESULT_TRACK, 10) + "%.0s" * 3, _text(_RESULT_TRACK))
+_DETECTION_TEXTS = (_text(_DETECTION_ROW, 9) + "%.0s" * 4, _text(_DETECTION_ROW))
+_RADAR_TEXT, _REPLAY_TEXT, _RESULT_TEXT = _text(_RADAR_ROW), _text(_REPLAY_FRAME), _text(_RESULT_FRAME)
+_GROUND_TRUTH_TEXT = _text(_GROUND_TRUTH_FRAME)
+# A ground-truth object's record from its values, compiled to a dict display as
+# collections.namedtuple compiles __new__: 2x faster than dict(zip()).
+_object_record = eval("lambda o: {%s}" % ", ".join(f"{row[0]!r}: o[{i}]" for i, row in enumerate(_GROUND_TRUTH_OBJECT.rows)))
 
 
 def encode_result(result: FrameResult) -> str:
@@ -339,7 +345,7 @@ def encode_result(result: FrameResult) -> str:
     flags = map(("false", "true").__getitem__, result.fused.tolist())
     rows = zip(*(column.tolist() for column in columns[:9]), flags, *result.position.T.tolist())
     tracks = ",".join(map(_TRACK_TEXTS.__getitem__, result.has_position.tolist())) % tuple(chain.from_iterable(rows))
-    return _RESULT_FRAME.line(result)[:-2] + tracks + "]}"
+    return _RESULT_TEXT % (result.frame_index, result.timestamp, tracks)
 
 
 def _screen(kind: _Kind, items: _Kind, cls: type, fields: Sequence[str], records: list, unique_ids=False) -> list:
@@ -370,18 +376,16 @@ _screen_predictions = partial(_screen, _RESULT_FRAME, _RESULT_TRACK, PredictedFr
 
 # ------------------------------------------------------------------ replay
 
-# A radar row's JSON text, formatted from its floats as the encoder writes
-# them (float repr, keys in table order), with no dict per row.
-_RADAR_TEXT = "{" + ",".join(f'"{key}":%r' for key, _, _, _ in _RADAR_ROW.rows) + "}"
-
-
 def _replay_line(frame: FrameInput) -> str:
-    """A replay frame's JSON text, its radar rows (the last field) in place of []."""
-    radar = frame.radar
-    if not np.isfinite(radar).all():  # FrameInput forbids it; refused as the encoder would
-        raise ValueError("Out of range float values are not JSON compliant")
-    rows = ",".join(repeat(_RADAR_TEXT, len(radar))) % tuple(radar.ravel().tolist())
-    return _REPLAY_FRAME.line(frame)[:-2] + rows + "]}"
+    """A replay frame's JSON text, encode_record's bytes for its record, formatted from its columns."""
+    dets, radar = frame.detections, frame.radar
+    columns = [getattr(dets, attr) for _, attr, _, _ in _DETECTION_ROW.rows[:9]]
+    if not np.isfinite(np.concatenate([*columns, dets.bbox[dets.boxed].ravel(), radar.ravel()])).all():
+        raise ValueError("Out of range float values are not JSON compliant")  # FrameInput forbids it
+    rows = zip(*(column.tolist() for column in columns), *dets.bbox.T.tolist())
+    detections = ",".join(map(_DETECTION_TEXTS.__getitem__, dets.boxed.tolist())) % tuple(chain.from_iterable(rows))
+    radar_rows = ",".join(repeat(_RADAR_TEXT, len(radar))) % tuple(radar.ravel().tolist())
+    return _REPLAY_TEXT % (frame.frame_index, frame.timestamp, detections, radar_rows)
 
 
 def iter_replay(path: str) -> Iterator[FrameInput]:
@@ -403,8 +407,14 @@ def read_ground_truth(path: str) -> List[GroundTruthFrame]:
     return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME.read_line)) if frames is None else frames
 
 
+def _ground_truth_line(frame: GroundTruthFrame) -> str:
+    """A ground-truth frame's JSON text: its objects as the encoder writes their records, which it checks."""
+    objects = encode_record(list(map(_object_record, zip(*frame.columns))))[1:-1]
+    return _GROUND_TRUTH_TEXT % (frame.frame_index, objects)
+
+
 def write_ground_truth(path: str, frames: Iterable[GroundTruthFrame]) -> None:
-    write_records(path, frames, _GROUND_TRUTH_FRAME.line)
+    write_records(path, frames, _ground_truth_line)
 
 
 # ------------------------------------------------------------------ results

@@ -23,7 +23,10 @@ is drawn once per object in [0.5, 1).
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, frame, channel), so the same config generates a bit-identical Scene
-on any platform, any number of times, in any order.
+on any platform, any number of times, in any order. The deterministic
+geometry (projection, boxes, occlusion, radar and clutter positions) is
+computed for a block of frames at once, each value with the arithmetic of
+its frame alone; the streams and the objects of a frame stay its own.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ _CENTER, _DEPTH, _VEL, _DISP, _DROPOUT, _CONF, _RADAR_POS, _RADAR_VEL, _CLUTTER 
 
 _CLUTTER_DEPTH_RANGE = (5.0, 80.0)
 _CLUTTER_SPEED_RANGE = (-10.0, 10.0)
+# generate computes the geometry of up to 4 frames at once, fewer when a frame holds more than 60 objects, so
+# that a block's arrays (its per-frame IoU matrices the largest, under 128 KB each) stay small next to the scene.
+_BLOCK_FRAMES, _BLOCK_PAIRS = 4, 4 * 60 * 60
 
 
 def _stream(seed: int, frame: int, channel: int) -> np.random.Generator:
@@ -188,79 +194,98 @@ def generate(cfg: ScenarioConfig) -> Scene:
     clutter_lo, clutter_hi = np.array(
         [(0.0, camera.image_width), (0.0, camera.image_height), _CLUTTER_DEPTH_RANGE, *[_CLUTTER_SPEED_RANGE] * 2]
     ).T
-    pts = cfg.radar.points_per_object
+    pts, n_clutter = cfg.radar.points_per_object, cfg.radar.clutter_per_frame
     frames: List[FrameInput] = []
     gt_frames: List[GroundTruthFrame] = []
     provenance: List[Tuple[int, ...]] = []
 
-    for k in range(cfg.num_frames):
-        t = k * cfg.frame_dt
-        center_noise = _stream(cfg.seed, k, _CENTER).standard_normal((n_obj, 2)) * cfg.noise.center_px
-        depth_noise = _stream(cfg.seed, k, _DEPTH).standard_normal(n_obj) * cfg.noise.depth_m
-        vel_noise = _stream(cfg.seed, k, _VEL).standard_normal((n_obj, 2)) * cfg.noise.velocity_mps
-        disp_noise = _stream(cfg.seed, k, _DISP).standard_normal((n_obj, 2)) * cfg.noise.displacement_px
-        dropout_draw = _stream(cfg.seed, k, _DROPOUT).uniform(size=n_obj)
-        radar_pos_noise = _stream(cfg.seed, k, _RADAR_POS).standard_normal((n_obj, pts, 2)) * cfg.radar.position_sigma_m
-        radar_vel_noise = _stream(cfg.seed, k, _RADAR_VEL).standard_normal((n_obj, pts, 2)) * cfg.radar.velocity_sigma_mps
+    def draws(ks, channel, shape, scale=1.0, draw=np.random.Generator.standard_normal):  # each frame k's own stream
+        return np.array([draw(_stream(cfg.seed, k, channel), shape) for k in ks]) * scale
 
-        # One projection per frame: the centers, the box corners and the
-        # previous-frame centers of every object.
+    # The geometry of a block of frames is computed at once, each value as
+    # its frame alone would compute it; every frame keeps its own streams.
+    block = max(1, min(_BLOCK_FRAMES, _BLOCK_PAIRS // max(n_obj * n_obj, 1)))
+    for start in range(0, cfg.num_frames, block):
+        ks = range(start, min(start + block, cfg.num_frames))
+        b = len(ks)
+        center_noise = draws(ks, _CENTER, (n_obj, 2), cfg.noise.center_px)
+        depth_noise = draws(ks, _DEPTH, n_obj, cfg.noise.depth_m)
+        vel_noise = draws(ks, _VEL, (n_obj, 2), cfg.noise.velocity_mps)
+        disp_noise = draws(ks, _DISP, (n_obj, 2), cfg.noise.displacement_px)
+        dropped = draws(ks, _DROPOUT, n_obj, draw=lambda g, shape: g.uniform(size=shape)) < cfg.dropout
+        radar_pos_noise = draws(ks, _RADAR_POS, (n_obj, pts, 2), cfg.radar.position_sigma_m)
+        radar_vel_noise = draws(ks, _RADAR_VEL, (n_obj, pts, 2), cfg.radar.velocity_sigma_mps)
+        # Clutter: per point u, v, depth, vx, vy, drawn in that order (one
+        # broadcast draw gives the values of one scalar draw per field).
+        clutter = draws(ks, _CLUTTER, (n_clutter, 5), draw=lambda g, shape: g.uniform(clutter_lo, clutter_hi, shape))
+
+        # One projection per block: the centers, the box corners and the
+        # previous-frame centers of every object in every frame.
+        t = np.array(ks).reshape(b, 1, 1) * cfg.frame_dt
         centers = position + velocity * t
-        corners = centers[:, None, :] + corner_offsets
+        corners = centers[:, :, None, :] + corner_offsets
         previous = position + velocity * (t - cfg.frame_dt)
-        uv, depth, in_image = project_points(np.concatenate([centers, corners.reshape(-1, 3), previous]), camera)
-        center_uv, center_depth = uv[:n_obj], depth[:n_obj]
-        corner_uv = uv[n_obj : 5 * n_obj].reshape(n_obj, 4, 2)
-        has_previous = ~np.isnan(uv[5 * n_obj :, 0])
-        displacement = center_uv - uv[5 * n_obj :]
+        uv, depth, in_image = project_points(np.concatenate([centers, corners.reshape(b, -1, 3), previous], 1), camera)
+        uv, in_image = uv.reshape(b, 6 * n_obj, 2), in_image.reshape(b, 6 * n_obj)[:, :n_obj]
+        center_uv, center_depth = uv[:, :n_obj], depth.reshape(b, 6 * n_obj)[:, :n_obj]
+        corner_uv = uv[:, n_obj : 5 * n_obj].reshape(b, n_obj, 4, 2)
+        has_previous = ~np.isnan(uv[:, 5 * n_obj :, 0])
+        displacement = center_uv - uv[:, 5 * n_obj :]
         # True image box of a visible object: the bounding rectangle of its
         # four outer corners; None when any corner falls behind the camera
         # (NaN corners make the minimum NaN).
-        box_lo = corner_uv.min(axis=1)
-        boxed = in_image[:n_obj] & ~np.isnan(box_lo).any(axis=1)
-        box = np.hstack([box_lo, corner_uv.max(axis=1)])
+        box_lo = corner_uv.min(axis=2)
+        boxed = in_image & ~np.isnan(box_lo).any(axis=2)
+        box = np.concatenate([box_lo, corner_uv.max(axis=2)], 2)
 
-        # Occlusion on true boxes, one IoU matrix over the boxed objects with
-        # the arithmetic of a scalar IoU: the farther object of each pair
-        # i < j whose IoU exceeds the threshold loses its detection (radar
-        # still returns), the later-listed one on equal depth.
-        occluded = np.zeros(n_obj, dtype=bool)
+        # Occlusion on true boxes, one IoU matrix per frame with the
+        # arithmetic of a scalar IoU, over the objects boxed in some frame of
+        # the block (unboxed there, an object's box is (0, 0, 0, 0): IoU 0).
+        # The farther object of each pair i < j whose IoU exceeds the
+        # threshold loses its detection (radar still returns), the
+        # later-listed one on equal depth.
+        occluded = np.zeros((b, n_obj), dtype=bool)
         if cfg.occlusion.enabled:
-            rows = np.flatnonzero(boxed)
-            lo, hi = box[rows, :2], box[rows, 2:]
-            ixy = np.maximum(0.0, np.minimum(hi[:, None], hi) - np.maximum(lo[:, None], lo))
-            inter = ixy[..., 0] * ixy[..., 1]
-            area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
-            iou = np.divide(inter, (area[:, None] + area) - inter, out=np.zeros_like(inter), where=inter != 0.0)
-            i, j = np.nonzero(np.triu(iou > cfg.occlusion.iou_threshold, 1))
+            rows = np.flatnonzero(boxed.any(0))
+            u0, v0, u1, v1 = np.moveaxis(np.where(boxed[:, rows, None], box[:, rows], 0.0), 2, 0)
+            iw = np.maximum(0.0, np.minimum(u1[:, :, None], u1[:, None]) - np.maximum(u0[:, :, None], u0[:, None]))
+            ih = np.maximum(0.0, np.minimum(v1[:, :, None], v1[:, None]) - np.maximum(v0[:, :, None], v0[:, None]))
+            inter = iw * ih
+            area = (u1 - u0) * (v1 - v0)
+            union = (area[:, :, None] + area[:, None]) - inter
+            iou = np.divide(inter, union, out=np.zeros_like(inter), where=inter != 0.0)
+            f, i, j = np.nonzero(np.triu(iou > cfg.occlusion.iou_threshold, 1))
             i, j = rows[i], rows[j]
-            occluded[np.where(center_depth[j] >= center_depth[i], j, i)] = True
+            occluded[f, np.where(center_depth[f, j] >= center_depth[f, i], j, i)] = True
+
+        # Every object's detection values u, v, depth, vx, vy, confidence, du,
+        # dv and box, as rows per frame; its radar returns, then the clutter
+        # backprojected from its pixels, as (x, y, z, vx, vy) rows per frame.
+        shifted = (has_previous & (t[:, 0] > 0))[..., None]  # a frame after the first
+        values = np.concatenate([
+            center_uv + center_noise, np.maximum(1e-3, center_depth + depth_noise)[..., None],
+            velocity[:, :2] + vel_noise, np.broadcast_to(confidences[:, None], (b, n_obj, 1)),
+            np.where(shifted, displacement + disp_noise, 0.0), box,
+        ], 2).transpose(0, 2, 1)
+        clutter_xyz = image_to_vehicle(*clutter[..., :3].reshape(-1, 3).T, camera).reshape(b, n_clutter, 3)
+        radar = np.concatenate([
+            np.concatenate([centers[:, :, None, :2] + radar_pos_noise, np.repeat(centers[:, :, None, 2:], pts, 2),
+                            velocity[:, None, :2] + radar_vel_noise], 3).reshape(b, n_obj * pts, 5),
+            np.concatenate([clutter_xyz, clutter[..., 3:]], 2),
+        ], 1)
+        returns = np.concatenate([np.repeat(in_image, pts, axis=1), np.ones((b, n_clutter), dtype=bool)], 1)
 
         # Every visible object gives ground truth and radar; a detection
         # unless occluded or dropped. Built from columns.
-        seen = np.flatnonzero(in_image[:n_obj])
-        gt_x, gt_y = centers[seen, :2].T.tolist()
-        gt_frames.append(GroundTruthFrame.from_columns(k, seen.tolist(), gt_x, gt_y, class_ids[seen].tolist()))
-        radar_xy = (centers[seen, None, :2] + radar_pos_noise[seen]).reshape(-1, 2)
-        radar_v = (velocity[seen, None, :2] + radar_vel_noise[seen]).reshape(-1, 2)
-        radar = np.column_stack([radar_xy, np.repeat(centers[seen, 2], pts), radar_v])
-        kept = np.flatnonzero(in_image[:n_obj] & ~occluded & ~(dropout_draw < cfg.dropout))
-        shifted = has_previous[kept, None] & (k > 0)
-        dets = DetectionBatch(
-            *(center_uv[kept] + center_noise[kept]).T, np.maximum(1e-3, center_depth[kept] + depth_noise[kept]),
-            *(velocity[kept, :2] + vel_noise[kept]).T, class_ids[kept], confidences[kept],
-            *np.where(shifted, displacement[kept] + disp_noise[kept], 0.0).T, box[kept], boxed[kept],
-        )
-
-        # Clutter: per point u, v, depth, vx, vy, drawn in that order (one
-        # broadcast draw gives the values of one scalar draw per field).
-        clutter_rng = _stream(cfg.seed, k, _CLUTTER)
-        clutter = clutter_rng.uniform(clutter_lo, clutter_hi, size=(cfg.radar.clutter_per_frame, 5))
-        pos = image_to_vehicle(clutter[:, 0], clutter[:, 1], clutter[:, 2], camera)
-        radar = np.vstack([radar, np.hstack([pos, clutter[:, 3:]])])
-
-        frames.append(FrameInput(k, t, dets, radar))
-        provenance.append(tuple(kept.tolist()))
+        for f, k in enumerate(ks):
+            seen = np.flatnonzero(in_image[f])
+            gt_x, gt_y = centers[f, seen, :2].T.tolist()
+            gt_frames.append(GroundTruthFrame.from_columns(k, seen.tolist(), gt_x, gt_y, class_ids[seen].tolist()))
+            rows = np.flatnonzero(in_image[f] & ~occluded[f] & ~dropped[f])
+            columns = values[f][:, rows]
+            dets = DetectionBatch(*columns[:5], class_ids[rows], *columns[5:8], columns[8:].T, boxed[f, rows])
+            frames.append(FrameInput(k, k * cfg.frame_dt, dets, radar[f][returns[f]]))
+            provenance.append(tuple(rows.tolist()))
 
     return Scene(cfg, tuple(frames), tuple(gt_frames), tuple(provenance))
 

@@ -45,7 +45,8 @@ class FrameInput:
     (Detections, rows or a DetectionBatch) is kept as a read-only checked
     DetectionBatch; only boxed rows take part in radar fusion. radar
     (RadarPoints, rows or an array) is kept as a read-only (N, 5) float64
-    array of finite (x, y, z, vx, vy) vehicle-frame rows. frame_index and
+    array of finite (x, y, z, vx, vy) vehicle-frame rows, a copy unless the
+    array given is read-only and owns its data. frame_index and
     timestamp are kept as int and float (checked_frame_index, checked_timestamp)."""
 
     frame_index: int
@@ -65,7 +66,8 @@ class FrameInput:
                     raise ValueError(f"radar row {i}: expected 5 values (x, y, z, vx, vy), got {len(row)}")
         elif radar.size and radar.shape[1:] != (5,):
             raise ValueError(f"radar rows must hold 5 values (x, y, z, vx, vy), got an array of shape {radar.shape}")
-        radar = np.array(radar, dtype=np.float64, order="C").reshape(len(radar), 5)
+        kept = isinstance(radar, np.ndarray) and not radar.flags.writeable and radar.flags.owndata
+        radar = np.array(radar, dtype=np.float64, order="C", copy=None if kept else True).reshape(len(radar), 5)
         if not np.isfinite(radar).all():  # RadarPoint states why the first refused row is refused
             RadarPoint(*radar[~np.isfinite(radar).all(1)][0].tolist())
             raise ValueError("a radar row that RadarPoint accepts fails the finite screen")
@@ -82,6 +84,16 @@ class FrameInput:
 
     def __hash__(self):
         return hash(self._key())
+
+
+def check_order(previous: Optional[FrameInput], frame: FrameInput) -> None:
+    """The order of a sequence, as step checks it: frame follows previous
+    (None at the start) with a larger index and a time no earlier."""
+    if previous is not None:
+        if frame.frame_index <= previous.frame_index:
+            raise ValueError(f"frame {frame.frame_index} is not after frame {previous.frame_index}")
+        if frame.timestamp < previous.timestamp:
+            raise ValueError("timestamps must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -232,24 +244,12 @@ class Tracker:
         self.last_association = None
         self._tracks = TrackTable.from_tracks(())
         self._next_id = 1
-        self._last_frame_index: Optional[int] = None
-        self._last_timestamp: Optional[float] = None
+        self._last_frame: Optional[FrameInput] = None
 
     @property
     def live_tracks(self) -> Tuple[Track, ...]:
         """Current track states, including coasting ones (read-only copies)."""
         return tuple(self._tracks.to_tracks())
-
-    def _check_order(self, frame: FrameInput):
-        if self._last_frame_index is not None:
-            if frame.frame_index <= self._last_frame_index:
-                raise ValueError(
-                    f"frame {frame.frame_index} is not after frame {self._last_frame_index}"
-                )
-            if frame.timestamp < self._last_timestamp:
-                raise ValueError("timestamps must be non-decreasing")
-        self._last_frame_index = frame.frame_index
-        self._last_timestamp = frame.timestamp
 
     def _fuse(self, dets: DetectionBatch, radar: np.ndarray) -> np.ndarray:
         """Override depth/velocity in place from the radar pillar found in
@@ -264,8 +264,8 @@ class Tracker:
         return fused
 
     def step(self, frame: FrameInput) -> FrameResult:
-        self._check_order(frame)
-        cfg = self.config
+        check_order(self._last_frame, frame)
+        self._last_frame, cfg = frame, self.config
 
         dets = frame.detections.take(frame.detections.confidence >= cfg.min_confidence)  # writable copies
         fused = self._fuse(dets, frame.radar) if cfg.fusion_enabled else np.zeros(len(dets), dtype=bool)

@@ -304,6 +304,39 @@ def test_track_bad_replay_line_keeps_the_results_before_it(workdir, tmp_path, ca
     assert out.read_bytes() == b"".join(full.read_bytes().splitlines(keepends=True)[: bad_line - 1])
 
 
+@pytest.mark.parametrize("command", ["track-file", "track-stdout", "sweep"])
+@pytest.mark.parametrize("rule", ["frame", "time"])
+def test_a_frame_out_of_order_names_its_line(workdir, tmp_path, capsys, rule, command):
+    """A replay line k that reads but breaks the frame order (an index not
+    after the last one, a time before it) fails as a bad line does: path:k,
+    exit status 1, and from track the full run's first k - 1 result lines."""
+    bad_line = 5
+    lines = Path(replay_path(workdir)).read_text().splitlines(keepends=True)
+    record, before = json.loads(lines[bad_line - 1]), json.loads(lines[bad_line - 2])
+    if rule == "frame":  # as in frames 0, 2, 1
+        record["frame"] = before["frame"] - 1
+        message = f"frame {before['frame'] - 1} is not after frame {before['frame']}"
+    else:
+        record["time"] = before["time"] - 0.05
+        message = "timestamps must be non-decreasing"
+    lines[bad_line - 1] = json.dumps(record) + "\n"
+    replay, out, full = tmp_path / "replay.jsonl", tmp_path / "results.jsonl", tmp_path / "full.jsonl"
+    replay.write_text("".join(lines))
+    assert len(read_replay(str(replay))) == len(lines)  # every line reads
+    assert main(["track", replay_path(workdir), "--scene", scenario_path(workdir), "--out", str(full)]) == 0
+    capsys.readouterr()
+    if command == "sweep":
+        argv = ["sweep", str(replay), gt_path(workdir), "--scene", scenario_path(workdir)]
+    else:
+        argv = ["track", str(replay), "--scene", scenario_path(workdir), "--out", str(out) if command == "track-file" else "-"]
+    assert main(argv) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stderr == f"error: {replay}:{bad_line}: bad frame: {message}\n"
+    written = out.read_text() if command == "track-file" else stdout
+    kept = "".join(full.read_text().splitlines(keepends=True)[: bad_line - 1])
+    assert written == ("" if command == "sweep" else kept)
+
+
 @pytest.mark.parametrize("replay", ["missing.jsonl", "."], ids=["missing", "directory"])
 def test_track_unreadable_replay_creates_no_results(tmp_path, capsys, replay):
     out = tmp_path / "results.jsonl"

@@ -329,6 +329,42 @@ def test_result_tracks_are_written_as_the_json_encoder_writes_them(tmp_path):
             encode_result(frame)
 
 
+def test_detection_rows_are_written_as_the_json_encoder_writes_them(tmp_path):
+    """Detection rows, formatted from the frame's columns without a dict per
+    row, give the encoder's bytes: signed zeros, tiny, huge and inexact
+    floats, int64 class extremes, boxed and unboxed rows in one frame. A
+    non-finite value is refused with the encoder's message."""
+    low, high, big = -(2**63), 2**63 - 1, 1.7976931348623157e308
+    rows = [
+        (0.0, -0.0, 5e-324, 1e22, -0.0, high, 0.1 + 0.2, big, -1e22, (-0.0, 5e-324, 1e22, 0.1 + 0.2)),
+        (big, 1e-7, 1e22, 0.0, 0.1 + 0.2, low, -0.0, 0.0, 5e-324, None),
+        (123456789.0, 2.5, 0.1 + 0.2, -3.0, 1e22, 0, 1.0, -0.0, -big, (1.0, -2.0, 3.0, big)),
+    ]
+    detections = [Detection(*row) for row in rows]
+    frames = [FrameInput(0, 0.0, detections, [(1.0, 2.0, 3.0, 4.0, 5.0)]), FrameInput(1, 0.1, detections[1:2], ())]
+    path = tmp_path / "replay.jsonl"
+    write_replay(str(path), iter(frames))  # any iterable, consumed once
+    keys = ("u", "v", "depth", "vx", "vy", "class", "confidence", "du", "dv")
+    records = [{**dict(zip(keys, row)), **({} if row[9] is None else {"bbox": list(row[9])})} for row in rows]
+    radar = {"x": 1.0, "y": 2.0, "z": 3.0, "vx": 4.0, "vy": 5.0}
+    expected = [
+        {"frame": 0, "time": 0.0, "detections": records, "radar": [radar]},
+        {"frame": 1, "time": 0.1, "detections": records[1:2], "radar": []},
+    ]
+    assert path.read_text() == "".join(encode_record(record) + "\n" for record in expected)
+    assert read_replay(str(path)) == frames
+    with pytest.raises(ValueError) as encoder:
+        encode_record({"u": math.nan})
+    for name, bad in (("u", math.nan), ("dv", -math.inf), ("bbox", math.inf)):
+        frame = FrameInput(0, 0.0, detections)
+        column = getattr(frame.detections, name).copy()
+        column[0] = bad  # row 0 is boxed
+        setattr(frame.detections, name, column)
+        with pytest.raises(ValueError) as err:
+            write_replay(str(path), [frame])
+        assert str(encoder.value).startswith(str(err.value)) and str(err.value).endswith("JSON compliant"), name
+
+
 def test_iter_replay_reads_a_line_at_a_time(tmp_path, scene):
     """iter_replay opens the file at once (a missing one fails at the call)
     and yields each frame before reading the next line: a bad line fails
