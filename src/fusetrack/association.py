@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,14 +128,18 @@ def checked_timestamp(timestamp) -> float:
 _DTYPES = {name: np.int64 for name in ("track_id", "class_id", "last_seen", "age", "misses")} | {"fused": bool, "boxed": bool}
 _DETECTION_VALUES = attrgetter(*(f.name for f in fields(Detection)))
 _FLOAT_COLUMNS = ("u", "v", "depth", "vx", "vy", "confidence", "du", "dv")
+# Detection's rules as the closed (lowest, highest) range of each float column: finite, depth > 0 (at
+# least the least positive float) and confidence in [0, 1]. NaN lies in no range.
+_MAX = np.finfo(np.float64).max
+_FLOAT_RANGES = np.array([(-_MAX, -_MAX, 5e-324, -_MAX, -_MAX, 0.0, -_MAX, -_MAX), (_MAX,) * 5 + (1.0, _MAX, _MAX)])[..., None]
 
 
 class DetectionBatch(_Columns):
     """Detections as columns named like the Detection fields, one row each.
 
     bbox is (N, 4) with a NaN row where a detection has no box, and boxed
-    marks the rows that have one. The tracker writes fused depth and
-    velocity into the columns of its own copy, taken from a frame's.
+    marks the rows that have one. The tracker gives its own batch, which
+    shares a frame's read-only columns, fused copies of depth and velocity.
     """
 
     __slots__ = ("u", "v", "depth", "vx", "vy", "class_id", "confidence", "du", "dv", "bbox", "boxed")
@@ -163,26 +167,40 @@ class DetectionBatch(_Columns):
         return list(zip(*columns, [tuple(box) if ok else None for box, ok in zip(bbox, boxed)]))
 
     def checked_copy(self) -> "DetectionBatch":
-        """A read-only copy in the column types and shapes, the float columns
-        rows of one (8, N) array that is screened at once. The first row that
-        Detection refuses raises RowError with Detection's message."""
+        """A read-only copy in the column types and shapes, screened (see
+        screened). A column whose length is not that of u raises ValueError."""
         n = len(self)
+        for name, column in zip(self.__slots__, self.columns()):
+            if len(column) != n:
+                raise ValueError(f"detection column {name!r} holds {len(column)} rows, column 'u' {n}")
         floats = np.array([getattr(self, name) for name in _FLOAT_COLUMNS], np.float64).reshape(8, n)
-        class_id, boxed = np.array(self.class_id, np.int64).reshape(n), np.array(self.boxed, bool).reshape(n)
-        bbox = np.array(self.bbox, np.float64).reshape(n, 4)
+        bbox, boxed = np.array(self.bbox, np.float64).reshape(n, 4), np.array(self.boxed, bool).reshape(n)
         bbox[~boxed] = math.nan
-        for column in (floats, class_id, bbox, boxed):
-            column.flags.writeable = False
-        batch = DetectionBatch(*floats[:5], class_id, *floats[5:], bbox, boxed)
-        valid = np.isfinite(floats).all(0) & (np.isfinite(bbox).all(1) | ~boxed)
-        valid &= (batch.depth > 0) & (batch.confidence >= 0) & (batch.confidence <= 1)
-        for row in np.flatnonzero(~valid)[:1].tolist():  # the first refused row: Detection states why
-            try:
-                Detection(*batch.take([row]).rows()[0])
-            except ValueError as error:
-                raise RowError(str(error), row) from None
-            raise RowError("a detection row that Detection accepts fails the batch screen", row)
-        return batch
+        return screened(floats, np.array(self.class_id, np.int64).reshape(n), bbox, boxed)
+
+
+class Checked(NamedTuple):  # a batch that screened built: FrameInput keeps it as it is, with no copy or second screen
+    batch: DetectionBatch
+
+
+def screened(floats: np.ndarray, class_id: np.ndarray, bbox: np.ndarray, boxed: np.ndarray) -> DetectionBatch:
+    """The read-only batch of new arrays: floats the (8, N) rows of
+    _FLOAT_COLUMNS, class_id (N,), bbox (N, 4) with a NaN row where boxed
+    (N,) is unset. The first row that Detection refuses raises RowError with
+    Detection's message."""
+    for column in (floats, class_id, bbox, boxed):
+        column.flags.writeable = False
+    batch = DetectionBatch(*floats[:5], class_id, *floats[5:], bbox, boxed)
+    valid = ((floats >= _FLOAT_RANGES[0]) & (floats <= _FLOAT_RANGES[1])).all(0)
+    valid &= np.isfinite(bbox).all(1) == boxed  # a box, finite, where boxed
+    if not valid.all():  # the first refused row: Detection states why
+        row = int(np.argmin(valid))
+        try:
+            Detection(*batch.take([row]).rows()[0])
+        except ValueError as error:
+            raise RowError(str(error), row) from None
+        raise RowError("a detection row that Detection accepts fails the batch screen", row)
+    return batch
 
 
 _TRACK_FIELDS = tuple(f.name for f in fields(Track))
@@ -290,6 +308,23 @@ def window_join(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.nd
     return np.repeat(queries, lens), by_key[np.arange(len(offsets)) - offsets]
 
 
+# Gating tests every pair, as one grid, at or below GATE_GRID_PAIRS
+# detections x tracks, and the pairs of a stripe window above; one lexsort
+# ranks at most LEXSORT_PAIRS candidates, np.unique ranks and two sorts more.
+# Each is set near where its two paths cost the same (README, "Size rules").
+GATE_GRID_PAIRS = 8192
+LEXSORT_PAIRS = 448
+
+
+def kept_pairs(keep: np.ndarray, rows=None, cols=None) -> Tuple[np.ndarray, np.ndarray]:
+    """The (row, col) pairs where keep holds: keep is a grid over every pair,
+    or over the pairs listed by rows and cols."""
+    if keep.ndim == 2:
+        return np.divmod(np.flatnonzero(keep), keep.shape[1])
+    keep = np.flatnonzero(keep)
+    return rows[keep], cols[keep]
+
+
 def _feasible_pairs(
     dets: DetectionBatch, tracks: TrackTable, weights: CostWeights
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,52 +332,53 @@ def _feasible_pairs(
     particular order. A pair is feasible when the classes agree and the track center
     lies within the gate radius of the displacement-compensated detection
     center. Costs are computed only for feasible pairs, elementwise; a
-    square that overflows makes the cost +inf."""
+    square that overflows makes its term +inf, or nothing if its weight is 0."""
     gated_u = dets.u - dets.du
     gated_v = dets.v - dets.dv
     trk_u, trk_v = tracks.u, tracks.v
+    if len(dets) * len(tracks) <= GATE_GRID_PAIRS:  # indexing by these gives the grid of every pair
+        ii, jj = np.arange(len(dets))[:, None], np.arange(len(tracks))
+    else:
+        # Window prefilter. Tracks fall into stripes by class and by a row of
+        # height just over the radius, so every in-gate track lies in the
+        # detection's own stripe or in the row above or below it. Each track
+        # is listed in its own stripe and in both neighbors, under the key
+        # stripe * span + (u - lo), and each detection searches the window
+        # |track u - gated u| <= radius of its own stripe. span keeps stripes
+        # more than a window apart; the slack swallows the rounding of the keys.
+        first_class = min(tracks.class_id.min(), dets.class_id.min())
+        lo_u = min(trk_u.min(), gated_u.min())
+        extent_u = max(trk_u.max(), gated_u.max()) - lo_u
+        lo_v = min(trk_v.min(), gated_v.min())
+        extent_v = max(trk_v.max(), gated_v.max()) - lo_v
+        height = max(weights.radius * (1.0 + 1e-6), extent_v / 1024.0)
+        rows = int(extent_v // height) + 1
+        span = 2.0 * (extent_u + 1.0)
+        trk_stripe = (tracks.class_id - first_class) * rows + np.floor((trk_v - lo_v) / height)
+        det_stripe = (dets.class_id - first_class) * rows + np.floor((gated_v - lo_v) / height)
+        trk_key = ((trk_stripe * span + (trk_u - lo_u)) + np.array([[-span], [0.0], [span]])).ravel()
+        det_key = det_stripe * span + (gated_u - lo_u)
+        half = min(weights.radius, extent_u + 1.0)
+        half += 1e-9 + 1e-12 * half + 8.0 * np.spacing(trk_key.max() + span)
+        ii, jj = window_join(trk_key, det_key - half, det_key + half)
+        jj %= len(tracks)
 
-    # Window prefilter. Tracks fall into stripes by class and by a row of
-    # height just over the radius, so every in-gate track lies in the
-    # detection's own stripe or in the row above or below it. Each track is
-    # listed in its own stripe and in both neighbors, under the key
-    # stripe * span + (u - lo), and each detection searches the window
-    # |track u - gated u| <= radius of its own stripe. span keeps stripes
-    # more than a window apart; the slack swallows the rounding of the keys.
-    # The exact test follows on the windowed pairs.
-    first_class = min(tracks.class_id.min(), dets.class_id.min())
-    lo_u = min(trk_u.min(), gated_u.min())
-    extent_u = max(trk_u.max(), gated_u.max()) - lo_u
-    lo_v = min(trk_v.min(), gated_v.min())
-    extent_v = max(trk_v.max(), gated_v.max()) - lo_v
-    height = max(weights.radius * (1.0 + 1e-6), extent_v / 1024.0)
-    rows = int(extent_v // height) + 1
-    span = 2.0 * (extent_u + 1.0)
-    trk_stripe = (tracks.class_id - first_class) * rows + np.floor((trk_v - lo_v) / height)
-    det_stripe = (dets.class_id - first_class) * rows + np.floor((gated_v - lo_v) / height)
-    trk_key = ((trk_stripe * span + (trk_u - lo_u)) + np.array([[-span], [0.0], [span]])).ravel()
-    det_key = det_stripe * span + (gated_u - lo_u)
-    half = min(weights.radius, extent_u + 1.0)
-    half += 1e-9 + 1e-12 * half + 8.0 * np.spacing(trk_key.max() + span)
-    ii, jj = window_join(trk_key, det_key - half, det_key + half)
-    jj %= len(tracks)
-
-    # Exact gate on the windowed pairs only.
+    # Exact gate on the candidate pairs only.
     du = gated_u[ii] - trk_u[jj]
     dv = gated_v[ii] - trk_v[jj]
     keep = du * du + dv * dv <= weights.radius**2
     keep &= dets.class_id[ii] == tracks.class_id[jj]
-    keep = np.flatnonzero(keep)
-    ii, jj = ii[keep], jj[keep]
+    ii, jj = kept_pairs(keep, ii, jj)
     if ii.size == 0:
         return ii, jj, np.empty(0)
 
-    with np.errstate(over="ignore"):
-        pixel = (dets.u[ii] - trk_u[jj]) ** 2 + (dets.v[ii] - trk_v[jj]) ** 2
-        depth = (dets.depth[ii] - tracks.depth[jj]) ** 2
-        velocity = (dets.vx[ii] - tracks.vx[jj]) ** 2 + (dets.vy[ii] - tracks.vy[jj]) ** 2
-        costs = weights.alpha * pixel + weights.beta * depth + weights.delta * velocity
-    return ii, jj, costs
+    with np.errstate(over="ignore"):  # a zero weight adds nothing, not 0 * inf; nor 0.0, which changes no sum
+        terms = (
+            (weights.alpha, (dets.u[ii] - trk_u[jj]) ** 2 + (dets.v[ii] - trk_v[jj]) ** 2),
+            (weights.beta, (dets.depth[ii] - tracks.depth[jj]) ** 2),
+            (weights.delta, (dets.vx[ii] - tracks.vx[jj]) ** 2 + (dets.vy[ii] - tracks.vy[jj]) ** 2),
+        )
+        return ii, jj, sum(weight * term for weight, term in terms if weight)
 
 
 # Detections and tracks as objects or as columns.
@@ -382,14 +418,19 @@ def greedy_associate(dets: Detections, tracks: Tracks, weights: CostWeights) -> 
         return result._fill(np.empty((0, 2), dtype=np.intp), order, np.arange(len(ids)), ids)
 
     ii, jj, costs = _feasible_pairs(dets, tracks, weights)
-    # Each detection's candidates by cost, ties to the lowest track id: one
-    # sort on exact integer ranks of (cost, track id), which are distinct
-    # within a detection, then a stable sort by detection (a radix sort on
-    # the narrowest unsigned type that holds the detection rows).
-    _, cost_rank = np.unique(costs, return_inverse=True)
-    by_preference = np.argsort(cost_rank * len(ids) + (jj if id_rank is None else id_rank[jj]))
-    rows = ii[by_preference].astype(np.min_scalar_type(len(dets)))
-    by_preference = by_preference[np.argsort(rows, kind="stable")]
+    # Each detection's candidates by cost, ties to the lowest track id: a
+    # total order, as (cost, track id) is distinct within a detection. Few
+    # candidates take one lexsort; many, one sort on exact integer ranks of
+    # (cost, track id), then a stable sort by detection (a radix sort on the
+    # narrowest unsigned type that holds the detection rows).
+    track_rank = jj if id_rank is None else id_rank[jj]
+    if len(costs) <= LEXSORT_PAIRS:
+        by_preference = np.lexsort((track_rank, costs, ii))
+    else:
+        _, cost_rank = np.unique(costs, return_inverse=True)
+        by_preference = np.argsort(cost_rank * len(ids) + track_rank)
+        rows = ii[by_preference].astype(np.min_scalar_type(len(dets)))
+        by_preference = by_preference[np.argsort(rows, kind="stable")]
     ii, jj = ii[by_preference], jj[by_preference]
     row_start = np.searchsorted(ii, np.arange(len(dets) + 1))
 
@@ -428,7 +469,7 @@ def greedy_associate(dets: Detections, tracks: Tracks, weights: CostWeights) -> 
     held = np.flatnonzero(holder < n)
     chosen[holder[held]] = held
     matched = chosen >= 0
-    pairs = np.stack([order[matched], chosen[matched]], axis=1)
+    pairs = np.array([order[matched], chosen[matched]]).T
     return result._fill(pairs, order[~matched], np.flatnonzero(holder == n), ids)
 
 

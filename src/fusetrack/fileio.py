@@ -33,13 +33,14 @@ import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .association import DetectionBatch, RowError
+from .association import Checked, DetectionBatch, RowError, screened
 from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame
 from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, _snapshot_from_row
 
@@ -193,10 +194,12 @@ def read_column(records: list, key: str, kind: _Type, default=REQUIRED) -> list:
 class _Kind:
     """A record kind compiled from its field table. make builds the objects:
     one from the field values in table order or, when by_columns is set, all
-    of a list's from its columns."""
+    of a list's from its columns. fast(record), if given, types the values
+    of a line of the plain form the writers write in a few passes, for make,
+    and raises on any other line; that one is read column by column."""
 
-    def __init__(self, make: Callable, rows, by_columns: bool = False):
-        self.make, self.rows, self.by_columns = make, rows, by_columns
+    def __init__(self, make: Callable, rows, by_columns: bool = False, fast: Optional[Callable] = None):
+        self.make, self.rows, self.by_columns, self.fast = make, rows, by_columns, fast
         self.nullable = {key for key, _, _, default in rows if default is None}
         self.list = _Type("a list", frozenset({list}), self.read_all)
 
@@ -227,7 +230,11 @@ class _Kind:
         return tuple(objects)
 
     def read_line(self, record):
-        return self.read_all([record], items=False)[0]
+        try:
+            values = None if self.fast is None else self.fast(record)
+        except (LookupError, TypeError, ValueError, OverflowError, AttributeError):
+            values = None  # read column by column, to name the first bad item and field
+        return self.read_all([record], items=False)[0] if values is None else self.make(*values)
 
 
 # ------------------------------------------------------------- field tables
@@ -247,20 +254,16 @@ _DETECTION_ROW = _Kind(DetectionBatch.from_fields, (
 ), by_columns=True)
 
 
-def _radar_rows(*columns) -> np.ndarray:  # read-only and owning its data, so that FrameInput keeps it as it is
-    radar = np.empty((len(columns[0]), 5))
-    radar.T[...] = columns
-    radar.flags.writeable = False
-    return radar
-
-
-_RADAR_ROW = _Kind(_radar_rows, (
+_RADAR_ROW = _Kind(lambda *columns: np.array(columns).T, (
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("z", "z", NUMBER, REQUIRED),
     ("vx", "vx", NUMBER, REQUIRED),
     ("vy", "vy", NUMBER, REQUIRED),
 ), by_columns=True)
+_DETECTION_NUMBERS = itemgetter(*(key for key, _, t, _ in _DETECTION_ROW.rows if t is NUMBER))  # in _FLOAT_COLUMNS order
+_RADAR_NUMBERS = itemgetter(*(key for key, _, _, _ in _RADAR_ROW.rows))
+_NO_BOX = [math.nan] * 4
 
 
 def _replay_frame(*values) -> FrameInput:
@@ -270,18 +273,37 @@ def _replay_frame(*values) -> FrameInput:
         raise ValueError(f"field 'detections': item {exc.row}: {exc}") from None
 
 
+def _typed_replay_frame(record: dict) -> tuple:
+    """A replay line's fast reader: all numbers of its lists typed as one flat
+    list, the detections screened once, into a Checked batch."""
+    frame, time, dets, radar = record["frame"], record["time"], record.get("detections", []), record.get("radar", [])
+    if not (type(frame) is int and frame in _INT64 and type(time) in (float, int) and type(dets) is type(radar) is list):
+        raise TypeError("not a plain replay line")
+    boxes = [_NO_BOX if d.get("bbox") is None else d["bbox"] for d in dets]
+    classes = [d["class"] for d in dets]
+    values = list(chain(*map(_DETECTION_NUMBERS, dets), *boxes, *map(_RADAR_NUMBERS, radar)))
+    if not ({list} >= set(map(type, boxes)) and {4} >= set(map(len, boxes)) and {int} >= set(map(type, classes))
+            and {float, int} >= set(map(type, values))):
+        raise TypeError("not a box, a class or a number")
+    values, n = np.fromiter(values, np.float64, len(values)), len(dets)
+    floats, bbox = values[: 8 * n].reshape(n, 8).T.copy(), values[8 * n : 12 * n].reshape(n, 4).copy()
+    batch = screened(floats, np.array(classes, np.int64), bbox, np.array([box is not _NO_BOX for box in boxes], bool))
+    return frame, float(time), Checked(batch), values[12 * n :].reshape(len(radar), 5)
+
+
 _REPLAY_FRAME = _Kind(_replay_frame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
     ("detections", "detections", _DETECTION_ROW.list, []),
     ("radar", "radar", _RADAR_ROW.list, []),
-))
+), fast=_typed_replay_frame)
 _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
     ("id", "gt_id", INTEGER, REQUIRED),
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("class", "class_id", INTEGER, REQUIRED),
 ))
+_GROUND_TRUTH_KEYS = [key for key, _, _, _ in _GROUND_TRUTH_OBJECT.rows]
 _GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("objects", "columns", _GROUND_TRUTH_OBJECT.list, []),
@@ -331,10 +353,7 @@ def _text(kind: _Kind, end: Optional[int] = None) -> str:
 _TRACK_TEXTS = (_text(_RESULT_TRACK, 10) + "%.0s" * 3, _text(_RESULT_TRACK))
 _DETECTION_TEXTS = (_text(_DETECTION_ROW, 9) + "%.0s" * 4, _text(_DETECTION_ROW))
 _RADAR_TEXT, _REPLAY_TEXT, _RESULT_TEXT = _text(_RADAR_ROW), _text(_REPLAY_FRAME), _text(_RESULT_FRAME)
-_GROUND_TRUTH_TEXT = _text(_GROUND_TRUTH_FRAME)
-# A ground-truth object's record from its values, compiled to a dict display as
-# collections.namedtuple compiles __new__: 2x faster than dict(zip()).
-_object_record = eval("lambda o: {%s}" % ", ".join(f"{row[0]!r}: o[{i}]" for i, row in enumerate(_GROUND_TRUTH_OBJECT.rows)))
+_GROUND_TRUTH_TEXT, _OBJECT_TEXT = _text(_GROUND_TRUTH_FRAME), _text(_GROUND_TRUTH_OBJECT)
 
 
 def encode_result(result: FrameResult) -> str:
@@ -408,8 +427,13 @@ def read_ground_truth(path: str) -> List[GroundTruthFrame]:
 
 
 def _ground_truth_line(frame: GroundTruthFrame) -> str:
-    """A ground-truth frame's JSON text: its objects as the encoder writes their records, which it checks."""
-    objects = encode_record(list(map(_object_record, zip(*frame.columns))))[1:-1]
+    """A ground-truth frame's JSON text, encode_record's bytes for its record: its objects formatted from
+    their columns where those hold ints and finite floats, and else written, or refused, by the encoder."""
+    ids, x, y, classes = columns = frame.columns
+    if {int} >= set(map(type, ids + classes)) and {float} >= set(map(type, x + y)) and all(map(math.isfinite, x + y)):
+        objects = ",".join(repeat(_OBJECT_TEXT, len(ids))) % tuple(chain.from_iterable(zip(*columns)))
+    else:  # a bool, a numpy or another subclass value, or a value that is not finite
+        objects = encode_record([dict(zip(_GROUND_TRUTH_KEYS, row)) for row in zip(*columns)])[1:-1]
     return _GROUND_TRUTH_TEXT % (frame.frame_index, objects)
 
 

@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import window_join
+from .association import kept_pairs, window_join
 from .geometry import CameraModel, project_points
 
 
@@ -85,6 +85,11 @@ class PreliminaryDetection:
         if not (self.est_depth > 0 and math.isfinite(self.est_depth)):
             raise ValueError("est_depth must be positive and finite")
 
+
+# At or below this many boxes x radar returns, the prefilter tests every pair
+# as one grid, and above, the pairs of a window join; set near where the two
+# cost the same (README.md, "Size rules").
+FRUSTUM_GRID_PAIRS = 16384
 
 # Offsets of the 9 test points of a pillar (the base, then the 8 corners of
 # its box), in units of its half depth, half width and height.
@@ -150,44 +155,42 @@ def associate_boxes(
     if isinstance(dims, PillarDims):
         dims = (0.5 * dims.depth_x, 0.5 * dims.width_y, dims.height_z)
 
-    # The 9 test points of every pillar: row 0 is the base, rows 1..8 the
-    # corners.
-    pts = radar[:, None, :3] + _TEST_POINT_SIGNS * np.asarray(dims)[..., None, :]
-    uv, _, _ = project_points(pts.reshape(-1, 3), camera)
-    uv = uv.reshape(len(radar), 9, 2)
+    # The 9 test points of every pillar, (9, N, 3): row 0 is the base, rows
+    # 1..8 the corners. Each coordinate is written as one long row.
+    offsets = _TEST_POINT_SIGNS[:, None, :] * np.asarray(dims)
+    pts = np.empty((9, len(radar), 3))
+    for axis in range(3):
+        np.add(radar[:, axis], offsets[..., axis], out=pts[..., axis])
+    u9, v9 = project_points(pts.reshape(-1, 3), camera, uv_only=True).T.reshape(2, 9, len(radar))
     # Base depth along the camera axis, defined even behind the camera
     # (negative depths simply fail every window test).
-    base_depth = pts[:, 0, :] @ camera.rotation[2] + camera.translation[2]
+    base_depth = pts[0] @ camera.rotation[2] + camera.translation[2]
 
     with np.errstate(invalid="ignore"):
         # Cheap prefilter: a box can only hold a projected point of a pillar
         # if it overlaps the pillar's u range, so its left edge lies in
         # [u_lo - widest box, u_hi], widened by a slack that swallows
-        # rounding. NaN coordinates (unprojectable points) are left out of
+        # rounding, and if the pillar's base depth lies in the box's depth
+        # window. NaN coordinates (unprojectable points) are left out of
         # the range; a pillar with no projectable point gets a NaN one,
-        # which selects nothing.
-        u9, v9 = uv[:, :, 0], uv[:, :, 1]
-        u_lo = np.fmin.reduce(u9, axis=1)
-        u_hi = np.fmax.reduce(u9, axis=1)
-        widest = np.fmax.reduce(boxes[:, 2] - boxes[:, 0])
-        reach = widest + 1e-9 * (1.0 + widest + np.fmax.reduce(np.abs(u_lo)))
-        pj, di = window_join(boxes[:, 0], u_lo - reach, u_hi)
-        depth = base_depth[pj]
-        est = est_depths[di]
+        # which selects nothing. At most FRUSTUM_GRID_PAIRS pairs are all
+        # tested, as a grid.
+        u_lo, u_hi, left = np.fmin.reduce(u9), np.fmax.reduce(u9), boxes[:, 0]
+        widest = np.fmax.reduce(boxes[:, 2] - left)
+        u_lo -= widest + 1e-9 * (1.0 + widest + np.fmax.reduce(np.abs(u_lo)))
+        if len(boxes) * len(radar) <= FRUSTUM_GRID_PAIRS:
+            pj, di = kept_pairs((left >= u_lo[:, None]) & (left <= u_hi[:, None]))
+        else:
+            pj, di = window_join(left, u_lo, u_hi)
+        depth, est = base_depth[pj], est_depths[di]
         window = depth >= est * (1.0 - depth_tolerance)
         window &= depth <= est * (1.0 + depth_tolerance)
-        window = np.flatnonzero(window)
-        di, pj = di[window], pj[window]
+        pj, di = kept_pairs(window, pj, di)
 
-        # Exact membership test on the surviving pairs.
-        b = boxes[di]
-        pu = u9[pj]
-        pv = v9[pj]
-        inside = pu >= b[:, 0, None]
-        inside &= pu <= b[:, 2, None]
-        inside &= pv >= b[:, 1, None]
-        inside &= pv <= b[:, 3, None]
-        some = inside.any(axis=1)
+        # Exact membership test on the surviving pairs: any of the 9 points
+        # inside the box, on closed bounds.
+        u, v, (u_min, v_min, u_max, v_max) = u9[:, pj], v9[:, pj], boxes[di].T
+        some = ((u >= u_min) & (u <= u_max) & (v >= v_min) & (v <= v_max)).any(axis=0)
         hit_di, hit_pj = di[some], pj[some]
 
     # Per detection the smallest hit depth wins, exact depth ties to the

@@ -133,27 +133,37 @@ class CameraModel:
         return config_from_dict(cls, data)
 
 
-def project_points(points: np.ndarray, camera: CameraModel):
+def project_points(points: np.ndarray, camera: CameraModel, uv_only: bool = False):
     """Project vehicle-frame points onto the image plane; the one projection
     of the package. points is (N, 3) or a single (3,) point.
 
     Returns ``(uv, depth, in_image)`` where uv is (N, 2), depth is (N,), and
     in_image marks points with depth > 0 landing inside the closed image
-    bounds. uv/depth entries for points on or behind the camera plane
-    (depth <= 0) are NaN.
+    bounds; uv alone if uv_only. uv/depth entries for points on or behind
+    the camera plane (depth <= 0) are NaN.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    p_cam = np.matvec(camera.rotation, pts) + camera.translation
-    depth = p_cam[:, 2].copy()
-    front = depth > 0.0
+    # Camera coordinates as three rows, so that every step below runs over
+    # one long row; each value is computed as (rotation @ point) + translation.
+    x, y, depth = np.matvec(camera.rotation, pts, axes=[(0, 1), (1,), (0,)])
+    x += camera.translation[0]
+    y += camera.translation[1]
+    depth += camera.translation[2]
+    behind = ~(depth > 0.0)
+    uv = np.empty((2, len(pts)))  # returned as its (N, 2) transpose
     with np.errstate(invalid="ignore", divide="ignore"):
-        uv = p_cam[:, :2] * (camera.fx, camera.fy) / depth[:, None] + (camera.cx, camera.cy)
-    uv[~front] = np.nan
-    depth[~front] = np.nan
+        for row, coordinate, f, c in ((0, x, camera.fx, camera.cx), (1, y, camera.fy, camera.cy)):
+            coordinate *= f
+            coordinate /= depth
+            np.add(coordinate, c, out=uv[row])
+    uv[:, behind] = np.nan
+    if uv_only:
+        return uv.T
+    depth[behind] = np.nan
+    u, v = uv
     # NaN coordinates compare False, so points behind the camera drop out.
-    inside = (uv >= 0.0) & (uv <= (camera.image_width, camera.image_height))
-    in_image = inside[:, 0] & inside[:, 1]
-    return uv, depth, in_image
+    in_image = (u >= 0.0) & (u <= camera.image_width) & (v >= 0.0) & (v <= camera.image_height)
+    return uv.T, depth, in_image
 
 
 def image_to_vehicle(u, v, depth, camera: CameraModel) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .association import AssociationResult, CostWeights, DetectionBatch, Track, TrackTable, greedy_associate
+from .association import AssociationResult, Checked, CostWeights, DetectionBatch, Track, TrackTable, greedy_associate
 from .association import _DTYPES, checked_frame_index, checked_timestamp
 # expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
@@ -42,12 +42,12 @@ from .geometry import CameraModel, image_to_vehicle
 @dataclass(frozen=True)
 class FrameInput:
     """One frame of sensor input, checked once when built. detections
-    (Detections, rows or a DetectionBatch) is kept as a read-only checked
-    DetectionBatch; only boxed rows take part in radar fusion. radar
-    (RadarPoints, rows or an array) is kept as a read-only (N, 5) float64
-    array of finite (x, y, z, vx, vy) vehicle-frame rows, a copy unless the
-    array given is read-only and owns its data. frame_index and
-    timestamp are kept as int and float (checked_frame_index, checked_timestamp)."""
+    (Detections, rows, a DetectionBatch, or a Checked one, kept as it is) is
+    kept as a read-only checked DetectionBatch; only boxed rows take part in
+    radar fusion. radar (RadarPoints, rows or an array) is kept as a
+    read-only (N, 5) float64 copy of finite (x, y, z, vx, vy) vehicle-frame
+    rows. frame_index and timestamp are kept as int and float
+    (checked_frame_index, checked_timestamp)."""
 
     frame_index: int
     timestamp: float
@@ -56,7 +56,10 @@ class FrameInput:
 
     def __post_init__(self):
         dets = self.detections
-        dets = dets.checked_copy() if isinstance(dets, DetectionBatch) else DetectionBatch.from_detections(dets)
+        if type(dets) is Checked:
+            dets = dets.batch
+        else:
+            dets = dets.checked_copy() if isinstance(dets, DetectionBatch) else DetectionBatch.from_detections(dets)
         object.__setattr__(self, "detections", dets)
         radar = self.radar
         if not isinstance(radar, np.ndarray):
@@ -66,8 +69,7 @@ class FrameInput:
                     raise ValueError(f"radar row {i}: expected 5 values (x, y, z, vx, vy), got {len(row)}")
         elif radar.size and radar.shape[1:] != (5,):
             raise ValueError(f"radar rows must hold 5 values (x, y, z, vx, vy), got an array of shape {radar.shape}")
-        kept = isinstance(radar, np.ndarray) and not radar.flags.writeable and radar.flags.owndata
-        radar = np.array(radar, dtype=np.float64, order="C", copy=None if kept else True).reshape(len(radar), 5)
+        radar = np.array(radar, dtype=np.float64, order="C").reshape(len(radar), 5)
         if not np.isfinite(radar).all():  # RadarPoint states why the first refused row is refused
             RadarPoint(*radar[~np.isfinite(radar).all(1)][0].tolist())
             raise ValueError("a radar row that RadarPoint accepts fails the finite screen")
@@ -252,12 +254,14 @@ class Tracker:
         return tuple(self._tracks.to_tracks())
 
     def _fuse(self, dets: DetectionBatch, radar: np.ndarray) -> np.ndarray:
-        """Override depth/velocity in place from the radar pillar found in
-        each boxed detection's frustum; detections without a box or a hit
-        keep theirs. Returns the fused-or-not flag per detection."""
+        """Give dets copies of its depth and velocity columns, which take
+        those of the radar pillar found in each boxed detection's frustum;
+        detections without a box or a hit keep theirs. Returns the
+        fused-or-not flag per detection."""
         boxed, cfg = np.flatnonzero(dets.boxed), self.config
         won = associate_boxes(dets.bbox[boxed], dets.depth[boxed], radar, cfg.pillar_dims, self.camera, cfg.depth_tolerance)
         rows = boxed[won.box]
+        dets.depth, dets.vx, dets.vy = dets.depth.copy(), dets.vx.copy(), dets.vy.copy()
         dets.depth[rows], dets.vx[rows], dets.vy[rows] = won.depth, won.vx, won.vy
         fused = np.zeros(len(dets), dtype=bool)
         fused[rows] = True
@@ -267,7 +271,8 @@ class Tracker:
         check_order(self._last_frame, frame)
         self._last_frame, cfg = frame, self.config
 
-        dets = frame.detections.take(frame.detections.confidence >= cfg.min_confidence)  # writable copies
+        dets = frame.detections  # confidences lie in [0, 1], so a floor of 0 keeps every row
+        dets = dets.take(dets.confidence >= cfg.min_confidence) if cfg.min_confidence > 0.0 else DetectionBatch(*dets.columns())
         fused = self._fuse(dets, frame.radar) if cfg.fusion_enabled else np.zeros(len(dets), dtype=bool)
 
         tracks = self._tracks
@@ -286,7 +291,8 @@ class Tracker:
         tracks.age += 1
         tracks.misses += 1
         tracks.misses[rows] = 0
-        tracks = tracks.take(tracks.misses < cfg.max_age)
+        if not (alive := tracks.misses < cfg.max_age).all():
+            tracks = tracks.take(alive)
 
         # Leftover detections start tracks with fresh ids, in confidence order.
         born = result.unmatched_det_rows

@@ -67,13 +67,15 @@ def pairwise_cost(det: Detection, trk: Track, weights: CostWeights) -> float:
     Infinite across classes; otherwise
         alpha * ((du)^2 + (dv)^2) + beta * (dd)^2 + delta * ((dvx)^2 + (dvy)^2)
     on the raw center/depth/velocity differences (the displacement only
-    shifts the gate, never the cost).
+    shifts the gate, never the cost). A zero weight switches its term off,
+    also where its square is +inf.
     """
     if det.class_id != trk.class_id:
         return math.inf
     # x * x as in cost_matrix: +inf on overflow, where float ** 2 raises.
     du, dv, dd, dvx, dvy = det.u - trk.u, det.v - trk.v, det.depth - trk.depth, det.vx - trk.vx, det.vy - trk.vy
-    return weights.alpha * (du * du + dv * dv) + weights.beta * (dd * dd) + weights.delta * (dvx * dvx + dvy * dvy)
+    terms = ((weights.alpha, du * du + dv * dv), (weights.beta, dd * dd), (weights.delta, dvx * dvx + dvy * dvy))
+    return sum(weight * term for weight, term in terms if weight)
 
 
 _MAX_ASSIGNMENT_SIZE = 10

@@ -266,6 +266,7 @@ def test_matches_slow_reference_with_infinite_costs():
 
 # +inf is a documented cost here, not a numeric accident: no warning may fire.
 @pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error")
 def test_matches_slow_reference_when_squares_overflow():
     # A depth of 1e155 against 10 m squares past the float range. The scalar
     # cost is +inf, as in cost_matrix, instead of raising, so the slow
@@ -278,6 +279,16 @@ def test_matches_slow_reference_when_squares_overflow():
     assert cost_matrix(dets, tracks, weights)[0, 0] == math.inf
     res = greedy_associate(dets, tracks, weights)
     assert res.matches == ((0, 2), (1, 1))
+    assert res == _slow_greedy(dets, tracks, weights)
+    # Pixel only (configs/tracker_pixel_only.yaml): a zero weight switches its
+    # term off, so the overflowing depth and velocity squares cost nothing,
+    # not 0 * inf = NaN. The far detection takes the nearest track by pixels.
+    weights = CostWeights(beta=0.0, delta=0.0)
+    dets[0] = det(101.0, 100.0, depth=1e155, vx=1e155, conf=0.9)
+    assert pairwise_cost(dets[0], tracks[0], weights) == weights.alpha * 1.0
+    assert cost_matrix(dets, tracks, weights)[0].tolist() == [weights.alpha * 1.0, weights.alpha * 9.0]
+    res = greedy_associate(dets, tracks, weights)
+    assert res.matches == ((0, 1), (1, 2))
     assert res == _slow_greedy(dets, tracks, weights)
 
 
@@ -596,3 +607,18 @@ def test_window_join_on_empty_inputs():
         assert query.size == key.size == 0
     query, key = window_join(np.array([1.0, 2.0]), np.array([1.0]), np.array([2.0]))  # both keys on a bound
     assert (query.tolist(), sorted(key.tolist())) == ([0, 0], [0, 1])
+
+
+def test_a_batch_of_unequal_columns_names_the_first_column_of_another_length():
+    """A batch whose columns are not all as long as u fails in checked_copy
+    with a ValueError naming the first other column, not inside numpy."""
+    rows = [_valid_row(random.Random(k)) for k in range(2)]
+    rows[0][9], rows[1][9] = (10.0, 10.0, 20.0, 20.0), None
+    good = _batch_of_rows(rows)
+    assert FrameInput(0, 0.0, good).detections.rows() == [tuple(row) for row in rows]
+    for name in DetectionBatch.__slots__[1:]:
+        for length in (1, 3):
+            columns = {n: getattr(good, n) for n in DetectionBatch.__slots__}
+            columns[name] = np.resize(columns[name], (length, *columns[name].shape[1:]))
+            with pytest.raises(ValueError, match=rf"^detection column '{name}' holds {length} rows, column 'u' 2$"):
+                FrameInput(0, 0.0, DetectionBatch(*columns.values()))

@@ -851,3 +851,90 @@ def test_batch_readers_agree_with_the_line_readers(tmp_path, monkeypatch, scene,
             got = _outcome(_READ_BY_BATCH[kind], str(path))
             assert isinstance(got, tuple) or line_reads == [], (index, line)  # a valid file never leaves the screen
             assert got == _outcome(_READ_BY_LINE[kind], str(path)), (index, line)
+
+
+def test_plain_replay_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, monkeypatch, scene):
+    """A line of the form write_replay writes takes the fast reader, with no
+    column read, and gives the frame, bit for bit, that the column-by-column
+    reader gives; so do integer numbers, a null bbox and absent or empty
+    lists."""
+    path = str(tmp_path / "replay.jsonl")
+    write_replay(path, scene.frames)
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh]
+    records += [
+        {**records[1], "time": 1, "detections": [{**d, "u": 100, "bbox": None} for d in records[1]["detections"]]},
+        {**records[2], "detections": records[2]["detections"] + [{k: v for k, v in d.items() if k != "bbox"}
+                                                                 for d in records[3]["detections"]]},
+        {**records[2], "radar": [{**r, "z": 0} for r in records[2]["radar"]]},
+        {"frame": 7, "time": 1.5, "detections": [], "radar": []},
+        {"frame": 8, "time": 2.5},
+    ]
+    column_reads = _counting(monkeypatch, fileio._Kind, "read_all")
+    for record in records:
+        fast = fileio._REPLAY_FRAME.read_line(record)
+        assert column_reads == []
+        slow = fileio._REPLAY_FRAME.read_all([record], items=False)[0]
+        column_reads.clear()
+        assert fast == slow
+        for a, b in zip([*fast.detections.columns(), fast.radar], [*slow.detections.columns(), slow.radar]):
+            assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False)
+
+
+_BOX_OF_5 = [90.0, 310.0, 110.0, 330.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [(("radar", 0, "x"), _OVERFLOW), (("time",), _OVERFLOW), (("frame",), 2**63), (("detections", 0, "depth"), -1.0),
+     (("detections", 0, "u"), True), (("radar", 0, "y"), "0.5"), (("radar", 0, "z"), None),
+     (("detections", 0, "bbox"), _BOX_OF_5), (("radar",), [])],
+    ids=["radar-overflow", "time-overflow", "frame-beyond-int64", "detection-depth", "bool-u", "string-y", "null-z",
+         "boxes-of-5-and-3", "boxes-of-5-and-3-no-radar"],
+)
+def test_a_plain_line_fails_as_the_column_reader_fails(tmp_path, monkeypatch, where, value):
+    """A bad line otherwise in the writer's form fails with the column
+    reader's message, and builds its FrameInput at most once. Boxes of 5 and
+    3 values hold 8 values, as two boxes should."""
+    record = _with("replay", where, value)
+    if value in (_BOX_OF_5, []):
+        record["detections"] = [{**_DETECTION, "bbox": _BOX_OF_5}, {**_DETECTION, "bbox": [90.0, 310.0, 110.0]}]
+    for detection in record["detections"]:
+        detection.update(du=0.0, dv=0.0)
+    path = _write_lines(tmp_path, record)
+    built = _counting(monkeypatch, FrameInput, "__post_init__")
+    with pytest.raises(ParseError) as fast:
+        read_replay(path)
+    assert len(built) <= 1
+    monkeypatch.setattr(fileio._REPLAY_FRAME, "fast", None)
+    with pytest.raises(ParseError) as by_columns:
+        read_replay(path)
+    assert str(fast.value) == str(by_columns.value)
+
+
+def test_ground_truth_lines_are_written_as_the_json_encoder_writes_them(tmp_path):
+    """Ground-truth objects, formatted from the frame's columns without a
+    dict per object, give the encoder's bytes: signed zeros, tiny, huge and
+    inexact floats, int64 extremes. A bool id, an int position and a numpy
+    value are written, or refused, as the encoder writes or refuses them."""
+    low, high, big = -(2**63), 2**63 - 1, 1.7976931348623157e308
+    columns = ([high, low, 0, 2**70], [0.0, -0.0, 5e-324, 0.1 + 0.2], [1e22, big, -big, -1e22], [low, high, 1, 0])
+    frames = [
+        GroundTruthFrame.from_columns(0, *columns),
+        GroundTruthFrame(1, []),
+        GroundTruthFrame(2, [GroundTruthObject(True, 1.0, 2, 0), GroundTruthObject(2, np.float64(0.1), -0.0, False)]),
+        GroundTruthFrame(3, [GroundTruthObject(True, 1.0, 2.0, 0)]),
+        GroundTruthFrame(4, [GroundTruthObject(1, 1.0, 2.0, False)]),
+    ]
+    path = tmp_path / "ground_truth.jsonl"
+    write_ground_truth(str(path), iter(frames))  # any iterable, consumed once
+    keys = ("id", "x", "y", "class")
+    expected = [{"frame": f.frame_index, "objects": [dict(zip(keys, row)) for row in zip(*f.columns)]} for f in frames]
+    assert path.read_text() == "".join(encode_record(record) + "\n" for record in expected)
+    assert all("true" in line or "false" in line for line in path.read_text().splitlines()[2:])
+    refused = GroundTruthFrame(5, [GroundTruthObject(np.int64(4), 1.0, 2.0, 0)])
+    with pytest.raises(TypeError) as encoder:
+        encode_record({"frame": 5, "objects": [dict(zip(keys, row)) for row in zip(*refused.columns)]})
+    with pytest.raises(TypeError) as err:
+        write_ground_truth(str(path), [refused])
+    assert str(err.value) == str(encoder.value)
