@@ -214,7 +214,7 @@ def _format_report(report: MetricsReport, names: Optional[List[str]], dist_thres
 
 
 def _cmd_evaluate(args) -> int:
-    try:  # the results file is read a batch of lines at a time, straight into prediction columns
+    try:  # the results file is read in one pass, a plain line straight into its prediction columns
         preds = read_predictions(args.results)
     except ParseError:
         raise  # names its file and line already

@@ -11,18 +11,18 @@ replay of N frames is exactly N lines):
 Each record kind is stated once, in a field table of (JSON key, attribute,
 JSON type, default) rows that its readers and its writer walk;
 docs/file_formats.md lists the same fields and the type rules, which the
-YAML configs share. Readers read a list of records a column at a time
-(read_column): a line's list items or, in evaluation's whole-file readers,
-the lines of a batch (_BATCH_OBJECTS). Only when a column fails are the
-records read one at a time, to name the first bad line, item and field.
-NaN and Infinity fail at decode time and writers refuse them. Every failure
-names the file and line, as in ``path:3: bad frame: field 'time': expected a
-number, got '0.5'``.
+YAML configs share. Readers ignore unknown fields, and writers do not write
+them. Writers emit compact JSON with the known fields in table order, so
+identical data always produces identical bytes.
 
-Readers ignore unknown fields, and writers do not write them. Writers emit
-compact JSON with the known fields in table order, so identical data always
-produces identical bytes. iter_replay and iter_results read a line at a
-time, and writers write one, so a stream of frames is never held whole.
+A file is read in one pass, a line at a time, by its kind's read_line: a
+line in the writers' plain form is typed in a few passes by the kind's fast
+reader, if it has one, and any other line a column at a time (read_column),
+its items one at a time only to name the first bad item and field. NaN and
+Infinity fail at decode time and writers refuse them. Every failure names
+the file and line, as in ``path:3: bad frame: field 'time': expected a
+number, got '0.5'``. iter_replay and iter_results yield a frame per line,
+and writers write one, so a stream of frames is never held whole.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -84,7 +84,7 @@ def _objects(path: str, what: str, read: Callable) -> Iterator:
     with open(path, "rb") as fh:
         yield  # opened
         for number, line in enumerate(fh, start=1):
-            line = _utf8(line, path, number).strip()
+            line = _utf8(line, path, number).strip(" \t\r\n")  # JSON's whitespace only
             if not line:
                 continue
             try:
@@ -95,25 +95,6 @@ def _objects(path: str, what: str, read: Callable) -> Iterator:
                 yield read(record)
             except ValueError as exc:  # the record's, or thrown in by a consumer that refuses its item
                 raise ParseError(path, number, f"bad {what}: {exc}") from exc
-
-
-_BATCH_OBJECTS = 2048  # list items (tracks or objects), and lines, read at once, unless one line holds more
-
-
-def _read_batches(path: str, key: str, screen: Callable) -> Optional[list]:
-    """screen(records) of a JSONL file's lines, a batch at a time (_BATCH_OBJECTS);
-    None if a line does not decode or the screen refuses a batch."""
-    frames, batch, size = [], [], 0
-    try:
-        for record in _iter(path, "line", lambda record: record):
-            if batch and (size + len(record.get(key, ())) > _BATCH_OBJECTS or len(batch) == _BATCH_OBJECTS):
-                frames += screen(batch)
-                batch, size = [], 0
-            batch.append(record)
-            size += len(record.get(key, ()))
-        return frames + screen(batch)
-    except (ValueError, TypeError, AttributeError, OverflowError):  # a ParseError included
-        return None
 
 
 def write_records(path: str, records: Iterable, encode: Callable[..., str]) -> None:
@@ -166,7 +147,6 @@ INTEGER = _Type("an integer", frozenset({int}), _int64,
                 same=lambda column, types: types == {int} and min(column) in _INT64 and max(column) in _INT64)
 FLAG = _Type("true or false", frozenset({bool}), bool)
 BOX = _Type("a list of 4 numbers", frozenset({list}), _box, same=_float_boxes)
-_LIST = _Type("a list", frozenset({list}), list)
 _INT64 = range(-(2**63), 2**63)  # the values of a signed 64-bit integer
 
 
@@ -194,13 +174,14 @@ def read_column(records: list, key: str, kind: _Type, default=REQUIRED) -> list:
 class _Kind:
     """A record kind compiled from its field table. make builds the objects:
     one from the field values in table order or, when by_columns is set, all
-    of a list's from its columns. fast(record), if given, types the values
-    of a line of the plain form the writers write in a few passes, for make,
-    and raises on any other line; that one is read column by column."""
+    of a list's from its columns. fast(record), if given, types a line in the
+    plain form the writers write in a few passes, into what read_line gives;
+    on any other line it raises, having built no object, and read_line reads
+    the line column by column."""
 
     def __init__(self, make: Callable, rows, by_columns: bool = False, fast: Optional[Callable] = None):
         self.make, self.rows, self.by_columns, self.fast = make, rows, by_columns, fast
-        self.nullable = {key for key, _, _, default in rows if default is None}
+        self.values = itemgetter(*(key for key, _, _, _ in rows))  # a record's values in table order, or a KeyError
         self.list = _Type("a list", frozenset({list}), self.read_all)
 
     def read_all(self, records: list, items: bool = True):
@@ -230,11 +211,12 @@ class _Kind:
         return tuple(objects)
 
     def read_line(self, record):
-        try:
-            values = None if self.fast is None else self.fast(record)
-        except (LookupError, TypeError, ValueError, OverflowError, AttributeError):
-            values = None  # read column by column, to name the first bad item and field
-        return self.read_all([record], items=False)[0] if values is None else self.make(*values)
+        if self.fast is not None:
+            try:
+                return self.fast(record)
+            except (LookupError, TypeError, ValueError, OverflowError, AttributeError):
+                pass  # read column by column, to name the first bad item and field
+        return self.read_all([record], items=False)[0]
 
 
 # ------------------------------------------------------------- field tables
@@ -262,7 +244,6 @@ _RADAR_ROW = _Kind(lambda *columns: np.array(columns).T, (
     ("vy", "vy", NUMBER, REQUIRED),
 ), by_columns=True)
 _DETECTION_NUMBERS = itemgetter(*(key for key, _, t, _ in _DETECTION_ROW.rows if t is NUMBER))  # in _FLOAT_COLUMNS order
-_RADAR_NUMBERS = itemgetter(*(key for key, _, _, _ in _RADAR_ROW.rows))
 _NO_BOX = [math.nan] * 4
 
 
@@ -273,22 +254,23 @@ def _replay_frame(*values) -> FrameInput:
         raise ValueError(f"field 'detections': item {exc.row}: {exc}") from None
 
 
-def _typed_replay_frame(record: dict) -> tuple:
-    """A replay line's fast reader: all numbers of its lists typed as one flat
-    list, the detections screened once, into a Checked batch."""
+def _typed_replay_frame(record: dict) -> FrameInput:
+    """A replay line's fast reader: its numbers typed as one flat list, the detections screened once."""
     frame, time, dets, radar = record["frame"], record["time"], record.get("detections", []), record.get("radar", [])
     if not (type(frame) is int and frame in _INT64 and type(time) in (float, int) and type(dets) is type(radar) is list):
         raise TypeError("not a plain replay line")
     boxes = [_NO_BOX if d.get("bbox") is None else d["bbox"] for d in dets]
     classes = [d["class"] for d in dets]
-    values = list(chain(*map(_DETECTION_NUMBERS, dets), *boxes, *map(_RADAR_NUMBERS, radar)))
+    values = list(chain(*map(_DETECTION_NUMBERS, dets), *boxes, *map(_RADAR_ROW.values, radar)))
     if not ({list} >= set(map(type, boxes)) and {4} >= set(map(len, boxes)) and {int} >= set(map(type, classes))
             and {float, int} >= set(map(type, values))):
         raise TypeError("not a box, a class or a number")
     values, n = np.fromiter(values, np.float64, len(values)), len(dets)
+    if not (math.isfinite(time) and np.isfinite(values[12 * n :]).all()):  # FrameInput would refuse them
+        raise ValueError("a time or a radar number that is not finite")
     floats, bbox = values[: 8 * n].reshape(n, 8).T.copy(), values[8 * n : 12 * n].reshape(n, 4).copy()
     batch = screened(floats, np.array(classes, np.int64), bbox, np.array([box is not _NO_BOX for box in boxes], bool))
-    return frame, float(time), Checked(batch), values[12 * n :].reshape(len(radar), 5)
+    return FrameInput(frame, float(time), Checked(batch), values[12 * n :].reshape(len(radar), 5))
 
 
 _REPLAY_FRAME = _Kind(_replay_frame, (
@@ -304,10 +286,25 @@ _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
     ("class", "class_id", INTEGER, REQUIRED),
 ))
 _GROUND_TRUTH_KEYS = [key for key, _, _, _ in _GROUND_TRUTH_OBJECT.rows]
+
+
+def _typed_ground_truth_frame(record: dict) -> GroundTruthFrame:
+    """A ground-truth line's fast reader: its objects typed as columns in a few passes."""
+    frame, objects = record["frame"], record.get("objects", [])
+    ids, x, y, classes = [*zip(*map(_GROUND_TRUTH_OBJECT.values, objects))] or [()] * 4
+    integers, types = (frame, *ids, *classes), set(map(type, x + y))
+    if not (type(objects) is list and INTEGER.same(integers, set(map(type, integers))) and {float, int} >= types
+            and math.isfinite(sum(x + y)) and len(set(ids)) == len(ids)):  # a sum that overflows reads by columns
+        raise ValueError("not a plain line, or one that GroundTruthObject or GroundTruthFrame refuses")
+    if int in types:
+        x, y = list(map(float, x)), list(map(float, y))
+    return GroundTruthFrame.from_columns(frame, ids, x, y, classes)
+
+
 _GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("objects", "columns", _GROUND_TRUTH_OBJECT.list, []),
-))
+), fast=_typed_ground_truth_frame)
 
 
 def _snapshot(track_id, u, v, depth, vx, vy, class_id, confidence, age, fused, x, y, z) -> TrackSnapshot:
@@ -341,6 +338,25 @@ _RESULT_FRAME = _Kind(FrameResult, (
 ))
 
 
+def _typed_predicted_frame(record: dict) -> PredictedFrame:
+    """evaluate's fast reader of a result line whose tracks hold all their fields: its PredictedFrame, typed
+    as columns in a few passes, if FrameResult and results_to_predictions accept the line."""
+    frame, time, tracks = record["frame"], record["time"], record.get("tracks", [])
+    ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z = [*zip(*map(_RESULT_TRACK.values, tracks))] or [()] * 13
+    integers, numbers = (frame, *ids, *classes, *age), (time, *u, *v, *depth, *vx, *vy, *conf, *x, *y, *z)
+    types = set(map(type, numbers))
+    if not (type(tracks) is list and INTEGER.same(integers, set(map(type, integers))) and {bool} >= set(map(type, fused))
+            and {float, int} >= types and math.isfinite(sum(numbers)) and min(conf, default=0.0) >= 0
+            and len(set(ids)) == len(ids)):  # a sum that overflows reads by columns
+        raise ValueError("not a plain line, or one that FrameResult or results_to_predictions refuses")
+    if int in types:
+        conf, x, y = (list(map(float, column)) for column in (conf, x, y))
+    return PredictedFrame.from_columns(frame, ids, x, y, classes, conf)
+
+
+_PREDICTED_FRAME = _Kind(FrameResult, _RESULT_FRAME.rows, fast=_typed_predicted_frame)  # a FrameResult when not fast
+
+
 def _text(kind: _Kind, end: Optional[int] = None) -> str:
     """A record of kind (its first end fields) as the encoder writes it (keys in table order, float repr, flags given
     as text), a % template of its values in table order: a box takes its 4 values, a list the text of its items."""
@@ -365,32 +381,6 @@ def encode_result(result: FrameResult) -> str:
     rows = zip(*(column.tolist() for column in columns[:9]), flags, *result.position.T.tolist())
     tracks = ",".join(map(_TRACK_TEXTS.__getitem__, result.has_position.tolist())) % tuple(chain.from_iterable(rows))
     return _RESULT_TEXT % (result.frame_index, result.timestamp, tracks)
-
-
-def _screen(kind: _Kind, items: _Kind, cls: type, fields: Sequence[str], records: list, unique_ids=False) -> list:
-    """cls.from_columns(frame, *the columns of fields) of each record of kind, each
-    field (of its last field's items too) read once per batch. A ValueError also where
-    a number is not finite, a field of fields absent or, if unique_ids, an id repeats."""
-    *heads, (key, _, _, default) = kind.rows
-    lists = read_column(records, key, _LIST, default)
-    rows = list(chain.from_iterable(lists))
-    columns = {k: read_column(records, k, t, d) for k, _, t, d in heads}
-    columns.update({k: read_column(rows, k, t, d) for k, _, t, d in items.rows})
-    numbers = chain.from_iterable(columns[k] for k, _, t, _ in (*heads, *items.rows) if t is NUMBER)
-    if np.isinf(np.array(list(numbers), np.float64)).any():  # None reads as NaN
-        raise ValueError("a number that is not finite")
-    if any(None in columns[k] for k in items.nullable.intersection(fields)):
-        raise ValueError("a field absent")
-    ends = np.cumsum(list(map(len, lists))).tolist()
-    if unique_ids and any(len(set(columns["id"][start:end])) != end - start for start, end in zip([0, *ends], ends)):
-        raise ValueError("an id repeated in a line")
-    return [cls.from_columns(frame, *(columns[key][start:end] for key in fields))
-            for frame, start, end in zip(columns["frame"], [0, *ends], ends)]
-
-
-_screen_ground_truth = partial(_screen, _GROUND_TRUTH_FRAME, _GROUND_TRUTH_OBJECT, GroundTruthFrame, ("id", "x", "y", "class"))
-_screen_predictions = partial(_screen, _RESULT_FRAME, _RESULT_TRACK, PredictedFrame, ("id", "x", "y", "class", "confidence"),
-                              unique_ids=True)  # FrameResult's rule, not PredictedFrame's
 
 
 # ------------------------------------------------------------------ replay
@@ -422,8 +412,7 @@ def write_replay(path: str, frames: Iterable[FrameInput]) -> None:
 # ------------------------------------------------------------- ground truth
 
 def read_ground_truth(path: str) -> List[GroundTruthFrame]:
-    frames = _read_batches(path, "objects", _screen_ground_truth)
-    return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME.read_line)) if frames is None else frames
+    return list(_iter(path, "ground-truth frame", _GROUND_TRUTH_FRAME.read_line))
 
 
 def _ground_truth_line(frame: GroundTruthFrame) -> str:
@@ -456,13 +445,9 @@ def write_results(path: str, results: Iterable[FrameResult]) -> None:
 
 
 def read_predictions(path: str) -> List[PredictedFrame]:
-    """results_to_predictions(iter_results(path)), with its errors, read a
-    batch of lines at a time straight into prediction columns."""
-    frames = _read_batches(path, "tracks", _screen_predictions)
-    if frames is None:  # fails as the plain path does, at the first bad line, or else here
-        results_to_predictions(iter_results(path))
-        raise ValueError("the prediction screen refuses a frame that read_results and results_to_predictions accept")
-    return frames
+    """results_to_predictions(iter_results(path)), with its errors, in one pass over the file."""
+    frames = _iter(path, "result frame", _PREDICTED_FRAME.read_line)
+    return [frame if type(frame) is PredictedFrame else results_to_predictions([frame])[0] for frame in frames]
 
 
 def results_to_predictions(results: Iterable[FrameResult]) -> List[PredictedFrame]:
@@ -541,4 +526,4 @@ def _config_type(hint) -> _Type:
     if get_origin(hint) is tuple:  # a tuple of one item type, read from a list
         item = _config_type(get_args(hint)[0])
         return _Type("a list", frozenset({list}), lambda values: tuple(map(item.read, values)))
-    return _LIST  # an array, which its constructor checks
+    return _Type("a list", frozenset({list}), list)  # an array, which its constructor checks

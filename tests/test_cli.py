@@ -619,6 +619,27 @@ def test_evaluate_bad_results_line_is_named_once(workdir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {results}:5: invalid JSON: ")
 
 
+def test_evaluate_reads_the_results_file_in_one_pass(workdir, tmp_path, capsys, monkeypatch):
+    """A results file whose last line is bad is opened once by evaluate,
+    which names that line."""
+    results = tmp_path / "results.jsonl"
+    assert main(["track", replay_path(workdir), "--scene", scenario_path(workdir), "--out", str(results)]) == 0
+    lines = results.read_text().splitlines()
+    lines[-1] = json.dumps({**json.loads(lines[-1]), "time": "t"})
+    results.write_text("\n".join(lines) + "\n")
+    opened = []
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(fusetrack.fileio, "open", counted_open, raising=False)
+    capsys.readouterr()
+    assert main(["evaluate", str(results), gt_path(workdir)]) == 1
+    assert capsys.readouterr().err == f"error: {results}:{len(lines)}: bad result frame: field 'time': expected a number, got 't'\n"
+    assert opened.count(str(results)) == 1
+
+
 def test_evaluate_fuzzed_results_fail_as_the_reader_does(workdir, tmp_path, capsys):
     """A sample of fuzzed results files (tests/reader_fuzz.py) through
     evaluate, which reads them straight into prediction columns: a line

@@ -34,7 +34,7 @@ from fusetrack.fileio import (
     write_results,
 )
 from fusetrack.fusion import PillarDims, RadarPoint
-from fusetrack.metrics import GroundTruthFrame, GroundTruthObject
+from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedObject
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, run_sequence
 from reader_fuzz import MUTATIONS, Invalid, fuzz_lines, reference_record
@@ -755,39 +755,56 @@ def test_read_predictions_fails_as_results_to_predictions_does(tmp_path, tracks,
     assert str(got.value).startswith(message)
 
 
-def test_read_predictions_refuses_a_repeated_track_id_as_iter_results_does(tmp_path, monkeypatch):
+@pytest.mark.parametrize("first", ["no-position", "bad-line"])
+def test_read_predictions_names_the_first_line_that_fails(tmp_path, first):
+    """Of a track with no position (results_to_predictions' plain
+    ValueError) and a line that read_results refuses (a ParseError), the
+    error of the earlier line is raised, as results_to_predictions(
+    iter_results(path)) raises it."""
+    no_position = _with("results", ("tracks",), [{k: v for k, v in _TRACK.items() if k not in "xyz"}])
+    bad_line = _with("results", ("time",), "t")
+    lines = [_VALID["results"], no_position, bad_line] if first == "no-position" else [_VALID["results"], bad_line, no_position]
+    path = _write_lines(tmp_path, *lines)
+    with pytest.raises(ValueError) as expected:
+        results_to_predictions(iter_results(path))
+    with pytest.raises(ValueError) as got:
+        read_predictions(path)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+    assert (type(got.value) is ParseError) == (first == "bad-line")
+
+
+def test_read_predictions_refuses_a_repeated_track_id_as_iter_results_does(tmp_path):
     """PredictedFrame takes a repeated track id on both of its paths; a
-    results line may not hold one, and the prediction screen checks that
-    rule itself, so the file fails with iter_results' path:line error. The
-    screen refuses the batch: the lines are then read one at a time."""
+    results line may not hold one, and the fast reader checks that rule
+    itself, so the file fails with iter_results' path:line error."""
     path = _write_lines(tmp_path, _VALID["results"], _with("results", ("tracks",), [_TRACK, {**_TRACK, "x": 9.0}]))
     with pytest.raises(ParseError) as expected:
         list(iter_results(path))
     assert str(expected.value).endswith(":2: bad result frame: track ids must be unique within a frame")
-    screened = _counting(monkeypatch, fileio, "_screen_predictions")
     with pytest.raises(ParseError) as got:
         read_predictions(path)
-    assert str(got.value) == str(expected.value) and len(screened) == 1
+    assert str(got.value) == str(expected.value)
 
 
-def test_read_predictions_never_passes_a_line_its_screen_refuses(tmp_path, monkeypatch):
-    """With the column screen refusing every line, a valid file still fails:
-    a line that read_results and results_to_predictions accept raises. The
-    screen's column read refuses, so its fallback runs as for any refusal."""
+def test_read_predictions_never_passes_a_line_its_screen_refuses(tmp_path, monkeypatch, results):
+    """A line that the fast reader's checks refuse is read column by column
+    into its FrameResult, which results_to_predictions converts: with the
+    fast reader refusing every line, read_predictions gives the same frames."""
     def refuse(record):
-        raise ValueError("refused")
+        raise TypeError("refused")
 
-    path = _write_lines(tmp_path, _VALID["results"])
-    monkeypatch.setattr(fileio, "_screen_predictions", refuse)
-    with pytest.raises(ValueError, match="the prediction screen refuses a frame that read_results"):
-        read_predictions(path)
+    path = str(tmp_path / "results.jsonl")
+    write_results(path, results)
+    expected = results_to_predictions(read_results(path))
+    assert read_predictions(path) == expected
+    monkeypatch.setattr(fileio._PREDICTED_FRAME, "fast", refuse)
+    converted = _counting(monkeypatch, fileio, "results_to_predictions")
+    assert read_predictions(path) == expected
+    assert len(converted) == len(results)
 
 
-_READ_BY_LINE = {  # the plain paths, a line at a time
-    "results": lambda path: results_to_predictions(read_results(path)),
-    "ground_truth": lambda path: list(fileio._iter(path, "ground-truth frame", fileio._GROUND_TRUTH_FRAME.read_line)),
-}
-_READ_BY_BATCH = {"results": read_predictions, "ground_truth": read_ground_truth}
+_FAST_KINDS = {"results": fileio._PREDICTED_FRAME, "ground_truth": fileio._GROUND_TRUTH_FRAME}
+_WHOLE_FILE_READERS = {"results": read_predictions, "ground_truth": read_ground_truth}
 
 
 def _outcome(read, path):
@@ -814,43 +831,47 @@ def _edits(kind, record):
     return lines + [{**record, key: [{**item, **change}]} for change in changes]
 
 
-@pytest.mark.parametrize("cap", [1, 3, fileio._BATCH_OBJECTS])
+@pytest.mark.parametrize("cap", [1, 3, 2048])  # 2048: more than any line holds, so all of its items
 @pytest.mark.parametrize("kind", ["results", "ground_truth"])
 def test_batch_readers_agree_with_the_line_readers(tmp_path, monkeypatch, scene, results, kind, cap):
-    """read_predictions and read_ground_truth, which read batches of lines,
-    give the frames, or the exception type and text, of the plain path a
-    line at a time. The bad line, fuzzed (tests/reader_fuzz.py) or made by
-    hand, comes first, in the middle and last in a batch: the file's lines
-    hold one item each, so a cap of 3 items makes batches of three lines.
-    Lines with no items are batched by the same cap."""
-    monkeypatch.setattr(fileio, "_BATCH_OBJECTS", cap)
+    """read_predictions and read_ground_truth, which read a whole file,
+    give the frames, or the exception type and text, that they give with
+    the fast reader off, a line at a time by columns; for results, those of
+    results_to_predictions(read_results(path)). Each line keeps at most cap
+    of its items. The bad line, fuzzed (tests/reader_fuzz.py) or made by
+    hand, comes first, in the middle and last. A valid file of the
+    writer's lines never leaves the fast reader."""
     key, write, frames = {"results": ("tracks", write_results, results),
                           "ground_truth": ("objects", write_ground_truth, scene.ground_truth)}[kind]
     path = tmp_path / "lines.jsonl"
     write(str(path), frames[:9])
-    lines = [json.dumps({**record, key: record[key][:1]}) for record in map(json.loads, path.read_text().splitlines())]
-    assert len(lines) == 9 and all(json.loads(line)[key] for line in lines)
-    path.write_text("\n".join(lines) + "\n")
-    line_reads = _counting(monkeypatch, fileio._RESULT_FRAME if kind == "results" else fileio._GROUND_TRUTH_FRAME,
-                           "read_line")
-    batches = _counting(monkeypatch, fileio, "_screen_predictions" if kind == "results" else "_screen_ground_truth")
-    frames = _READ_BY_BATCH[kind](str(path))
-    assert line_reads == [] and len(batches) == {1: 9, 3: 3}.get(cap, 1)  # the screen took every batch
-    assert frames == _READ_BY_LINE[kind](str(path))
-    path.write_text("\n".join(json.dumps({**json.loads(line), key: []}) for line in lines) + "\n")
-    batches.clear()
-    assert _READ_BY_BATCH[kind](str(path)) == _READ_BY_LINE[kind](str(path))
-    assert len(batches) == -(-9 // cap)  # lines with no items count against the cap too
+    records = list(map(json.loads, path.read_text().splitlines()))
+    lines = [json.dumps({**record, key: record[key][:cap]}) for record in records]
+    sizes = [len(json.loads(line)[key]) for line in lines]
+    assert len(lines) == 9 and min(sizes) >= 1 and max(sizes) == min(cap, max(len(record[key]) for record in records))
+    assert cap == 1 or max(sizes) > 1  # a line of several items
+
+    def by_columns(path):
+        with monkeypatch.context() as columns:
+            columns.setattr(_FAST_KINDS[kind], "fast", None)
+            got = _outcome(_WHOLE_FILE_READERS[kind], path)
+        if kind == "results":
+            assert got == _outcome(lambda path: results_to_predictions(read_results(path)), path)
+        return got
+
+    column_reads = _counting(monkeypatch, fileio._Kind, "read_all")
+    for text in (lines, [json.dumps({**json.loads(line), key: []}) for line in lines]):
+        path.write_text("\n".join(text) + "\n")
+        column_reads.clear()
+        fast = _WHOLE_FILE_READERS[kind](str(path))
+        assert column_reads == [] and fast == by_columns(str(path))
     rng = random.Random(11)
-    for index in (0, 3, 4, 5, 8):
+    for index in (0, 4, 8):
         bad = [mutate(rng, json.loads(lines[index])) for mutate in rng.choices(MUTATIONS, k=16)]
         bad += [json.dumps(edit).replace(json.dumps(_OVERFLOW), "1e999") for edit in _edits(kind, json.loads(lines[index]))]
         for line in bad:
             path.write_text("\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n")
-            line_reads.clear()
-            got = _outcome(_READ_BY_BATCH[kind], str(path))
-            assert isinstance(got, tuple) or line_reads == [], (index, line)  # a valid file never leaves the screen
-            assert got == _outcome(_READ_BY_LINE[kind], str(path)), (index, line)
+            assert _outcome(_WHOLE_FILE_READERS[kind], str(path)) == by_columns(str(path)), (index, line)
 
 
 def test_plain_replay_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, monkeypatch, scene):
@@ -910,6 +931,101 @@ def test_a_plain_line_fails_as_the_column_reader_fails(tmp_path, monkeypatch, wh
     with pytest.raises(ParseError) as by_columns:
         read_replay(path)
     assert str(fast.value) == str(by_columns.value)
+
+
+@pytest.mark.parametrize("kind", ["ground_truth", "results"])
+def test_plain_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, monkeypatch, scene, results, kind):
+    """A ground-truth or result line of the form its writer writes takes the
+    fast reader, with no column read, and gives the frame, with the same
+    value types, that the column reader gives; so do integer numbers, empty
+    lists and an absent list."""
+    path = str(tmp_path / "lines.jsonl")
+    if kind == "ground_truth":
+        write_ground_truth(path, scene.ground_truth[:6])
+    else:
+        write_results(path, results[:6])
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh]
+    key = "objects" if kind == "ground_truth" else "tracks"
+    integers = {"x": 3, "y": -(2**53) - 1} if kind == "ground_truth" else {
+        "u": 100, "depth": 2**70, "confidence": 0, "x": 20, "y": 2**53 + 1, "z": 0}
+    records += [
+        {**records[1], key: [{**item, **integers} for item in records[1][key]]},
+        {**records[2], key: []},
+        {k: v for k, v in records[3].items() if k != key},
+    ]
+    if kind == "results":
+        records += [{**records[4], "time": 1}, {**records[5], key: [{**item, "confidence": 1} for item in records[5][key]]}]
+    assert all(record.get(key) for record in records[:6]) and len(records[6][key]) > 1
+    kind_ = fileio._GROUND_TRUTH_FRAME if kind == "ground_truth" else fileio._PREDICTED_FRAME
+    column_reads = _counting(monkeypatch, fileio._Kind, "read_all")
+    for record in records:
+        fast = kind_.read_line(record)
+        assert column_reads == []
+        slow = kind_.read_all([record], items=False)[0]  # for results, a FrameResult
+        slow = results_to_predictions([slow])[0] if kind == "results" else slow
+        column_reads.clear()
+        assert type(fast) is type(slow) and fast == slow
+        assert [list(map(type, column)) for column in fast.columns] == [list(map(type, column)) for column in slow.columns]
+
+
+@pytest.mark.parametrize(
+    "kind, where, value",
+    [("ground_truth", ("objects", 0, "x"), _OVERFLOW), ("ground_truth", ("objects", 0, "y"), 10**400),
+     ("ground_truth", ("objects", 0, "id"), True), ("ground_truth", ("objects", 0, "class"), 2**63),
+     ("ground_truth", ("objects", 0, "y"), None), ("ground_truth", ("frame",), -(2**63) - 1),
+     ("ground_truth", ("objects",), [_OBJECT, _OBJECT]), ("ground_truth", ("objects", 0), [1]),
+     ("ground_truth", ("objects",), "objects"), ("ground_truth", (), {"frame": 0, "objects": {}}),
+     ("results", ("time",), _OVERFLOW), ("results", ("frame",), 2**63), ("results", ("tracks", 0, "depth"), _OVERFLOW),
+     ("results", ("tracks", 0, "x"), 10**400), ("results", ("tracks", 0, "fused"), 1),
+     ("results", ("tracks", 0, "age"), 1.0), ("results", ("tracks", 0, "x"), None),
+     ("results", ("tracks", 0, "confidence"), -0.5), ("results", ("tracks",), [_TRACK, _TRACK]),
+     ("results", ("tracks", 0), "track"), ("results", (), {"frame": 0, "time": 0.0, "tracks": {}})],
+    ids=["gt-x-overflow", "gt-y-beyond-float", "gt-bool-id", "gt-class-beyond-int64", "gt-null-y",
+         "gt-frame-beyond-int64", "gt-repeated-id", "gt-object-not-an-object", "gt-objects-a-string", "gt-objects-a-mapping",
+         "time-overflow", "frame-beyond-int64", "depth-overflow", "x-beyond-float", "int-fused", "float-age",
+         "null-x", "negative-confidence", "repeated-track-id", "track-not-an-object", "tracks-a-mapping"],
+)
+def test_a_plain_ground_truth_or_result_line_fails_as_the_column_reader_fails(tmp_path, monkeypatch, kind, where, value):
+    """A bad line otherwise in the writer's form fails with the column
+    reader's error, of the same type, and builds no more objects than it:
+    a ParseError for a line that read_results or the ground-truth reader
+    refuses, results_to_predictions' plain ValueError for a negative
+    confidence."""
+    path = _write_lines(tmp_path, _with(kind, where, value) if where else value)
+    read, kind_, owners = {"ground_truth": (read_ground_truth, fileio._GROUND_TRUTH_FRAME, [GroundTruthObject]),
+                           "results": (read_predictions, fileio._PREDICTED_FRAME, [FrameResult, PredictedObject])}[kind]
+    built = [_counting(monkeypatch, owner, "__post_init__") for owner in owners]
+    with pytest.raises(ValueError) as fast:
+        read(path)
+    built_fast = [calls.copy() for calls in built]
+    monkeypatch.setattr(kind_, "fast", None)
+    for calls in built:
+        calls.clear()
+    with pytest.raises(ValueError) as by_columns:
+        read(path)
+    assert (type(fast.value), str(fast.value), built_fast) == (type(by_columns.value), str(by_columns.value), built)
+    assert (type(fast.value) is ValueError) == (value == -0.5)
+
+
+@pytest.mark.parametrize("kind", ["replay", "ground_truth", "results"])
+@pytest.mark.parametrize("before, after", [("\f", ""), ("", "\u00a0"), ("\x1c", None), ("\u2028", None)],
+                         ids=["form-feed-before", "no-break-space-after", "only-x1c", "only-u2028"])
+def test_only_json_whitespace_is_blank(tmp_path, kind, before, after):
+    """A line is blank, and skipped, when it holds only spaces, tabs and a
+    CR; other whitespace is not JSON's, and its line fails as invalid JSON,
+    as json.loads fails on it."""
+    line = before + (json.dumps(_VALID[kind]) + after if after is not None else "")
+    with pytest.raises(ValueError):
+        json.loads(line)
+    path = tmp_path / "lines.jsonl"
+    for read in [_READERS[kind]] + ([read_predictions] if kind == "results" else []):
+        path.write_bytes(f"{json.dumps(_VALID[kind])}\n \t\r\n{line}\n".encode())
+        with pytest.raises(ParseError) as err:
+            read(str(path))
+        assert str(err.value).startswith(f"{path}:3: invalid JSON: ")
+        path.write_bytes(f"{json.dumps(_VALID[kind])}\n \t\r\n".encode())
+        assert len(read(str(path))) == 1
 
 
 def test_ground_truth_lines_are_written_as_the_json_encoder_writes_them(tmp_path):
