@@ -153,13 +153,8 @@ class DetectionBatch(_Columns):
                 raise ValueError(f"detection row {i}: expected 10 values, got {len(row)}")
             if row[9] is not None and len(row[9]) != 4:
                 raise ValueError(f"detection row {i}: bbox must hold 4 values, got {len(row[9])}")
-        return cls.from_fields(*(list(zip(*rows)) or [()] * 10)).checked_copy()
-
-    @classmethod
-    def from_fields(cls, *values) -> "DetectionBatch":
-        """An unchecked batch of the Detection field columns, each bbox a box or None."""
-        *columns, boxes = values
-        return cls(*columns, [(math.nan,) * 4 if b is None else b for b in boxes], [b is not None for b in boxes])
+        *columns, boxes = list(zip(*rows)) or [()] * 10
+        return cls(*columns, [(math.nan,) * 4 if b is None else b for b in boxes], [b is not None for b in boxes]).checked_copy()
 
     def rows(self) -> List[tuple]:
         """The field values of each row, bbox None for an unboxed row."""

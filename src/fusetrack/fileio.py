@@ -17,8 +17,8 @@ identical data always produces identical bytes.
 
 A file is read in one pass, a line at a time, by its kind's read_line: a
 line in the writers' plain form is typed in a few passes by the kind's fast
-reader, if it has one, and any other line a column at a time (read_column),
-its items one at a time only to name the first bad item and field. NaN and
+reader, and any other line once, field by field in table order and a list
+item by item, so that an error names the first bad item and field. NaN and
 Infinity fail at decode time and writers refuse them. Every failure names
 the file and line, as in ``path:3: bad frame: field 'time': expected a
 number, got '0.5'``. iter_replay and iter_results yield a frame per line,
@@ -40,7 +40,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
-from .association import Checked, DetectionBatch, RowError, screened
+from .association import Checked, RowError, screened
 from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame
 from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, _snapshot_from_row
 
@@ -111,14 +111,11 @@ REQUIRED = object()  # the default of a field that must be present
 
 class _Type(NamedTuple):
     """A JSON type: its name in messages, the Python types its decoded values
-    may have, their conversion (ValueError when out of range), and the test of
-    a whole column, given the set of its value types, that passes a column
-    whose values read as they are."""
+    may have, and their conversion (ValueError when out of range)."""
 
     name: str
     accepts: frozenset
     convert: Callable
-    same: Callable[[list, set], bool] = lambda column, types: False
 
     def read(self, value):
         if type(value) not in self.accepts:
@@ -132,81 +129,62 @@ def _int64(value: int) -> int:
     return value
 
 
+def _int64s(values: tuple) -> bool:
+    """Whether values, at least one, are all ints (not bools) that fit in a signed 64-bit integer."""
+    return {int} >= set(map(type, values)) and min(values) in _INT64 and max(values) in _INT64
+
+
 def _box(value: list) -> Tuple[float, ...]:
     if len(value) != 4 or not NUMBER.accepts.issuperset(map(type, value)):
         raise ValueError(f"expected a list of 4 numbers, got {reprlib.repr(value)}")
     return tuple(map(float, value))
 
 
-def _float_boxes(column: list, types: set) -> bool:
-    return types == {list} and set(map(len, column)) == {4} and set(map(type, chain.from_iterable(column))) == {float}
-
-
-NUMBER = _Type("a number", frozenset({int, float}), float, same=lambda column, types: types == {float})
-INTEGER = _Type("an integer", frozenset({int}), _int64,
-                same=lambda column, types: types == {int} and min(column) in _INT64 and max(column) in _INT64)
+NUMBER = _Type("a number", frozenset({int, float}), float)
+INTEGER = _Type("an integer", frozenset({int}), _int64)
 FLAG = _Type("true or false", frozenset({bool}), bool)
-BOX = _Type("a list of 4 numbers", frozenset({list}), _box, same=_float_boxes)
+BOX = _Type("a list of 4 numbers", frozenset({list}), _box)
 _INT64 = range(-(2**63), 2**63)  # the values of a signed 64-bit integer
 
 
-def read_column(records: list, key: str, kind: _Type, default=REQUIRED) -> list:
-    """The values of key in a list of records (default where absent) read as
-    kind: _Type.read's type rule tests the whole column at once, then one pass
-    converts it, unless kind.same passes the column as it is (all floats, all
-    ints within int64, all boxes of 4 floats). A None default also makes null
-    valid. The ValueError names the field."""
-    column = list(map(dict.get, records, repeat(key), repeat(default)))
-    types = set(map(type, column))
-    if default is None and type(None) in types:  # read the records that hold a value
-        values = iter(read_column([r for r, value in zip(records, column) if value is not None], key, kind))
-        return [None if value is None else next(values) for value in column]
-    if type(REQUIRED) in types:
+def _field(record: dict, key: str, kind: _Type, default=REQUIRED):
+    """The value of key in record (default where absent) read as kind; a None
+    default also makes null valid. The ValueError names the field."""
+    value = record.get(key, default)
+    if value is REQUIRED:
         raise ValueError(f"missing field {key!r}")
     try:
-        if kind.same(column, types):
-            return column  # kind.convert would return each value as it is, or an equal tuple of a box
-        return list(map(kind.convert if types <= kind.accepts else kind.read, column))
+        return None if value is None and default is None else kind.read(value)
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
 class _Kind:
-    """A record kind compiled from its field table. make builds the objects:
-    one from the field values in table order or, when by_columns is set, all
-    of a list's from its columns. fast(record), if given, types a line in the
-    plain form the writers write in a few passes, into what read_line gives;
-    on any other line it raises, having built no object, and read_line reads
-    the line column by column."""
+    """A record kind compiled from its field table. make builds an object
+    from its field values in table order. fast(record), if given, types a
+    line in the plain form the writers write in a few passes, into what
+    read_line gives; on any other line it raises, having built no object,
+    and read_line reads the line field by field."""
 
-    def __init__(self, make: Callable, rows, by_columns: bool = False, fast: Optional[Callable] = None):
-        self.make, self.rows, self.by_columns, self.fast = make, rows, by_columns, fast
+    def __init__(self, make: Callable, rows, fast: Optional[Callable] = None):
+        self.make, self.rows, self.fast = make, rows, fast
         self.values = itemgetter(*(key for key, _, _, _ in rows))  # a record's values in table order, or a KeyError
         self.list = _Type("a list", frozenset({list}), self.read_all)
 
-    def read_all(self, records: list, items: bool = True):
-        """The objects of a list of JSON objects, made from their read columns.
-        When a column fails, the records are read again one at a time, so that
-        the ValueError names the first bad item (unless items is False) and,
-        in it, the first bad field or the object's own check."""
+    def read(self, record):
+        """The object of a JSON object, read field by field in table order:
+        the ValueError names the first bad field, or is the object's own."""
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {reprlib.repr(record)}")
+        return self.make(*[_field(record, key, t, default) for key, _, t, default in self.rows])
+
+    def read_all(self, records: list) -> tuple:
+        """The objects of a list of JSON objects, read item by item: the
+        ValueError names the first bad item."""
         objects = []
         try:
-            try:
-                if not all(map(isinstance, records, repeat(dict))):
-                    bad = next(record for record in records if not isinstance(record, dict))
-                    raise ValueError(f"expected a JSON object, got {reprlib.repr(bad)}")
-                columns = [read_column(records, key, t, default) for key, _, t, default in self.rows]
-            except ValueError:
-                if items:  # read the records one at a time, to name the first bad one
-                    for record in records:
-                        objects.append(self.read_all([record], items=False))
-                raise
-            if self.by_columns:
-                return self.make(*columns)
-            objects.extend(map(self.make, *columns))  # keeps the objects made before a failure
+            objects.extend(map(self.read, records))  # keeps the objects read before a failure
         except ValueError as exc:
-            if not items:
-                raise
             raise ValueError(f"item {len(objects)}: {exc}") from None
         return tuple(objects)
 
@@ -215,14 +193,14 @@ class _Kind:
             try:
                 return self.fast(record)
             except (LookupError, TypeError, ValueError, OverflowError, AttributeError):
-                pass  # read column by column, to name the first bad item and field
-        return self.read_all([record], items=False)[0]
+                pass  # read field by field, to name the first bad item and field
+        return self.read(record)
 
 
 # ------------------------------------------------------------- field tables
 
-# Detections and radar returns read as columns, which FrameInput checks.
-_DETECTION_ROW = _Kind(DetectionBatch.from_fields, (
+# Detections and radar returns read as rows, which FrameInput checks.
+_DETECTION_ROW = _Kind(lambda *row: row, (
     ("u", "u", NUMBER, REQUIRED),
     ("v", "v", NUMBER, REQUIRED),
     ("depth", "depth", NUMBER, REQUIRED),
@@ -233,16 +211,14 @@ _DETECTION_ROW = _Kind(DetectionBatch.from_fields, (
     ("du", "du", NUMBER, 0.0),
     ("dv", "dv", NUMBER, 0.0),
     ("bbox", "bbox", BOX, None),
-), by_columns=True)
-
-
-_RADAR_ROW = _Kind(lambda *columns: np.array(columns).T, (
+))
+_RADAR_ROW = _Kind(lambda *row: row, (
     ("x", "x", NUMBER, REQUIRED),
     ("y", "y", NUMBER, REQUIRED),
     ("z", "z", NUMBER, REQUIRED),
     ("vx", "vx", NUMBER, REQUIRED),
     ("vy", "vy", NUMBER, REQUIRED),
-), by_columns=True)
+))
 _DETECTION_NUMBERS = itemgetter(*(key for key, _, t, _ in _DETECTION_ROW.rows if t is NUMBER))  # in _FLOAT_COLUMNS order
 _NO_BOX = [math.nan] * 4
 
@@ -293,12 +269,12 @@ def _typed_ground_truth_frame(record: dict) -> GroundTruthFrame:
     frame, objects = record["frame"], record.get("objects", [])
     ids, x, y, classes = [*zip(*map(_GROUND_TRUTH_OBJECT.values, objects))] or [()] * 4
     integers, types = (frame, *ids, *classes), set(map(type, x + y))
-    if not (type(objects) is list and INTEGER.same(integers, set(map(type, integers))) and {float, int} >= types
-            and math.isfinite(sum(x + y)) and len(set(ids)) == len(ids)):  # a sum that overflows reads by columns
+    if not (type(objects) is list and _int64s(integers) and {float, int} >= types
+            and math.isfinite(sum(x + y)) and len(set(ids)) == len(ids)):  # a sum that overflows reads field by field
         raise ValueError("not a plain line, or one that GroundTruthObject or GroundTruthFrame refuses")
     if int in types:
         x, y = list(map(float, x)), list(map(float, y))
-    return GroundTruthFrame.from_columns(frame, ids, x, y, classes)
+    return GroundTruthFrame.__new__(GroundTruthFrame)._fill(frame, (ids, x, y, classes))  # checked as from_columns would
 
 
 _GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
@@ -331,29 +307,55 @@ _RESULT_TRACK = _Kind(_snapshot, (
     ("y", "position", NUMBER, None),
     ("z", "position", NUMBER, None),
 ))
+_POSITION_KEYS = frozenset(key for key, _, _, _ in _RESULT_TRACK.rows[10:])
+_UNPLACED_TRACK_VALUES = itemgetter(*(key for key, _, _, _ in _RESULT_TRACK.rows[:10]))
+
+
+def _typed_result(record: dict) -> tuple:
+    """A result line in a form that encode_result writes (every track with a position, or none), typed in a few
+    passes if FrameResult accepts it: its frame, time, 13 track columns as decoded (x, y and z empty without
+    positions) and whether a number is an int."""
+    frame, time, tracks = record["frame"], record["time"], record.get("tracks", [])
+    placed = type(tracks) is list and tracks != [] and "x" in tracks[0]
+    if not (type(tracks) is list and (placed or all(map(_POSITION_KEYS.isdisjoint, tracks)))):
+        raise TypeError("not a list of tracks in a form that the writer writes")
+    ids, u, v, depth, vx, vy, classes, conf, age, fused, *position = (
+        [*zip(*map(_RESULT_TRACK.values if placed else _UNPLACED_TRACK_VALUES, tracks))] or [()] * 10)
+    x, y, z = position or ((), (), ())
+    integers, numbers = (frame, *ids, *classes, *age), (time, *u, *v, *depth, *vx, *vy, *conf, *x, *y, *z)
+    types = set(map(type, numbers))
+    has_int = int in types  # an int too large for a float fails in float(), even where the sum would cancel it
+    if not (_int64s(integers) and {bool} >= set(map(type, fused)) and {float, int} >= types
+            and math.isfinite(sum(map(float, numbers) if has_int else numbers)) and len(set(ids)) == len(ids)):
+        raise ValueError("not a plain line, a line that FrameResult refuses, or one whose sum overflows")
+    return frame, time, (ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z), has_int
+
+
+def _typed_result_frame(record: dict) -> FrameResult:
+    """A result line's fast reader: its tracks typed straight into FrameResult columns, with no snapshot."""
+    frame, time, (ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z), _ = _typed_result(record)
+    ints, floats = np.array([ids, classes, age], np.int64), np.array([u, v, depth, vx, vy, conf], np.float64)
+    position = np.array([x, y, z], np.float64).T.copy() if x else np.full((len(ids), 3), math.nan)
+    return FrameResult.__new__(FrameResult)._fill(frame, time, ints[0], *floats[:5], ints[1], floats[5], ints[2],
+                                                  np.array(fused, bool), position, np.full(len(ids), bool(x)))
+
+
+def _typed_predicted_frame(record: dict) -> PredictedFrame:
+    """evaluate's fast reader of a result line: its PredictedFrame, typed as columns in a few passes, if
+    FrameResult and results_to_predictions accept the line."""
+    frame, _, (ids, _, _, _, _, _, classes, conf, _, _, x, y, _), has_int = _typed_result(record)
+    if len(x) != len(ids) or min(conf, default=0.0) < 0:
+        raise ValueError("a track without a position, or a confidence that results_to_predictions refuses")
+    if has_int:
+        conf, x, y = (list(map(float, column)) for column in (conf, x, y))
+    return PredictedFrame.__new__(PredictedFrame)._fill(frame, (ids, x, y, classes, conf))  # checked as from_columns would
+
+
 _RESULT_FRAME = _Kind(FrameResult, (
     ("frame", "frame_index", INTEGER, REQUIRED),
     ("time", "timestamp", NUMBER, REQUIRED),
     ("tracks", "track_id", _RESULT_TRACK.list, []),
-))
-
-
-def _typed_predicted_frame(record: dict) -> PredictedFrame:
-    """evaluate's fast reader of a result line whose tracks hold all their fields: its PredictedFrame, typed
-    as columns in a few passes, if FrameResult and results_to_predictions accept the line."""
-    frame, time, tracks = record["frame"], record["time"], record.get("tracks", [])
-    ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z = [*zip(*map(_RESULT_TRACK.values, tracks))] or [()] * 13
-    integers, numbers = (frame, *ids, *classes, *age), (time, *u, *v, *depth, *vx, *vy, *conf, *x, *y, *z)
-    types = set(map(type, numbers))
-    if not (type(tracks) is list and INTEGER.same(integers, set(map(type, integers))) and {bool} >= set(map(type, fused))
-            and {float, int} >= types and math.isfinite(sum(numbers)) and min(conf, default=0.0) >= 0
-            and len(set(ids)) == len(ids)):  # a sum that overflows reads by columns
-        raise ValueError("not a plain line, or one that FrameResult or results_to_predictions refuses")
-    if int in types:
-        conf, x, y = (list(map(float, column)) for column in (conf, x, y))
-    return PredictedFrame.from_columns(frame, ids, x, y, classes, conf)
-
-
+), fast=_typed_result_frame)
 _PREDICTED_FRAME = _Kind(FrameResult, _RESULT_FRAME.rows, fast=_typed_predicted_frame)  # a FrameResult when not fast
 
 
@@ -514,7 +516,7 @@ def config_from_dict(cls, data: Dict, strict: bool = True):
         if key not in hints:
             raise ValueError(f"unknown key {key!r} (expected one of {sorted(hints)})")
     read = [f.name for f in fields(cls) if f.name in data or (f.default is MISSING and f.default_factory is MISSING)]
-    return cls(**{name: read_column([data], name, _config_type(hints[name]))[0] for name in read})
+    return cls(**{name: _field(data, name, _config_type(hints[name])) for name in read})
 
 
 def _config_type(hint) -> _Type:

@@ -98,14 +98,14 @@ class _Columns:
         if not cls._valid(*columns):
             cls(frame_index, map(cls._object, *columns))
             raise ValueError(f"columns that {cls.__name__} accepts as objects fail its column screen")
-        frame = cls.__new__(cls)
-        frame._fill(frame_index, columns)
-        return frame
+        return cls.__new__(cls)._fill(frame_index, columns)
 
-    def _fill(self, frame_index: int, columns: Iterable[Sequence]) -> None:
+    def _fill(self, frame_index: int, columns: Iterable[Sequence]) -> "_Columns":
+        """Take over the columns, unchecked but for the frame index; returns the frame."""
         object.__setattr__(self, "frame_index", checked_frame_index(frame_index))
         for name, column in zip_longest(_names(self._object), columns, fillvalue=()):
             object.__setattr__(self, name, tuple(column))
+        return self
 
     columns = property(lambda self: tuple(getattr(self, name) for name in _names(self._object)))
     objects = property(lambda self: tuple(map(self._object, *self.columns)))

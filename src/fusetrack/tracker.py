@@ -170,12 +170,13 @@ class FrameResult:
                                              for name in _COLUMNS[:10]),
                    position.reshape(len(tracks), 3), np.array([t.position is not None for t in tracks], dtype=bool))
 
-    def _fill(self, frame_index: int, timestamp: float, *columns: np.ndarray) -> None:
-        """Take over the columns, arrays in _COLUMNS order, read-only, and check the result."""
+    def _fill(self, frame_index: int, timestamp: float, *columns: np.ndarray) -> "FrameResult":
+        """Take over the columns, arrays in _COLUMNS order, read-only, and check the result; returns it."""
         self.__dict__.update(frame_index=frame_index, timestamp=timestamp, **dict(zip(_COLUMNS, columns)))
         for column in columns:
             column.flags.writeable = False
         self.__post_init__()
+        return self
 
     def __hash__(self):  # equal results hold equal ids; a NaN value, never equal to itself, keeps the hash stable
         return hash((self.frame_index, self.timestamp, self.track_id.tobytes()))
@@ -313,9 +314,8 @@ class Tracker:
         columns = [getattr(tracks, name)[seen] for name in _COLUMNS[:10]]
         known = self.camera is not None
         position = image_to_vehicle(*columns[1:4], self.camera) if known else np.full((seen.size, 3), math.nan)
-        result = FrameResult.__new__(FrameResult)
-        result._fill(frame.frame_index, frame.timestamp, *columns, position, np.full(seen.size, known))
-        return result
+        return FrameResult.__new__(FrameResult)._fill(frame.frame_index, frame.timestamp, *columns, position,
+                                                      np.full(seen.size, known))
 
 
 def run_sequence(

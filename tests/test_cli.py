@@ -226,8 +226,9 @@ def test_track_file_stdout_and_library_bytes_agree(tmp_path, capsys):
 
 def test_track_builds_no_track_snapshot(tmp_path, monkeypatch):
     """track --scene writes each result line from the step's columns: no
-    TrackSnapshot is built between the replay and the results file, while
-    reading the file back builds one per track."""
+    TrackSnapshot is built between the replay and the results file, nor by
+    reading the file back, which types each line straight into columns;
+    only .tracks builds one per track."""
     assert main(["simulate", CROSSING_CONFIG, "--out", str(tmp_path / "scene")]) == 0
     calls = []
     for module in (fusetrack.tracker, fusetrack.fileio):  # the modules that build snapshots
@@ -236,8 +237,10 @@ def test_track_builds_no_track_snapshot(tmp_path, monkeypatch):
     out = str(tmp_path / "results.jsonl")
     assert main(["track", str(tmp_path / "scene" / "replay.jsonl"), "--scene", CROSSING_CONFIG, "--out", out]) == 0
     assert calls == []
-    tracks = sum(len(result.tracks) for result in read_results(out))
-    assert tracks > 0 and len(calls) == 2 * tracks  # once by the reader, once by .tracks
+    results = read_results(out)
+    assert calls == []
+    tracks = sum(len(result.tracks) for result in results)
+    assert tracks > 0 and len(calls) == tracks  # by .tracks only
 
 
 def test_track_builds_no_radar_match_and_no_match_tuples(tmp_path, monkeypatch):

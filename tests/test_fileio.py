@@ -36,6 +36,7 @@ from fusetrack.fileio import (
 from fusetrack.fusion import PillarDims, RadarPoint
 from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedObject
 from fusetrack.simulator import crossing_scenario, generate
+from fusetrack.tracker import _COLUMNS as _RESULT_COLUMNS
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, run_sequence
 from reader_fuzz import MUTATIONS, Invalid, fuzz_lines, reference_record
 
@@ -680,6 +681,53 @@ def test_replay_reader_messages_are_pinned(tmp_path, record, message):
     assert str(err.value) == f"{path}:2: bad frame: {message}"
 
 
+_NO_POSITION = {k: v for k, v in _TRACK.items() if k not in "xyz"}
+
+
+@pytest.mark.parametrize(
+    "kind, items, message",
+    [
+        ("results", [{k: v for k, v in _TRACK.items() if k != "y"}], "item 0: a position needs both 'x' and 'y'"),
+        ("results", [_TRACK, {**_TRACK, "id": 2, "x": None}], "item 1: a position needs both 'x' and 'y'"),
+        ("results", [{**_NO_POSITION, "z": 0.0}], "item 0: a position needs both 'x' and 'y'"),
+        ("results", [_TRACK, {**_TRACK, "id": 2, "depth": _OVERFLOW}], "item 1: track numbers must be finite"),
+        ("results", [{**_TRACK, "z": _OVERFLOW}], "item 0: track numbers must be finite"),
+        ("results", [{**_TRACK, "fused": 1}], "item 0: field 'fused': expected true or false, got 1"),
+        ("results", [{**_TRACK, "age": 2**63}],
+         "item 0: field 'age': 9223372036854775808 does not fit in a signed 64-bit integer"),
+        ("results", [{k: v for k, v in _TRACK.items() if k != "class"}], "item 0: missing field 'class'"),
+        ("results", [_TRACK, {**_TRACK, "x": 5.0}], "track ids must be unique within a frame"),
+        ("results", 5, "expected a list, got 5"),
+        ("results", {"id": 1}, "expected a list, got {'id': 1}"),
+        ("results", [_TRACK, "track"], "item 1: expected a JSON object, got 'track'"),
+        ("ground_truth", [_OBJECT, {**_OBJECT, "id": 2, "y": _OVERFLOW}], "item 1: ground-truth x and y must be finite"),
+        ("ground_truth", [{**_OBJECT, "id": 2**63}],
+         "item 0: field 'id': 9223372036854775808 does not fit in a signed 64-bit integer"),
+        ("ground_truth", [{**_OBJECT, "class": 1.0}], "item 0: field 'class': expected an integer, got 1.0"),
+        ("ground_truth", [{k: v for k, v in _OBJECT.items() if k != "y"}], "item 0: missing field 'y'"),
+        ("ground_truth", [_OBJECT, _OBJECT], "frame 0: duplicate ground-truth ids"),
+        ("ground_truth", 5, "expected a list, got 5"),
+        ("ground_truth", [_OBJECT, [1]], "item 1: expected a JSON object, got [1]"),
+    ],
+    ids=["x-without-y", "null-x", "z-without-x", "depth-1e999", "z-1e999", "int-fused", "age-beyond-int64",
+         "missing-class", "duplicate-track-ids", "tracks-a-number", "tracks-an-object", "track-not-an-object",
+         "object-y-1e999", "object-id-beyond-int64", "float-class", "missing-y", "duplicate-object-ids",
+         "objects-a-number", "object-not-an-object"],
+)
+def test_result_and_ground_truth_reader_messages_are_pinned(tmp_path, kind, items, message):
+    """The results and ground-truth readers' full message for one bad line
+    per rule, after a valid line: read_predictions gives read_results'. A
+    message that names an item is prefixed with its list field."""
+    key, what, reads = {"results": ("tracks", "result frame", [read_results, read_predictions]),
+                        "ground_truth": ("objects", "ground-truth frame", [read_ground_truth])}[kind]
+    path = _write_lines(tmp_path, _VALID[kind], {**_VALID[kind], key: items})
+    message = f"field '{key}': {message}" if message.startswith(("item", "expected")) else message
+    for read in reads:
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:2: bad {what}: {message}"
+
+
 def _counting(monkeypatch, owner, name):
     """Count the calls of owner.name (a function or a method)."""
     calls = []
@@ -836,7 +884,7 @@ def _edits(kind, record):
 def test_batch_readers_agree_with_the_line_readers(tmp_path, monkeypatch, scene, results, kind, cap):
     """read_predictions and read_ground_truth, which read a whole file,
     give the frames, or the exception type and text, that they give with
-    the fast reader off, a line at a time by columns; for results, those of
+    the fast reader off, a line at a time field by field; for results, those of
     results_to_predictions(read_results(path)). Each line keeps at most cap
     of its items. The bad line, fuzzed (tests/reader_fuzz.py) or made by
     hand, comes first, in the middle and last. A valid file of the
@@ -851,32 +899,32 @@ def test_batch_readers_agree_with_the_line_readers(tmp_path, monkeypatch, scene,
     assert len(lines) == 9 and min(sizes) >= 1 and max(sizes) == min(cap, max(len(record[key]) for record in records))
     assert cap == 1 or max(sizes) > 1  # a line of several items
 
-    def by_columns(path):
-        with monkeypatch.context() as columns:
-            columns.setattr(_FAST_KINDS[kind], "fast", None)
+    def field_by_field(path):
+        with monkeypatch.context() as fields:
+            fields.setattr(_FAST_KINDS[kind], "fast", None)
             got = _outcome(_WHOLE_FILE_READERS[kind], path)
         if kind == "results":
             assert got == _outcome(lambda path: results_to_predictions(read_results(path)), path)
         return got
 
-    column_reads = _counting(monkeypatch, fileio._Kind, "read_all")
+    field_reads = _counting(monkeypatch, fileio._Kind, "read")
     for text in (lines, [json.dumps({**json.loads(line), key: []}) for line in lines]):
         path.write_text("\n".join(text) + "\n")
-        column_reads.clear()
+        field_reads.clear()
         fast = _WHOLE_FILE_READERS[kind](str(path))
-        assert column_reads == [] and fast == by_columns(str(path))
+        assert field_reads == [] and fast == field_by_field(str(path))
     rng = random.Random(11)
     for index in (0, 4, 8):
         bad = [mutate(rng, json.loads(lines[index])) for mutate in rng.choices(MUTATIONS, k=16)]
         bad += [json.dumps(edit).replace(json.dumps(_OVERFLOW), "1e999") for edit in _edits(kind, json.loads(lines[index]))]
         for line in bad:
             path.write_text("\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n")
-            assert _outcome(_WHOLE_FILE_READERS[kind], str(path)) == by_columns(str(path)), (index, line)
+            assert _outcome(_WHOLE_FILE_READERS[kind], str(path)) == field_by_field(str(path)), (index, line)
 
 
 def test_plain_replay_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, monkeypatch, scene):
     """A line of the form write_replay writes takes the fast reader, with no
-    column read, and gives the frame, bit for bit, that the column-by-column
+    field read, and gives the frame, bit for bit, that the field-by-field
     reader gives; so do integer numbers, a null bbox and absent or empty
     lists."""
     path = str(tmp_path / "replay.jsonl")
@@ -891,12 +939,12 @@ def test_plain_replay_lines_are_typed_fast_as_the_column_reader_types_them(tmp_p
         {"frame": 7, "time": 1.5, "detections": [], "radar": []},
         {"frame": 8, "time": 2.5},
     ]
-    column_reads = _counting(monkeypatch, fileio._Kind, "read_all")
+    field_reads = _counting(monkeypatch, fileio._Kind, "read")
     for record in records:
         fast = fileio._REPLAY_FRAME.read_line(record)
-        assert column_reads == []
-        slow = fileio._REPLAY_FRAME.read_all([record], items=False)[0]
-        column_reads.clear()
+        assert field_reads == []
+        slow = fileio._REPLAY_FRAME.read(record)
+        field_reads.clear()
         assert fast == slow
         for a, b in zip([*fast.detections.columns(), fast.radar], [*slow.detections.columns(), slow.radar]):
             assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False)
@@ -914,7 +962,7 @@ _BOX_OF_5 = [90.0, 310.0, 110.0, 330.0, 1.0]
          "boxes-of-5-and-3", "boxes-of-5-and-3-no-radar"],
 )
 def test_a_plain_line_fails_as_the_column_reader_fails(tmp_path, monkeypatch, where, value):
-    """A bad line otherwise in the writer's form fails with the column
+    """A bad line otherwise in the writer's form fails with the field
     reader's message, and builds its FrameInput at most once. Boxes of 5 and
     3 values hold 8 values, as two boxes should."""
     record = _with("replay", where, value)
@@ -928,17 +976,19 @@ def test_a_plain_line_fails_as_the_column_reader_fails(tmp_path, monkeypatch, wh
         read_replay(path)
     assert len(built) <= 1
     monkeypatch.setattr(fileio._REPLAY_FRAME, "fast", None)
-    with pytest.raises(ParseError) as by_columns:
+    with pytest.raises(ParseError) as field_by_field:
         read_replay(path)
-    assert str(fast.value) == str(by_columns.value)
+    assert str(fast.value) == str(field_by_field.value)
 
 
-@pytest.mark.parametrize("kind", ["ground_truth", "results"])
+@pytest.mark.parametrize("kind", ["ground_truth", "results", "result_frame"])
 def test_plain_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, monkeypatch, scene, results, kind):
     """A ground-truth or result line of the form its writer writes takes the
-    fast reader, with no column read, and gives the frame, with the same
-    value types, that the column reader gives; so do integer numbers, empty
-    lists and an absent list."""
+    fast reader, with no field read, and gives the frame, with the same
+    value types, that the field reader gives; so do integer numbers, empty
+    lists and an absent list. Result lines are read as predictions and as
+    FrameResults, whose columns are the same bytes; a FrameResult is also
+    read from the writer's form without positions."""
     path = str(tmp_path / "lines.jsonl")
     if kind == "ground_truth":
         write_ground_truth(path, scene.ground_truth[:6])
@@ -954,19 +1004,31 @@ def test_plain_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, mo
         {**records[2], key: []},
         {k: v for k, v in records[3].items() if k != key},
     ]
-    if kind == "results":
+    if kind != "ground_truth":
         records += [{**records[4], "time": 1}, {**records[5], key: [{**item, "confidence": 1} for item in records[5][key]]}]
     assert all(record.get(key) for record in records[:6]) and len(records[6][key]) > 1
-    kind_ = fileio._GROUND_TRUTH_FRAME if kind == "ground_truth" else fileio._PREDICTED_FRAME
-    column_reads = _counting(monkeypatch, fileio._Kind, "read_all")
+    if kind == "result_frame":  # the form without positions, and integer numbers in it
+        unplaced = [{**record, key: [{k: v for k, v in item.items() if k not in "xyz"} for item in record[key]]}
+                    for record in records[:7]]
+        assert encode_result(fileio._RESULT_FRAME.read(unplaced[0])) == json.dumps(unplaced[0], separators=(",", ":"))
+        records += unplaced
+    kind_ = {"ground_truth": fileio._GROUND_TRUTH_FRAME, "results": fileio._PREDICTED_FRAME,
+             "result_frame": fileio._RESULT_FRAME}[kind]
+    field_reads = _counting(monkeypatch, fileio._Kind, "read")
     for record in records:
         fast = kind_.read_line(record)
-        assert column_reads == []
-        slow = kind_.read_all([record], items=False)[0]  # for results, a FrameResult
+        assert field_reads == []
+        slow = kind_.read(record)  # for results, a FrameResult
         slow = results_to_predictions([slow])[0] if kind == "results" else slow
-        column_reads.clear()
+        field_reads.clear()
         assert type(fast) is type(slow) and fast == slow
-        assert [list(map(type, column)) for column in fast.columns] == [list(map(type, column)) for column in slow.columns]
+        if kind == "result_frame":
+            for a, b in zip(*([getattr(frame, name) for name in _RESULT_COLUMNS] for frame in (fast, slow))):
+                assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False)
+            assert fast.has_position.tolist() == ["x" in item for item in record.get(key, [])]
+            assert type(fast.timestamp) is float
+        else:
+            assert [list(map(type, column)) for column in fast.columns] == [list(map(type, column)) for column in slow.columns]
 
 
 @pytest.mark.parametrize(
@@ -980,32 +1042,43 @@ def test_plain_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, mo
      ("results", ("tracks", 0, "x"), 10**400), ("results", ("tracks", 0, "fused"), 1),
      ("results", ("tracks", 0, "age"), 1.0), ("results", ("tracks", 0, "x"), None),
      ("results", ("tracks", 0, "confidence"), -0.5), ("results", ("tracks",), [_TRACK, _TRACK]),
-     ("results", ("tracks", 0), "track"), ("results", (), {"frame": 0, "time": 0.0, "tracks": {}})],
+     ("results", ("tracks", 0), "track"), ("results", (), {"frame": 0, "time": 0.0, "tracks": {}}),
+     ("results", (), {"frame": 0, "time": 0, "tracks": [{**_TRACK, "u": 10**400, "v": -(10**400)}]}),
+     ("results", ("tracks",), [{k: v for k, v in _TRACK.items() if k not in "xyz"}, {**_TRACK, "id": 2}]),
+     ("results", ("tracks",), [_TRACK, {k: v for k, v in _TRACK.items() if k not in "xyz" or k == "z"}])],
     ids=["gt-x-overflow", "gt-y-beyond-float", "gt-bool-id", "gt-class-beyond-int64", "gt-null-y",
          "gt-frame-beyond-int64", "gt-repeated-id", "gt-object-not-an-object", "gt-objects-a-string", "gt-objects-a-mapping",
          "time-overflow", "frame-beyond-int64", "depth-overflow", "x-beyond-float", "int-fused", "float-age",
-         "null-x", "negative-confidence", "repeated-track-id", "track-not-an-object", "tracks-a-mapping"],
+         "null-x", "negative-confidence", "repeated-track-id", "track-not-an-object", "tracks-a-mapping",
+         "u-beyond-float-cancelled-in-the-sum", "unplaced-then-placed", "placed-then-z-alone"],
 )
 def test_a_plain_ground_truth_or_result_line_fails_as_the_column_reader_fails(tmp_path, monkeypatch, kind, where, value):
-    """A bad line otherwise in the writer's form fails with the column
+    """A bad line otherwise in the writer's form fails with the field
     reader's error, of the same type, and builds no more objects than it:
     a ParseError for a line that read_results or the ground-truth reader
-    refuses, results_to_predictions' plain ValueError for a negative
-    confidence."""
+    refuses, results_to_predictions' plain ValueError for a line that
+    read_results reads (a negative confidence, a track without a position).
+    A result line is read both as predictions and by read_results, which
+    gives the field reader's frames or error too."""
     path = _write_lines(tmp_path, _with(kind, where, value) if where else value)
-    read, kind_, owners = {"ground_truth": (read_ground_truth, fileio._GROUND_TRUTH_FRAME, [GroundTruthObject]),
-                           "results": (read_predictions, fileio._PREDICTED_FRAME, [FrameResult, PredictedObject])}[kind]
+    owners = {"ground_truth": [GroundTruthObject], "results": [FrameResult, PredictedObject]}[kind]
     built = [_counting(monkeypatch, owner, "__post_init__") for owner in owners]
-    with pytest.raises(ValueError) as fast:
-        read(path)
-    built_fast = [calls.copy() for calls in built]
-    monkeypatch.setattr(kind_, "fast", None)
-    for calls in built:
-        calls.clear()
-    with pytest.raises(ValueError) as by_columns:
-        read(path)
-    assert (type(fast.value), str(fast.value), built_fast) == (type(by_columns.value), str(by_columns.value), built)
-    assert (type(fast.value) is ValueError) == (value == -0.5)
+    built += [_counting(monkeypatch, fileio._RESULT_TRACK, "make")] if kind == "results" else []
+    readers = {"ground_truth": [(read_ground_truth, fileio._GROUND_TRUTH_FRAME)],
+               "results": [(read_predictions, fileio._PREDICTED_FRAME), (read_results, fileio._RESULT_FRAME)]}[kind]
+    got = []
+    for read, kind_ in readers:
+        outcomes = []
+        for fast in (kind_.fast, None):
+            monkeypatch.setattr(kind_, "fast", fast)
+            for calls in built:
+                calls.clear()
+            outcomes.append((_outcome(read, path), [len(calls) for calls in built]))
+        (fast, built_fast), (field_by_field, built_field) = outcomes
+        assert fast == field_by_field, read.__name__
+        assert all(map(int.__le__, built_fast, built_field)) and (type(fast) is list or built_fast == built_field)
+        got.append(fast)
+    assert got[0][0] is (ValueError if type(got[-1]) is list else ParseError)
 
 
 @pytest.mark.parametrize("kind", ["replay", "ground_truth", "results"])
