@@ -178,9 +178,9 @@ def _cmd_track(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # One frame is read, stepped and written at a time: a bad replay line k, or a frame out of order on it,
-    # fails after k - 1 result lines.
-    with nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8") as out:
+    # One frame is read, stepped and written at a time, line-buffered (no text waits for a flush): a bad replay
+    # line k, or a frame out of order on it, fails after k - 1 result lines.
+    with nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8", buffering=1) as out:
         _, stats = run_sequence(frames, config, camera, on_result=lambda r: out.write(encode_result(r) + "\n"))
     print(
         f"latency over {stats.count} steps: median {stats.median_ms:.3f} ms, "
@@ -281,8 +281,7 @@ def _cmd_sweep(args) -> int:
     combos = list(dict.fromkeys(product(*grids)))  # grid order, repeats dropped
 
     def run_one(combo: Tuple[float, float, float, float]):
-        a, b, d, r = combo
-        weights = CostWeights(alpha=a, beta=b, delta=d, radius=r)
+        weights = CostWeights(*combo)  # alpha, beta, delta, radius
         config = replace(base, weights=weights)
         tracker = Tracker(config, camera, record_association=True)
         results = []
@@ -341,10 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="score results against ground truth")
     ev.add_argument("results", help="results JSONL (needs x/y positions; track with --scene)")
     ev.add_argument("gt", help="ground truth JSONL")
-    ev.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
-    ev.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0, help="match gate, meters")
     ev.add_argument("--classes", help="comma-separated names for class ids 0..n-1; other ids are hidden")
-    ev.add_argument("--workers", type=_worker_count, default=1, help="accepted for compatibility; no longer changes anything")
     ev.add_argument("--out", help="write the report here instead of stdout")
     ev.set_defaults(func=_cmd_evaluate)
 
@@ -354,11 +350,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--scene", required=True, help="scenario YAML supplying the camera")
     sw.add_argument("--config", help="tracker config YAML")
     _add_tracker_flags(sw, weight_grids=True)
-    sw.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
-    sw.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0)
-    sw.add_argument("--workers", type=_worker_count, default=1, help="accepted for compatibility; no longer changes anything")
     sw.add_argument("--out", help="write the table here instead of stdout")
     sw.set_defaults(func=_cmd_sweep)
+    for scoring in (ev, sw):
+        scoring.add_argument("--num-thresholds", dest="num_thresholds", type=int, default=40)
+        scoring.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=2.0, help="match gate, meters")
+        scoring.add_argument("--workers", type=_worker_count, default=1, help="accepted for compatibility; no longer changes anything")
     return parser
 
 
@@ -372,7 +369,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

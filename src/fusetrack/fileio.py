@@ -50,7 +50,6 @@ class ParseError(ValueError):
 
     def __init__(self, path: str, line_number: int, message: str):
         super().__init__(f"{path}:{line_number}: {message}")
-        self.path = path
         self.line_number = line_number
 
 
@@ -475,10 +474,10 @@ def load_yaml(path: str) -> Dict:
     with open(path, "rb") as fh:
         text = _utf8(fh.read(), path)
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml's parser, if PyYAML has it
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else 0
+        line = min(mark.line + 1, len(text.splitlines())) if mark is not None else 0  # at the end: the last line
         problem = getattr(exc, "problem", None) or str(exc)
         raise ParseError(path, line, f"invalid YAML: {problem}") from exc
     if data is None:

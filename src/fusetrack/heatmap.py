@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -152,13 +152,7 @@ def extract_peaks(hm: Heatmap, threshold: float, window: int) -> List[Peak]:
             value = channel[r, c]
             r0, c0 = max(0, r - half), max(0, c - half)
             win = channel[r0 : r + half + 1, c0 : c + half + 1]
-            suppressed = False
-            for dr, dc in np.argwhere(win == value):
-                rr, cc = r0 + int(dr), c0 + int(dc)
-                if (rr, cc) < (r, c):
-                    suppressed = True
-                    break
-            if not suppressed:
+            if divmod(int(np.argmax(win == value)), win.shape[1]) == (r - r0, c - c0):
                 peaks.append(Peak(c, r, class_id, float(value)))
     peaks.sort(key=lambda p: (-p.score, p.y, p.x, p.class_id))
     return peaks

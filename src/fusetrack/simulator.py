@@ -21,16 +21,17 @@ never occludes at threshold 1.0), the farther object loses its detection,
 and on equal depth the later-listed one j. Radar is unaffected. Confidence
 is drawn once per object in [0.5, 1).
 
-All randomness flows through counter-based Philox streams keyed by
-(seed, frame, channel), so the same config generates a bit-identical Scene
-on any platform, any number of times, in any order. The deterministic
-geometry (projection, boxes, occlusion, radar and clutter positions) is
-computed for a block of frames at once, each value with the arithmetic of
-its frame alone; the streams and the objects of a frame stay its own.
+All randomness flows through counter-based Philox streams keyed by (seed,
+frame, channel), so the same config generates a bit-identical Scene on any
+platform, any number of times, in any order. The keys, numpy's SeedSequence
+ones, are derived for all streams in one pass; one re-keyed Philox draws
+them. Geometry (projection, boxes, occlusion, radar, clutter) is computed
+for blocks of frames, each value with the arithmetic of its frame alone.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -52,9 +53,25 @@ _CLUTTER_SPEED_RANGE = (-10.0, 10.0)
 _BLOCK_FRAMES, _BLOCK_PAIRS = 4, 4 * 60 * 60
 
 
-def _stream(seed: int, frame: int, channel: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(frame, channel))
-    return np.random.Generator(np.random.Philox(ss))
+def _stream_keys(seed: int, frames: int) -> np.ndarray:
+    """keys[frame, channel], the Philox key (two 64-bit words) of each stream: numpy's SeedSequence(entropy=seed,
+    spawn_key=(frame, channel)).generate_state(2, np.uint64), as its uint32 hash broadcast over frames x 9 channels."""
+    seed, consts = operator.index(seed), [0x43B0D7E5]  # the seed's 32-bit words, least significant first, at least 4
+    words = np.frombuffer(seed.to_bytes(4 * max(4, -(-seed.bit_length() // 32)), "little"), "<u4").reshape(-1, 1, 1)
+    entropy = [*words, np.arange(frames, dtype=np.uint32)[:, None], np.arange(9, dtype=np.uint32)]
+
+    def hashed(value, consts, mult):  # xor the last constant, times the next one (kept), fold
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+        value = (value ^ consts[-2]) * consts[-1]
+        return value ^ value >> 16
+
+    pool = [hashed(word, consts, 0x931E8875) for word in entropy[:4]]  # mix_entropy, into a pool of 4 words
+    for src, dst in ((src, dst) for src in range(len(entropy)) for dst in range(4) if dst != src):
+        mixed = pool[dst] * 0xCA01F9DD - hashed(entropy[src] if src >= 4 else pool[src], consts, 0x931E8875) * 0x4973F715
+        pool[dst] = mixed ^ mixed >> 16
+    consts = [0x8B51F9DD]  # generate_state: 4 words hashed out of the pool, read as 2 little-endian 64-bit words
+    state = np.stack([hashed(word, consts, 0x58F38DED) for word in pool], 2)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -137,6 +154,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
+        if operator.index(self.seed) < 0:  # numpy ints and bools read as SeedSequence reads them
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_frames < 1:
             raise ValueError("num_frames must be >= 1")
         if not (0 < self.frame_dt < np.inf):
@@ -176,9 +195,17 @@ def generate(cfg: ScenarioConfig) -> Scene:
         if depth0 <= 0:
             raise ValueError(f"object {idx} starts behind the camera")
 
+    rng = np.random.Generator(np.random.Philox(0))
+    keys, fresh = _stream_keys(cfg.seed, cfg.num_frames), rng.bit_generator.state  # as built: counter 0, an empty buffer
+
+    def stream(k, channel):  # the one Philox, re-keyed: it draws as a fresh one keyed for (seed, k, channel)
+        fresh["state"]["key"] = keys[k, channel]
+        rng.bit_generator.state = fresh
+        return rng
+
     # Per-object confidence, fixed for the whole sequence (sequence-level
     # stream so a noise-free static scene emits identical detections).
-    confidences = _stream(cfg.seed, 0, _CONF).uniform(0.5, 1.0, size=n_obj)
+    confidences = stream(0, _CONF).uniform(0.5, 1.0, size=n_obj)
     class_ids = np.array([obj.class_id for obj in cfg.objects], dtype=np.int64)
 
     # Object states as columns, and the offsets of the four outer box corners
@@ -200,7 +227,7 @@ def generate(cfg: ScenarioConfig) -> Scene:
     provenance: List[Tuple[int, ...]] = []
 
     def draws(ks, channel, shape, scale=1.0, draw=np.random.Generator.standard_normal):  # each frame k's own stream
-        return np.array([draw(_stream(cfg.seed, k, channel), shape) for k in ks]) * scale
+        return np.array([draw(stream(k, channel), shape) for k in ks]) * scale
 
     # The geometry of a block of frames is computed at once, each value as
     # its frame alone would compute it; every frame keeps its own streams.

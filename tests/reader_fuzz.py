@@ -3,8 +3,10 @@
 fuzz_lines mutates one line of a valid file at a time: it drops a key, swaps
 a value's JSON type, writes a NaN or Infinity token, puts an integer beyond
 int64 (or beyond a float) or a literal beyond a float (1e999, which JSON
-decodes as infinity) in place of a number, truncates the line, replaces
-a record or a row by a non-object, or wraps a value in a list or an object.
+decodes as infinity) in place of a number, makes every number an int and
+puts an int beyond a float and its negation in two of them (so that any
+sum of the line's numbers cancels the two), truncates the line, replaces a
+record or a row by a non-object, or wraps a value in a list or an object.
 reference_record decides what the mutated line should read as. It is written
 field by field with plain checks, sharing only the result types with
 fusetrack.fileio, so that agreement is a cross-check of the table-driven
@@ -202,6 +204,19 @@ def _overflow_literal(rng, record):
     return json.dumps(_set(record, path, marker)).replace(json.dumps(marker), rng.choice(("1e999", "-1e999", "3e999")))
 
 
+def _cancelling_ints(rng, record):
+    # Every number made an int, then an int beyond a float and its negation put in two numbers (two that were
+    # floats, where the line has two): a sum of the line's numbers, in any order, cancels them exactly, as
+    # float() of either does not.
+    numbers = _numbers(record)
+    floats = [p for p in numbers if type(_get(record, p)) is float]
+    first, second = rng.sample(floats if len(floats) > 1 else numbers, 2)
+    for path in floats:
+        _set(record, path, int(_get(record, path)))
+    big = rng.choice((2**1024, 10**400))
+    return json.dumps(_set(_set(record, first, big), second, -big))
+
+
 def _truncate(rng, record):
     text = json.dumps(record)
     return text[: rng.randrange(1, len(text))]
@@ -220,7 +235,8 @@ def _wrap(rng, record):
 
 
 MUTATIONS: Tuple[Callable, ...] = (
-    _drop_key, _swap_type, _non_finite, _beyond_int64, _overflow_literal, _truncate, _non_object, _wrap,
+    _drop_key, _swap_type, _non_finite, _beyond_int64, _overflow_literal, _cancelling_ints, _truncate, _non_object,
+    _wrap,
 )
 
 

@@ -16,8 +16,9 @@ and reference_amota are the object-based matcher and the
 one-replay-per-floor evaluation that the library's incremental floor walk
 replaced; they share only the result types and motar with it.
 reference_generate is the simulator with a scalar IoU per pair of objects
-and one object built at a time; it shares the simulator's Philox streams,
-so the two must agree on every field of every frame.
+and one object built at a time; it builds each Philox stream through
+numpy's own SeedSequence (_stream), where the simulator derives every key
+itself, so the two must agree on every field of every frame.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from fusetrack.simulator import (
     _VEL,
     ScenarioConfig,
     Scene,
-    _stream,
 )
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot
 
@@ -897,6 +897,12 @@ def _iou(a, b) -> float:
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
+
+
+def _stream(seed: int, frame: int, channel: int) -> np.random.Generator:
+    """The (seed, frame, channel) noise stream, built through numpy's own objects."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(frame, channel))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def reference_generate(cfg: ScenarioConfig) -> Scene:

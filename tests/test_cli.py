@@ -481,9 +481,10 @@ def test_bad_scenario_section_is_a_clean_error(tmp_path, capsys, section, value,
         ("simulate", lambda data: {**data, "noise": {**data["noise"], "center_px": math.nan}}, "'noise': noise sigmas"),
         ("simulate", lambda data: {**data, "radar": {**data["radar"], "velocity_sigma_mps": math.inf}}, "'radar': radar"),
         ("simulate", lambda data: {**data, "frame_dt": math.inf}, "frame_dt must be finite"),
+        ("simulate", lambda data: {**data, "seed": -1}, "seed must be >= 0, got -1"),
     ],
     ids=["weight-string", "fusion-string", "radar-count-string", "scenario-without-seed", "frame-count-float",
-         "weight-nan", "pillar-depth-inf", "noise-nan", "radar-sigma-inf", "frame-dt-inf"],
+         "weight-nan", "pillar-depth-inf", "noise-nan", "radar-sigma-inf", "frame-dt-inf", "seed-negative"],
 )
 def test_mistyped_config_value_names_file_and_key(workdir, tmp_path, capsys, command, edit, named):
     path = tmp_path / "config.yaml"

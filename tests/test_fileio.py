@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fusetrack import fileio
 from fusetrack.association import CostWeights, Detection, DetectionBatch
@@ -491,6 +492,53 @@ def test_invalid_utf8_names_the_line(tmp_path, read):
         read(str(path))
     assert str(err.value) == f"{path}:2: invalid UTF-8: byte 0xff at offset 35 of the line (invalid start byte)"
     assert err.value.line_number == 2
+
+
+MALFORMED_YAML = [
+    "seed: [unclosed\n",
+    "seed: 1\nnum_frames: 10: 5\n",
+    "seed: 1\nname: 'unterminated\n",
+    "- a\nseed: 1\n",
+    "camera:\n\tfx: 1\n",
+    "camera: {fx: 1\n\nseed: 2\n",
+    "seed: &x 1\nnum_frames: *y\n",
+    "seed: 1\n...\nnum_frames: 2\n",
+    "seed: [unclosed",
+    "seed: 1\nnotes: |\n x\ny",
+    "seed: 1\r\nnum_frames: [1, 2\r\n",
+]
+
+
+def _load_both(monkeypatch, path):
+    """load_yaml's result or ParseError with libyaml's parser, then with PyYAML's pure-Python one."""
+    outcomes = []
+    for pure in (False, True):
+        if pure:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        try:
+            outcomes.append(load_yaml(str(path)))
+        except ParseError as exc:
+            outcomes.append((exc.line_number, str(exc).split(": invalid YAML: ")[0]))
+    return outcomes
+
+
+def test_libyaml_and_pure_python_loaders_agree(tmp_path, monkeypatch):
+    """Both YAML parsers give load_yaml the same data for every shipped config,
+    and refuse a malformed document on the same line, one of the file's (their
+    messages differ; libyaml marks the end of a file without a final line
+    break a line further on)."""
+    assert hasattr(yaml, "CSafeLoader") == yaml.__with_libyaml__
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")):
+        with_libyaml, pure = _load_both(monkeypatch, path)
+        assert with_libyaml == pure and repr(with_libyaml) == repr(pure), path
+        monkeypatch.undo()
+    for number, text in enumerate(MALFORMED_YAML):
+        path = tmp_path / f"bad{number}.yaml"
+        path.write_text(text)
+        with_libyaml, pure = _load_both(monkeypatch, path)
+        monkeypatch.undo()
+        assert with_libyaml == pure and with_libyaml[1] == f"{path}:{with_libyaml[0]}", text
+        assert 1 <= with_libyaml[0] <= len(text.splitlines()), text
 
 
 def test_invalid_utf8_yaml_names_the_file(tmp_path):

@@ -14,6 +14,7 @@ from fusetrack.simulator import (
     RadarModel,
     ScenarioConfig,
     Scene,
+    _stream_keys,
     crossing_scenario,
     generate,
 )
@@ -161,6 +162,31 @@ def test_zero_depth_gap_is_a_valid_control():
     assert scene.provenance[20] == (0,)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 2**130 + 9, np.int64(5), True],
+                         ids=["0", "1", "2^32-1", "2^32", "2^63-1", "2^64+3", "2^130+9", "int64-5", "True"])
+def test_stream_keys_are_seed_sequence_keys(seed):
+    """The derived key of every channel of the first, second and last frame is
+    the one numpy's SeedSequence gives the (seed, frame, channel) stream."""
+    keys = _stream_keys(seed, 7)
+    assert keys.shape == (7, 9, 2) and keys.dtype == np.uint64
+    for frame in (0, 1, 6):
+        for channel in range(9):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(frame, channel)).generate_state(2, np.uint64)
+            assert keys[frame, channel].tolist() == want.tolist(), (frame, channel)
+
+
+def test_seed_is_a_non_negative_integer():
+    """A negative seed is refused when the config is built; numpy ints and
+    bools seed the streams as the ints they equal."""
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        quiet(seed=-1)
+    with pytest.raises(TypeError):
+        quiet(seed=1.0)
+    cfg = random_scenario(5, 3)
+    assert repr(generate(dataclasses.replace(cfg, seed=np.int64(5))).frames) == repr(generate(cfg).frames)
+    assert repr(generate(dataclasses.replace(cfg, seed=True)).frames) == repr(generate(dataclasses.replace(cfg, seed=1)).frames)
+
+
 def test_seeds_change_noise_but_not_truth():
     base = generate(crossing_scenario(10.0, seed=0))
     for seed in (1, 2, 3, 4):
@@ -258,6 +284,8 @@ SCENARIOS = {
     "clutter only": random_scenario(11, 20, radar=RadarModel(points_per_object=0, clutter_per_frame=4)),
     "object radar only": random_scenario(12, 20, radar=RadarModel(points_per_object=2, clutter_per_frame=0)),
     "depth noise below the 1 mm floor": random_scenario(14, 20, noise=NoiseModel(depth_m=40.0)),
+    "seed of two 32-bit words": dataclasses.replace(random_scenario(15, 20), seed=2**32),
+    "seed beyond 128 bits": dataclasses.replace(random_scenario(16, 20), seed=2**130 + 9),
     "equal depth overlap": pair(
         ObjectSpec(0, (20.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ObjectSpec(1, (20.0, 0.3, 0.0), (0.0, 0.0, 0.0)), 0.5
     ),
