@@ -246,6 +246,7 @@ class CostWeights:
             raise ValueError("gate radius must be positive")
 
 
+@dataclass(init=False, unsafe_hash=True)
 class AssociationResult:
     """The outcome of one association, kept as arrays: pairs is (M, 2) rows
     of (detection index, track row) in processing order;
@@ -257,9 +258,12 @@ class AssociationResult:
 
     matches ((detection index, track id) pairs), unmatched_detections and
     unmatched_tracks (ids) are tuples of the same values, built again on
-    each access; equality and repr go through them."""
+    each access: the fields that equality, hash and repr go through."""
 
     __slots__ = ("pairs", "unmatched_det_rows", "unmatched_track_rows", "track_ids")
+    matches: tuple = property(lambda self: tuple(zip(self.pairs[:, 0].tolist(), self.track_ids[self.pairs[:, 1]].tolist())))
+    unmatched_detections: tuple = property(lambda self: tuple(self.unmatched_det_rows.tolist()))
+    unmatched_tracks: tuple = property(lambda self: tuple(self.track_ids[self.unmatched_track_rows].tolist()))
 
     def __init__(self, matches, unmatched_detections, unmatched_tracks):
         ids = np.array([track_id for _, track_id in matches] + list(unmatched_tracks), dtype=np.int64)
@@ -270,22 +274,6 @@ class AssociationResult:
         """Take over the arrays, in __slots__ order."""
         self.pairs, self.unmatched_det_rows, self.unmatched_track_rows, self.track_ids = arrays
         return self
-
-    matches = property(lambda self: tuple(zip(self.pairs[:, 0].tolist(), self.track_ids[self.pairs[:, 1]].tolist())))
-    unmatched_detections = property(lambda self: tuple(self.unmatched_det_rows.tolist()))
-    unmatched_tracks = property(lambda self: tuple(self.track_ids[self.unmatched_track_rows].tolist()))
-
-    def _key(self) -> tuple:
-        return self.matches, self.unmatched_detections, self.unmatched_tracks
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is AssociationResult else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "AssociationResult(matches={!r}, unmatched_detections={!r}, unmatched_tracks={!r})".format(*self._key())
 
 
 def window_join(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -128,11 +128,6 @@ def _int64(value: int) -> int:
     return value
 
 
-def _int64s(values: tuple) -> bool:
-    """Whether values, at least one, are all ints (not bools) that fit in a signed 64-bit integer."""
-    return {int} >= set(map(type, values)) and min(values) in _INT64 and max(values) in _INT64
-
-
 def _box(value: list) -> Tuple[float, ...]:
     if len(value) != 4 or not NUMBER.accepts.issuperset(map(type, value)):
         raise ValueError(f"expected a list of 4 numbers, got {reprlib.repr(value)}")
@@ -260,20 +255,17 @@ _GROUND_TRUTH_OBJECT = _Kind(GroundTruthObject, (
     ("y", "y", NUMBER, REQUIRED),
     ("class", "class_id", INTEGER, REQUIRED),
 ))
-_GROUND_TRUTH_KEYS = [key for key, _, _, _ in _GROUND_TRUTH_OBJECT.rows]
 
 
 def _typed_ground_truth_frame(record: dict) -> GroundTruthFrame:
-    """A ground-truth line's fast reader: its objects typed as columns in a few passes."""
+    """A ground-truth line's fast reader: its objects typed as columns in a few passes, which the frame screens."""
     frame, objects = record["frame"], record.get("objects", [])
     ids, x, y, classes = [*zip(*map(_GROUND_TRUTH_OBJECT.values, objects))] or [()] * 4
-    integers, types = (frame, *ids, *classes), set(map(type, x + y))
-    if not (type(objects) is list and _int64s(integers) and {float, int} >= types
-            and math.isfinite(sum(x + y)) and len(set(ids)) == len(ids)):  # a sum that overflows reads field by field
-        raise ValueError("not a plain line, or one that GroundTruthObject or GroundTruthFrame refuses")
-    if int in types:
-        x, y = list(map(float, x)), list(map(float, y))
-    return GroundTruthFrame.__new__(GroundTruthFrame)._fill(frame, (ids, x, y, classes))  # checked as from_columns would
+    integers, numbers = ids + classes, x + y
+    if not (type(objects) is list and {int} >= set(map(type, integers)) and {float, int} >= set(map(type, numbers))):
+        raise TypeError("not a plain line")
+    (ids, classes), (x, y) = np.fromiter(integers, np.int64).reshape(2, -1), np.fromiter(numbers, np.float64).reshape(2, -1)
+    return GroundTruthFrame.__new__(GroundTruthFrame)._take(frame, ids, x, y, classes)
 
 
 _GROUND_TRUTH_FRAME = _Kind(GroundTruthFrame, (
@@ -312,8 +304,8 @@ _UNPLACED_TRACK_VALUES = itemgetter(*(key for key, _, _, _ in _RESULT_TRACK.rows
 
 def _typed_result(record: dict) -> tuple:
     """A result line in a form that encode_result writes (every track with a position, or none), typed in a few
-    passes if FrameResult accepts it: its frame, time, 13 track columns as decoded (x, y and z empty without
-    positions) and whether a number is an int."""
+    passes if FrameResult accepts it, but for the range of its track integers, which their int64 columns check
+    (an OverflowError): its frame, time and 13 track columns as decoded (x, y and z empty without positions)."""
     frame, time, tracks = record["frame"], record["time"], record.get("tracks", [])
     placed = type(tracks) is list and tracks != [] and "x" in tracks[0]
     if not (type(tracks) is list and (placed or all(map(_POSITION_KEYS.isdisjoint, tracks)))):
@@ -322,17 +314,17 @@ def _typed_result(record: dict) -> tuple:
         [*zip(*map(_RESULT_TRACK.values if placed else _UNPLACED_TRACK_VALUES, tracks))] or [()] * 10)
     x, y, z = position or ((), (), ())
     integers, numbers = (frame, *ids, *classes, *age), (time, *u, *v, *depth, *vx, *vy, *conf, *x, *y, *z)
-    types = set(map(type, numbers))
-    has_int = int in types  # an int too large for a float fails in float(), even where the sum would cancel it
-    if not (_int64s(integers) and {bool} >= set(map(type, fused)) and {float, int} >= types
-            and math.isfinite(sum(map(float, numbers) if has_int else numbers)) and len(set(ids)) == len(ids)):
+    types = set(map(type, numbers))  # an int too large for a float fails in float(), even where the sum would cancel it
+    if not ({int} >= set(map(type, integers)) and frame in _INT64 and {bool} >= set(map(type, fused))
+            and {float, int} >= types and math.isfinite(sum(map(float, numbers) if int in types else numbers))
+            and len(set(ids)) == len(ids)):
         raise ValueError("not a plain line, a line that FrameResult refuses, or one whose sum overflows")
-    return frame, time, (ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z), has_int
+    return frame, time, (ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z)
 
 
 def _typed_result_frame(record: dict) -> FrameResult:
     """A result line's fast reader: its tracks typed straight into FrameResult columns, with no snapshot."""
-    frame, time, (ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z), _ = _typed_result(record)
+    frame, time, (ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z) = _typed_result(record)
     ints, floats = np.array([ids, classes, age], np.int64), np.array([u, v, depth, vx, vy, conf], np.float64)
     position = np.array([x, y, z], np.float64).T.copy() if x else np.full((len(ids), 3), math.nan)
     return FrameResult.__new__(FrameResult)._fill(frame, time, ints[0], *floats[:5], ints[1], floats[5], ints[2],
@@ -341,13 +333,13 @@ def _typed_result_frame(record: dict) -> FrameResult:
 
 def _typed_predicted_frame(record: dict) -> PredictedFrame:
     """evaluate's fast reader of a result line: its PredictedFrame, typed as columns in a few passes, if
-    FrameResult and results_to_predictions accept the line."""
-    frame, _, (ids, _, _, _, _, _, classes, conf, _, _, x, y, _), has_int = _typed_result(record)
-    if len(x) != len(ids) or min(conf, default=0.0) < 0:
-        raise ValueError("a track without a position, or a confidence that results_to_predictions refuses")
-    if has_int:
-        conf, x, y = (list(map(float, column)) for column in (conf, x, y))
-    return PredictedFrame.__new__(PredictedFrame)._fill(frame, (ids, x, y, classes, conf))  # checked as from_columns would
+    FrameResult accepts the line and the frame's screen its columns."""
+    frame, _, (ids, _, _, _, _, _, classes, conf, age, _, x, y, _) = _typed_result(record)
+    if len(x) != len(ids):
+        raise ValueError("a track without a position, which results_to_predictions refuses")
+    (ids, classes, _), (x, y, conf) = (np.fromiter(values, dtype).reshape(3, -1)  # an OverflowError beyond int64
+                                       for values, dtype in ((ids + classes + age, np.int64), (x + y + conf, np.float64)))
+    return PredictedFrame.__new__(PredictedFrame)._take(frame, ids, x, y, classes, conf)
 
 
 _RESULT_FRAME = _Kind(FrameResult, (
@@ -417,13 +409,9 @@ def read_ground_truth(path: str) -> List[GroundTruthFrame]:
 
 
 def _ground_truth_line(frame: GroundTruthFrame) -> str:
-    """A ground-truth frame's JSON text, encode_record's bytes for its record: its objects formatted from
-    their columns where those hold ints and finite floats, and else written, or refused, by the encoder."""
-    ids, x, y, classes = columns = frame.columns
-    if {int} >= set(map(type, ids + classes)) and {float} >= set(map(type, x + y)) and all(map(math.isfinite, x + y)):
-        objects = ",".join(repeat(_OBJECT_TEXT, len(ids))) % tuple(chain.from_iterable(zip(*columns)))
-    else:  # a bool, a numpy or another subclass value, or a value that is not finite
-        objects = encode_record([dict(zip(_GROUND_TRUTH_KEYS, row)) for row in zip(*columns)])[1:-1]
+    """A ground-truth frame's JSON text, encode_record's bytes for its record, formatted from its columns."""
+    rows = zip(*(column.tolist() for column in frame.columns))
+    objects = ",".join(repeat(_OBJECT_TEXT, len(frame.x))) % tuple(chain.from_iterable(rows))
     return _GROUND_TRUTH_TEXT % (frame.frame_index, objects)
 
 
@@ -459,9 +447,8 @@ def results_to_predictions(results: Iterable[FrameResult]) -> List[PredictedFram
     for result in results:
         # The tracks before the first without a position, whose confidences are checked first.
         end = len(result.has_position) if result.has_position.all() else int(np.argmin(result.has_position))
-        x, y = result.position[:end, :2].T
-        columns = (result.track_id[:end], x, y, result.class_id[:end], result.confidence[:end])
-        frames.append(PredictedFrame.from_columns(result.frame_index, *(column.tolist() for column in columns)))
+        frames.append(PredictedFrame.from_columns(result.frame_index, result.track_id[:end], *result.position[:end, :2].T,
+                                                  result.class_id[:end], result.confidence[:end]))
         if end < len(result.has_position):
             raise ValueError(f"frame {result.frame_index}: track {result.track_id[end]} has no ground-plane "
                              "position; produce results with a scene camera")
@@ -470,11 +457,21 @@ def results_to_predictions(results: Iterable[FrameResult]) -> List[PredictedFram
 
 # ------------------------------------------------------------------ configs
 
+class _Marked:
+    """A YAML loader mixin: a scalar that its tag's constructor refuses (as !!int x) fails as a YAML error at it."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+
+
 def load_yaml(path: str) -> Dict:
     with open(path, "rb") as fh:
         text = _utf8(fh.read(), path)
-    try:
-        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml's parser, if PyYAML has it
+    try:  # with libyaml's parser, if PyYAML has it
+        data = yaml.load(text, Loader=type("Loader", (_Marked, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {}))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = min(mark.line + 1, len(text.splitlines())) if mark is not None else 0  # at the end: the last line

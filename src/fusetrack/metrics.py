@@ -39,9 +39,10 @@ are summed (math.fsum, order-independent) only at the floors reported.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields
-from functools import cache
-from itertools import chain, repeat, zip_longest
+from itertools import chain, repeat
+from numbers import Integral, Real
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -77,66 +78,74 @@ class PredictedObject:
             raise ValueError("confidence must be finite and non-negative")
 
 
-@cache
-def _names(kind) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(kind))
-
-
-class _Columns:
-    """A frame of objects of type _object, held as one tuple per field of
-    that type, in object order. objects builds the objects again."""
-
-    def __init__(self, frame_index: int, objects: Iterable = ()):
-        self._fill(frame_index, zip(*map(attrgetter(*_names(self._object)), objects)))
-
-    @classmethod
-    def from_columns(cls, frame_index: int, *columns: Sequence):
-        """A frame from its columns in field order, one value per object.
-        Columns that _valid refuses are built as objects, to fail as they do."""
-        if len(columns) != len(_names(cls._object)) or len(set(map(len, columns))) > 1:
-            raise ValueError(f"expected {len(_names(cls._object))} columns of one length")
-        if not cls._valid(*columns):
-            cls(frame_index, map(cls._object, *columns))
-            raise ValueError(f"columns that {cls.__name__} accepts as objects fail its column screen")
-        return cls.__new__(cls)._fill(frame_index, columns)
-
-    def _fill(self, frame_index: int, columns: Iterable[Sequence]) -> "_Columns":
-        """Take over the columns, unchecked but for the frame index; returns the frame."""
-        object.__setattr__(self, "frame_index", checked_frame_index(frame_index))
-        for name, column in zip_longest(_names(self._object), columns, fillvalue=()):
-            object.__setattr__(self, name, tuple(column))
-        return self
-
-    columns = property(lambda self: tuple(getattr(self, name) for name in _names(self._object)))
-    objects = property(lambda self: tuple(map(self._object, *self.columns)))
+def _column(name: str, values: Iterable, dtype) -> np.ndarray:
+    """values as a new column of dtype, int64 or float64. A value that the files refuse there raises ValueError:
+    a bool, a number that is not an integer in an int64 column, or one beyond the dtype's range."""
+    integer, refused = dtype is np.int64, False
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in ("i" if integer else "iuf")):
+        values = list(values)
+        types = set(map(type, values))
+        refused = bool in types or not all(issubclass(t, Integral if integer else Real) for t in types)
+    with suppress(OverflowError):  # a value beyond the range
+        if not refused:
+            return np.array(values, dtype)
+    raise ValueError(f"{name} must hold {'integers in the int64' if integer else 'numbers in the float64'} range, no bool")
 
 
 @dataclass(frozen=True, init=False)
-class GroundTruthFrame(_Columns):
-    frame_index: int
-    gt_id: Tuple[int, ...]
-    x: Tuple[float, ...]
-    y: Tuple[float, ...]
-    class_id: Tuple[int, ...]
-    _object = GroundTruthObject
-    _valid = staticmethod(lambda ids, x, y, _: len(set(ids)) == len(ids) and all(map(math.isfinite, chain(x, y))))
+class _Columns:
+    """A frame of objects of type _object, held as one read-only numpy column
+    per field of that type, in object order (_dtypes), x and y finite.
+    objects builds the objects again: equality, hash and repr go through it."""
 
-    def __init__(self, frame_index: int, objects: Iterable[GroundTruthObject] = ()):
-        super().__init__(frame_index, objects)
-        if len(set(self.gt_id)) != len(self.gt_id):
+    frame_index: int
+    objects: tuple = property(lambda self: tuple(map(self._object, *(column.tolist() for column in self.columns))))
+    columns = property(lambda self: tuple(map(self.__dict__.__getitem__, self._dtypes)))
+
+    def __init_subclass__(cls):
+        cls._dtypes = {f.name: np.int64 if f.type == "int" else np.float64 for f in fields(cls._object)}
+
+    def __init__(self, frame_index: int, objects: Iterable = ()):
+        columns = [*zip(*map(attrgetter(*self._dtypes), objects))] or [()] * len(self._dtypes)
+        self._take(frame_index, *map(_column, self._dtypes, columns, self._dtypes.values()))
+
+    @classmethod
+    def from_columns(cls, frame_index: int, *columns: Iterable):
+        """A frame from its columns in field order, one value per object."""
+        typed = list(map(_column, cls._dtypes, columns, cls._dtypes.values()))
+        if len(columns) != len(cls._dtypes) or {column.shape for column in typed} != {(len(typed[0]),)}:
+            raise ValueError(f"expected {len(cls._dtypes)} columns of one length")
+        return cls.__new__(cls)._take(frame_index, *typed)
+
+    def _take(self, frame_index: int, *columns: np.ndarray) -> "_Columns":
+        """Take over new columns of the column types, in field order, read-only, and screen the frame; returns it."""
+        self.__dict__.update(zip(self._dtypes, columns), frame_index=checked_frame_index(frame_index))
+        for column in columns:
+            column.setflags(write=False)
+        if not all(map(math.isfinite, self.x.tolist() + self.y.tolist())):  # on tens of objects, cheaper than numpy
+            raise ValueError("x and y must be finite")
+        self._screen()
+        return self
+
+
+class GroundTruthFrame(_Columns):
+    """Columns gt_id, x, y and class_id; the ids are unique."""
+
+    _object = GroundTruthObject
+
+    def _screen(self):
+        if len(set(self.gt_id.tolist())) != len(self.gt_id):
             raise ValueError(f"frame {self.frame_index}: duplicate ground-truth ids")
 
 
-@dataclass(frozen=True, init=False)
 class PredictedFrame(_Columns):
-    frame_index: int
-    track_id: Tuple[int, ...]
-    x: Tuple[float, ...]
-    y: Tuple[float, ...]
-    class_id: Tuple[int, ...]
-    confidence: Tuple[float, ...]
+    """Columns track_id, x, y, class_id and confidence; a track id may repeat."""
+
     _object = PredictedObject
-    _valid = staticmethod(lambda *columns: all(map(math.isfinite, columns[-1])) and min(columns[-1], default=0.0) >= 0)
+
+    def _screen(self):
+        if not all(0 <= confidence < math.inf for confidence in self.confidence.tolist()):
+            raise ValueError("confidence must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -199,15 +208,12 @@ class MetricsReport:
 _PAIR_BUDGET = 1 << 14  # pairs built at once, unless one ground-truth row has more
 
 
-def _stack(frames: Sequence[_Columns], kind) -> List[np.ndarray]:
-    """The rows of a sequence of frames of objects of type kind, as the
-    frame number of each row, then one column per field (x and y float64,
-    the others Python objects)."""
-    columns = [np.repeat(np.arange(len(frames)), [len(frame.x) for frame in frames])]
-    for name in _names(kind):
-        values = chain.from_iterable(getattr(frame, name) for frame in frames)
-        columns.append(np.fromiter(values, float if name in ("x", "y") else object, len(columns[0])))
-    return columns
+def _stack(frames: Sequence[_Columns], kind: type) -> List[np.ndarray]:
+    """The rows of a sequence of frames of type kind, as the frame number of
+    each row, then one column per field."""
+    rows = [np.repeat(np.arange(len(frames)), [len(frame.x) for frame in frames])]
+    return rows + [np.concatenate([np.empty(0, dtype), *(getattr(frame, name) for frame in frames)])
+                   for name, dtype in kind._dtypes.items()]
 
 
 def _prepare(gts, preds, num_frames: int, dist_threshold: float):
@@ -301,8 +307,8 @@ def match_frame(
     with (distance, gt input index, pred input index) as the deterministic
     order. Pairs beyond dist_threshold or across classes never match.
     """
-    preds = _stack([PredictedFrame(gt_frame.frame_index, pred_objects)], PredictedObject)
-    gt_ids, track_ids, pairs = _prepare(_stack([gt_frame], GroundTruthObject), preds, 1, dist_threshold)[0]
+    preds = _stack([PredictedFrame(gt_frame.frame_index, pred_objects)], PredictedFrame)
+    gt_ids, track_ids, pairs = _prepare(_stack([gt_frame], GroundTruthFrame), preds, 1, dist_threshold)[0]
     first = {track_id: j for j, track_id in reversed(list(enumerate(track_ids)))}
     frame = gt_ids, track_ids, {key: (*key, dist) for key, dist in pairs.items()}  # matched as (i, j, distance)
     matches, _, _ = _match(frame, ([False] * len(track_ids), first), sticky or {})
@@ -341,7 +347,7 @@ def count_sequence_errors(
     id it was matched to the last time it was matched (gaps allowed).
     """
     _check_alignment(pred_frames, gt_frames)
-    gts, preds = _stack(gt_frames, GroundTruthObject), _stack(pred_frames, PredictedObject)
+    gts, preds = _stack(gt_frames, GroundTruthFrame), _stack(pred_frames, PredictedFrame)
     preds = [column[preds[-1] >= confidence_floor] for column in preds]  # a NaN floor keeps nothing
     preds[-1][:] = confidence_floor  # the kept ones, walked as one floor
     walk = _walk_floors(gts, preds, len(gt_frames), dist_threshold)
@@ -453,7 +459,7 @@ def amota(
         raise ValueError(f"num_thresholds must be an integer >= 2, got {num_thresholds!r}")
     num_thresholds = int(num_thresholds)
     _check_alignment(pred_frames, gt_frames)
-    g_rows, p_rows = _stack(gt_frames, GroundTruthObject), _stack(pred_frames, PredictedObject)
+    g_rows, p_rows = _stack(gt_frames, GroundTruthFrame), _stack(pred_frames, PredictedFrame)
     class_ids = sorted(set(g_rows[4].tolist()))
     if not class_ids:
         raise ValueError("ground truth contains no objects")

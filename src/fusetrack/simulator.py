@@ -37,7 +37,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .association import DetectionBatch
+from .association import Checked, screened
 from .fileio import config_from_dict, config_to_dict
 from .geometry import CameraModel, image_to_vehicle, project_points
 from .metrics import GroundTruthFrame
@@ -306,12 +306,11 @@ def generate(cfg: ScenarioConfig) -> Scene:
         # unless occluded or dropped. Built from columns.
         for f, k in enumerate(ks):
             seen = np.flatnonzero(in_image[f])
-            gt_x, gt_y = centers[f, seen, :2].T.tolist()
-            gt_frames.append(GroundTruthFrame.from_columns(k, seen.tolist(), gt_x, gt_y, class_ids[seen].tolist()))
+            gt_frames.append(GroundTruthFrame.from_columns(k, seen, *centers[f, seen, :2].T, class_ids[seen]))
             rows = np.flatnonzero(in_image[f] & ~occluded[f] & ~dropped[f])
-            columns = values[f][:, rows]
-            dets = DetectionBatch(*columns[:5], class_ids[rows], *columns[5:8], columns[8:].T, boxed[f, rows])
-            frames.append(FrameInput(k, k * cfg.frame_dt, dets, radar[f][returns[f]]))
+            columns, box_rows = values[f][:, rows], boxed[f, rows]  # new arrays, screened once
+            dets = screened(columns[:8], class_ids[rows], np.where(box_rows[:, None], columns[8:].T, np.nan), box_rows)
+            frames.append(FrameInput(k, k * cfg.frame_dt, Checked(dets), radar[f][returns[f]]))
             provenance.append(tuple(rows.tolist()))
 
     return Scene(cfg, tuple(frames), tuple(gt_frames), tuple(provenance))

@@ -8,6 +8,7 @@ import math
 import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from fusetrack.fileio import (
     write_results,
 )
 from fusetrack.fusion import PillarDims, RadarPoint
-from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedObject
+from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import _COLUMNS as _RESULT_COLUMNS
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, run_sequence
@@ -506,6 +507,9 @@ MALFORMED_YAML = [
     "seed: [unclosed",
     "seed: 1\nnotes: |\n x\ny",
     "seed: 1\r\nnum_frames: [1, 2\r\n",
+    "seed: !!int x\nnum_frames: 2\n",
+    "seed: 1\nnoise: {center_px: !!float q}\n",
+    "seed: 1\n\ncreated:\n  - !!timestamp 2001-13-99\n",
 ]
 
 
@@ -526,7 +530,7 @@ def test_libyaml_and_pure_python_loaders_agree(tmp_path, monkeypatch):
     """Both YAML parsers give load_yaml the same data for every shipped config,
     and refuse a malformed document on the same line, one of the file's (their
     messages differ; libyaml marks the end of a file without a final line
-    break a line further on)."""
+    break a line further on). A scalar that its tag refuses fails on its line."""
     assert hasattr(yaml, "CSafeLoader") == yaml.__with_libyaml__
     for path in sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")):
         with_libyaml, pure = _load_both(monkeypatch, path)
@@ -539,6 +543,8 @@ def test_libyaml_and_pure_python_loaders_agree(tmp_path, monkeypatch):
         monkeypatch.undo()
         assert with_libyaml == pure and with_libyaml[1] == f"{path}:{with_libyaml[0]}", text
         assert 1 <= with_libyaml[0] <= len(text.splitlines()), text
+        if "!!" in text:  # a scalar that its tag refuses: the line of the scalar
+            assert text.splitlines()[with_libyaml[0] - 1].count("!!") == 1, text
 
 
 def test_invalid_utf8_yaml_names_the_file(tmp_path):
@@ -1152,26 +1158,85 @@ def test_only_json_whitespace_is_blank(tmp_path, kind, before, after):
 def test_ground_truth_lines_are_written_as_the_json_encoder_writes_them(tmp_path):
     """Ground-truth objects, formatted from the frame's columns without a
     dict per object, give the encoder's bytes: signed zeros, tiny, huge and
-    inexact floats, int64 extremes. A bool id, an int position and a numpy
-    value are written, or refused, as the encoder writes or refuses them."""
+    inexact floats, int64 extremes. An int position and a numpy value are
+    written as the plain number of their column's type."""
     low, high, big = -(2**63), 2**63 - 1, 1.7976931348623157e308
-    columns = ([high, low, 0, 2**70], [0.0, -0.0, 5e-324, 0.1 + 0.2], [1e22, big, -big, -1e22], [low, high, 1, 0])
+    columns = ([high, low, 0, 7], [0.0, -0.0, 5e-324, 0.1 + 0.2], [1e22, big, -big, -1e22], [low, high, 1, 0])
     frames = [
         GroundTruthFrame.from_columns(0, *columns),
         GroundTruthFrame(1, []),
-        GroundTruthFrame(2, [GroundTruthObject(True, 1.0, 2, 0), GroundTruthObject(2, np.float64(0.1), -0.0, False)]),
-        GroundTruthFrame(3, [GroundTruthObject(True, 1.0, 2.0, 0)]),
-        GroundTruthFrame(4, [GroundTruthObject(1, 1.0, 2.0, False)]),
+        GroundTruthFrame(2, [GroundTruthObject(np.int64(4), np.float32(0.5), 2, np.int8(0)),
+                             GroundTruthObject(2, np.float64(0.1), -0.0, 1)]),
     ]
     path = tmp_path / "ground_truth.jsonl"
     write_ground_truth(str(path), iter(frames))  # any iterable, consumed once
     keys = ("id", "x", "y", "class")
-    expected = [{"frame": f.frame_index, "objects": [dict(zip(keys, row)) for row in zip(*f.columns)]} for f in frames]
+    expected = [{"frame": f.frame_index, "objects": [dict(zip(keys, row)) for row in zip(*columns)]}
+                for f, columns in zip(frames, [columns, [()] * 4, [[4, 2], [0.5, 0.1], [2.0, -0.0], [0, 1]]])]
     assert path.read_text() == "".join(encode_record(record) + "\n" for record in expected)
-    assert all("true" in line or "false" in line for line in path.read_text().splitlines()[2:])
-    refused = GroundTruthFrame(5, [GroundTruthObject(np.int64(4), 1.0, 2.0, 0)])
-    with pytest.raises(TypeError) as encoder:
-        encode_record({"frame": 5, "objects": [dict(zip(keys, row)) for row in zip(*refused.columns)]})
-    with pytest.raises(TypeError) as err:
-        write_ground_truth(str(path), [refused])
-    assert str(err.value) == str(encoder.value)
+    assert path.read_text().splitlines()[2] == \
+        '{"frame":2,"objects":[{"id":4,"x":0.5,"y":2.0,"class":0},{"id":2,"x":0.1,"y":-0.0,"class":1}]}'
+
+
+_GT_IDS = [-(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2, 0, -1, 1, 2**53 + 1, 2**32]
+_GT_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623155e308,
+               0.1 + 0.2, 1e22, -3, 2**53 + 1, 2**1023, np.float32(0.1), np.float16(-2.5), np.int64(-(2**63)), np.uint8(7)]
+
+
+def test_every_ground_truth_frame_is_written_and_read_back_equal(tmp_path):
+    """Any GroundTruthFrame that can be built, from objects or from columns,
+    with Python or numpy values, is written and read back with the same
+    column values and bytes (a signed zero keeps its sign)."""
+    rng = random.Random(24)
+
+    def integer(value):  # a Python int or a numpy integer type that holds value
+        return rng.choice([int, np.int64] + [np.uint64] * (value >= 0) + [np.int32] * (abs(value) < 2**31))(value)
+
+    frames = []
+    for k in range(300):
+        n = rng.randrange(7)
+        ids, classes = list(map(integer, rng.sample(_GT_IDS, n))), list(map(integer, rng.choices(_GT_IDS, k=n)))
+        x, y = ([rng.choice(_GT_NUMBERS) for _ in range(n)] for _ in "xy")
+        index = rng.choice([k, np.int64(k), -(2**63) + k, 2**63 - 1 - k])
+        if rng.random() < 0.5:
+            frames.append(GroundTruthFrame(index, map(GroundTruthObject, ids, x, y, classes)))
+        else:
+            frames.append(GroundTruthFrame.from_columns(index, ids, np.array(x, dtype=object), y, tuple(classes)))
+    path = str(tmp_path / "ground_truth.jsonl")
+    write_ground_truth(path, frames)
+    back = read_ground_truth(path)
+    assert back == frames
+    for got, want in zip(back, frames):
+        assert [(c.dtype, c.tobytes()) for c in got.columns] == [(c.dtype, c.tobytes()) for c in want.columns]
+        assert type(got.frame_index) is int and got.frame_index == want.frame_index
+    assert sum(len(f.x) for f in frames) > 500
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", True), ("id", np.bool_(False)), ("id", 1.5), ("id", 2.0), ("id", np.float64(3.0)), ("id", 2**63),
+    ("id", -(2**63) - 1), ("id", np.uint64(2**64 - 1)), ("id", "1"), ("id", None), ("class", 1.5), ("class", False),
+    ("class", 2**70), ("x", True), ("x", np.bool_(True)), ("x", math.nan), ("x", math.inf), ("y", -math.inf),
+    ("y", np.float32("nan")), ("y", 10**400), ("x", "1.0"), ("y", None), ("x", 1j),
+], ids=["id-true", "id-numpy-false", "id-1.5", "id-2.0", "id-numpy-3.0", "id-2**63", "id-below-int64",
+        "id-numpy-uint64-max", "id-string", "id-none", "class-1.5", "class-false", "class-2**70", "x-true",
+        "x-numpy-true", "x-nan", "x-inf", "y-minus-inf", "y-numpy-float32-nan", "y-10**400", "x-string", "y-none",
+        "x-complex"])
+@pytest.mark.parametrize("kind", ["ground_truth", "predicted"])
+def test_a_frame_refuses_what_its_file_refuses(kind, field, value):
+    """A frame takes only what its file kind can hold: ids and classes
+    integers (no bool) in the signed 64-bit range, x and y finite numbers
+    (no bool). Each refused value raises ValueError when the frame is built
+    from objects or from columns, and a good frame's columns are read-only."""
+    frame, names = {"ground_truth": (GroundTruthFrame, ("gt_id", "x", "y", "class_id")),
+                    "predicted": (PredictedFrame, ("track_id", "x", "y", "class_id", "confidence"))}[kind]
+    row = dict(zip(names, (1, 0.5, -0.5, 0, 0.25)))
+    row[{"id": names[0], "class": "class_id"}.get(field, field)] = value
+    with pytest.raises(ValueError):
+        frame(0, [SimpleNamespace(**row)])
+    with pytest.raises(ValueError):
+        frame.from_columns(0, *([v] for v in row.values()))
+    with pytest.raises(ValueError):
+        frame.from_columns(0, *(np.array([v]) if isinstance(v, (float, np.generic)) else [v] for v in row.values()))
+    good = frame.from_columns(0, *([v] for v in dict(zip(names, (1, 0.5, -0.5, 0, 0.25))).values()))
+    assert [c.dtype for c in good.columns] == [np.int64, np.float64, np.float64, np.int64, np.float64][:len(names)]
+    assert not any(c.flags.writeable for c in good.columns)

@@ -332,7 +332,7 @@ def class_split(pf, gf, class_id):
     for the references."""
     pred_c = [PredictedFrame(p.frame_index, (o for o in p.objects if o.class_id == class_id)) for p in pf]
     gt_c = [GroundTruthFrame(g.frame_index, (o for o in g.objects if o.class_id == class_id)) for g in gf]
-    return (_stack(gt_c, GroundTruthObject), _stack(pred_c, PredictedObject), len(gt_c)), pred_c, gt_c
+    return (_stack(gt_c, GroundTruthFrame), _stack(pred_c, PredictedFrame), len(gt_c)), pred_c, gt_c
 
 
 def walked_counts(frames, num_gt):
