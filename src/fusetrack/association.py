@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields
+from itertools import chain
+from numbers import Integral, Real
 from operator import attrgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -32,9 +35,9 @@ class Detection:
     gate is evaluated there. bbox is the optional raw image box
     (u_min, v_min, u_max, v_max) used only by radar fusion; when given it
     holds exactly 4 values. Every value, the box included, must be finite.
-    class_id must fit in a signed 64-bit integer, the type DetectionBatch
-    stores it in; a larger one raises OverflowError when a FrameInput or a
-    batch is built from the detection.
+    A FrameInput or a batch built from the detection takes each value only
+    in its annotated type (as_column): class_id an integer that fits in a
+    signed 64-bit integer, the numbers no bool.
     """
 
     u: float
@@ -125,7 +128,70 @@ def checked_timestamp(timestamp) -> float:
     return float(timestamp)
 
 
-_DTYPES = {name: np.int64 for name in ("track_id", "class_id", "last_seen", "age", "misses")} | {"fused": bool, "boxed": bool}
+_RULES = {int: (np.int64, "i", Integral), float: (np.float64, "iuf", Real), bool: (np.bool_, "b", (bool, np.bool_))}
+
+
+def field_types(cls) -> Dict[str, Tuple[type, int]]:
+    """The column type, (field type, row width 0), of each int, float and bool field of a class, by name."""
+    return {name: (kind, 0) for name, kind in get_type_hints(cls).items() if kind in _RULES}
+
+
+def as_column(name: str, values: Iterable, kind: type, width: int = 0) -> np.ndarray:
+    """The one rule from values to a column: values (Python values or an array) as a new column of the
+    field type kind. int gives int64 and float float64, neither from a bool; bool takes only bools.
+    With a width, values are rows of that many values and the column is (N, width). A value of another
+    type or beyond the dtype's range, or a row of another width, raises ValueError naming the column."""
+    dtype, array_kinds, value_types = _RULES[kind]
+    taken = isinstance(values, np.ndarray) and values.dtype.kind in array_kinds  # an array of these kinds as it is
+    if not taken:
+        values = list(values)
+        types = set(map(type, chain.from_iterable(values) if width else values))
+        taken = all(issubclass(t, value_types) and (kind is bool or t is not bool) for t in types)
+    with suppress(OverflowError, ValueError):  # a value beyond the range, or rows of another width
+        if taken:
+            return np.array(values, dtype, order="C").reshape((len(values), width) if width else len(values))
+    no_bool = "" if kind is bool else f" in the {dtype.__name__} range, no bool"
+    raise ValueError(f"{name} must hold {f'rows of {width} ' if width else ''}{kind.__name__} values{no_bool}")
+
+
+@dataclass(frozen=True, init=False)
+class Frame:
+    """A frame of objects of type _object as one new read-only numpy column
+    per item of _types (name -> (field type, row width), typed by as_column);
+    objects builds the objects again, for equality, hash and repr. Every
+    frame built, copied or unpickled passes its screen, __post_init__."""
+
+    frame_index: int
+    objects: tuple = property(lambda self: tuple(map(self._object, *(column.tolist() for column in self.columns))))
+    columns = property(lambda self: tuple(map(self.__dict__.__getitem__, self._types)))
+
+    def __init__(self, frame_index: int, objects: Iterable = ()):
+        self._build(frame_index, [*zip(*map(attrgetter(*self._types), objects))] or [()] * len(self._types))
+
+    @classmethod
+    def from_columns(cls, frame_index: int, *columns: Iterable, **other):
+        """A frame from its columns in column order, one value (or row) per object, and its other fields."""
+        return cls.__new__(cls)._build(frame_index, columns, **other)
+
+    def _build(self, frame_index: int, columns: Sequence[Iterable], **other) -> "Frame":
+        typed = [as_column(name, values, *kind) for (name, kind), values in zip(self._types.items(), columns)]
+        if len(columns) != len(self._types) or len(set(map(len, typed))) != 1:
+            raise ValueError(f"expected {len(self._types)} columns of one length")
+        return self._take(frame_index, *typed, **other)
+
+    def _take(self, frame_index: int, *columns: np.ndarray, **other) -> "Frame":
+        """Take over new arrays of the column types, in column order, read-only, and the other fields; screen the frame."""
+        self.__dict__.update(zip(self._types, columns), frame_index=checked_frame_index(frame_index), **other)
+        for column in columns:
+            column.flags.writeable = False
+        self.__post_init__()
+        return self
+
+    def __setstate__(self, state: dict):  # a copy or an unpickled frame: read-only and screened as well
+        self.__dict__.update(state)
+        self._take(self.frame_index, *self.columns)
+
+
 _DETECTION_VALUES = attrgetter(*(f.name for f in fields(Detection)))
 _FLOAT_COLUMNS = ("u", "v", "depth", "vx", "vy", "confidence", "du", "dv")
 # Detection's rules as the closed (lowest, highest) range of each float column: finite, depth > 0 (at
@@ -168,10 +234,10 @@ class DetectionBatch(_Columns):
         for name, column in zip(self.__slots__, self.columns()):
             if len(column) != n:
                 raise ValueError(f"detection column {name!r} holds {len(column)} rows, column 'u' {n}")
-        floats = np.array([getattr(self, name) for name in _FLOAT_COLUMNS], np.float64).reshape(8, n)
-        bbox, boxed = np.array(self.bbox, np.float64).reshape(n, 4), np.array(self.boxed, bool).reshape(n)
+        floats = np.stack([as_column(name, getattr(self, name), float) for name in _FLOAT_COLUMNS])
+        bbox, boxed = as_column("bbox", self.bbox, float, 4), as_column("boxed", self.boxed, bool)
         bbox[~boxed] = math.nan
-        return screened(floats, np.array(self.class_id, np.int64).reshape(n), bbox, boxed)
+        return screened(floats, as_column("class_id", self.class_id, int), bbox, boxed)
 
 
 class Checked(NamedTuple):  # a batch that screened built: FrameInput keeps it as it is, with no copy or second screen
@@ -198,21 +264,15 @@ def screened(floats: np.ndarray, class_id: np.ndarray, bbox: np.ndarray, boxed: 
     return batch
 
 
-_TRACK_FIELDS = tuple(f.name for f in fields(Track))
-
-
 class TrackTable(_Columns):
     """Tracks as columns, one row per track, named like the Track fields."""
 
-    __slots__ = _TRACK_FIELDS
+    _types = field_types(Track)
+    __slots__ = tuple(_types)
 
     @classmethod
     def from_tracks(cls, tracks: Sequence[Track]) -> "TrackTable":
-        n = len(tracks)
-        return cls(*(
-            np.fromiter(map(attrgetter(name), tracks), _DTYPES.get(name, float), n)
-            for name in _TRACK_FIELDS
-        ))
+        return cls(*(as_column(name, map(attrgetter(name), tracks), *kind) for name, kind in cls._types.items()))
 
     def to_tracks(self) -> List[Track]:
         return list(map(Track, *(column.tolist() for column in self.columns())))
@@ -266,11 +326,11 @@ class AssociationResult:
     unmatched_tracks: tuple = property(lambda self: tuple(self.track_ids[self.unmatched_track_rows].tolist()))
 
     def __init__(self, matches, unmatched_detections, unmatched_tracks):
-        ids = np.array([track_id for _, track_id in matches] + list(unmatched_tracks), dtype=np.int64)
-        pairs = np.array([(i, row) for row, (i, _) in enumerate(matches)], dtype=np.intp).reshape(-1, 2)
-        self._fill(pairs, np.array(unmatched_detections, dtype=np.intp), np.arange(len(pairs), len(ids)), ids)
+        ids = as_column("track ids", [track_id for _, track_id in matches] + list(unmatched_tracks), int)
+        pairs = as_column("matches", [(i, row) for row, (i, _) in enumerate(matches)], int, 2)
+        self._take(pairs, as_column("unmatched_detections", unmatched_detections, int), np.arange(len(pairs), len(ids)), ids)
 
-    def _fill(self, *arrays: np.ndarray) -> "AssociationResult":
+    def _take(self, *arrays: np.ndarray) -> "AssociationResult":
         """Take over the arrays, in __slots__ order."""
         self.pairs, self.unmatched_det_rows, self.unmatched_track_rows, self.track_ids = arrays
         return self
@@ -398,7 +458,7 @@ def greedy_associate(dets: Detections, tracks: Tracks, weights: CostWeights) -> 
     result = AssociationResult.__new__(AssociationResult)
     order = np.argsort(-dets.confidence, kind="stable")  # descending confidence, ties by input index
     if not len(dets) or not len(tracks):
-        return result._fill(np.empty((0, 2), dtype=np.intp), order, np.arange(len(ids)), ids)
+        return result._take(np.empty((0, 2), dtype=np.intp), order, np.arange(len(ids)), ids)
 
     ii, jj, costs = _feasible_pairs(dets, tracks, weights)
     # Each detection's candidates by cost, ties to the lowest track id: a
@@ -453,7 +513,7 @@ def greedy_associate(dets: Detections, tracks: Tracks, weights: CostWeights) -> 
     chosen[holder[held]] = held
     matched = chosen >= 0
     pairs = np.array([order[matched], chosen[matched]]).T
-    return result._fill(pairs, order[~matched], np.flatnonzero(holder == n), ids)
+    return result._take(pairs, order[~matched], np.flatnonzero(holder == n), ids)
 
 
 def cost_matrix(dets: Detections, tracks: Tracks, weights: CostWeights) -> np.ndarray:

@@ -327,8 +327,8 @@ def _typed_result_frame(record: dict) -> FrameResult:
     frame, time, (ids, u, v, depth, vx, vy, classes, conf, age, fused, x, y, z) = _typed_result(record)
     ints, floats = np.array([ids, classes, age], np.int64), np.array([u, v, depth, vx, vy, conf], np.float64)
     position = np.array([x, y, z], np.float64).T.copy() if x else np.full((len(ids), 3), math.nan)
-    return FrameResult.__new__(FrameResult)._fill(frame, time, ints[0], *floats[:5], ints[1], floats[5], ints[2],
-                                                  np.array(fused, bool), position, np.full(len(ids), bool(x)))
+    return FrameResult.__new__(FrameResult)._take(frame, ints[0], *floats[:5], ints[1], floats[5], ints[2],
+                                                  np.array(fused, bool), position, np.full(len(ids), bool(x)), timestamp=time)
 
 
 def _typed_predicted_frame(record: dict) -> PredictedFrame:

@@ -39,16 +39,13 @@ are summed (math.fsum, order-independent) only at the floors reported.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, repeat
-from numbers import Integral, Real
-from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import checked_frame_index
+from .association import Frame, field_types
 
 
 @dataclass(frozen=True)
@@ -78,72 +75,26 @@ class PredictedObject:
             raise ValueError("confidence must be finite and non-negative")
 
 
-def _column(name: str, values: Iterable, dtype) -> np.ndarray:
-    """values as a new column of dtype, int64 or float64. A value that the files refuse there raises ValueError:
-    a bool, a number that is not an integer in an int64 column, or one beyond the dtype's range."""
-    integer, refused = dtype is np.int64, False
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in ("i" if integer else "iuf")):
-        values = list(values)
-        types = set(map(type, values))
-        refused = bool in types or not all(issubclass(t, Integral if integer else Real) for t in types)
-    with suppress(OverflowError):  # a value beyond the range
-        if not refused:
-            return np.array(values, dtype)
-    raise ValueError(f"{name} must hold {'integers in the int64' if integer else 'numbers in the float64'} range, no bool")
+class GroundTruthFrame(Frame):
+    """Columns gt_id, x, y and class_id, x and y finite; the ids are unique."""
 
+    _object, _types = GroundTruthObject, field_types(GroundTruthObject)
 
-@dataclass(frozen=True, init=False)
-class _Columns:
-    """A frame of objects of type _object, held as one read-only numpy column
-    per field of that type, in object order (_dtypes), x and y finite.
-    objects builds the objects again: equality, hash and repr go through it."""
-
-    frame_index: int
-    objects: tuple = property(lambda self: tuple(map(self._object, *(column.tolist() for column in self.columns))))
-    columns = property(lambda self: tuple(map(self.__dict__.__getitem__, self._dtypes)))
-
-    def __init_subclass__(cls):
-        cls._dtypes = {f.name: np.int64 if f.type == "int" else np.float64 for f in fields(cls._object)}
-
-    def __init__(self, frame_index: int, objects: Iterable = ()):
-        columns = [*zip(*map(attrgetter(*self._dtypes), objects))] or [()] * len(self._dtypes)
-        self._take(frame_index, *map(_column, self._dtypes, columns, self._dtypes.values()))
-
-    @classmethod
-    def from_columns(cls, frame_index: int, *columns: Iterable):
-        """A frame from its columns in field order, one value per object."""
-        typed = list(map(_column, cls._dtypes, columns, cls._dtypes.values()))
-        if len(columns) != len(cls._dtypes) or {column.shape for column in typed} != {(len(typed[0]),)}:
-            raise ValueError(f"expected {len(cls._dtypes)} columns of one length")
-        return cls.__new__(cls)._take(frame_index, *typed)
-
-    def _take(self, frame_index: int, *columns: np.ndarray) -> "_Columns":
-        """Take over new columns of the column types, in field order, read-only, and screen the frame; returns it."""
-        self.__dict__.update(zip(self._dtypes, columns), frame_index=checked_frame_index(frame_index))
-        for column in columns:
-            column.setflags(write=False)
+    def __post_init__(self):
         if not all(map(math.isfinite, self.x.tolist() + self.y.tolist())):  # on tens of objects, cheaper than numpy
             raise ValueError("x and y must be finite")
-        self._screen()
-        return self
-
-
-class GroundTruthFrame(_Columns):
-    """Columns gt_id, x, y and class_id; the ids are unique."""
-
-    _object = GroundTruthObject
-
-    def _screen(self):
         if len(set(self.gt_id.tolist())) != len(self.gt_id):
             raise ValueError(f"frame {self.frame_index}: duplicate ground-truth ids")
 
 
-class PredictedFrame(_Columns):
-    """Columns track_id, x, y, class_id and confidence; a track id may repeat."""
+class PredictedFrame(Frame):
+    """Columns track_id, x, y, class_id and confidence, x and y finite; a track id may repeat."""
 
-    _object = PredictedObject
+    _object, _types = PredictedObject, field_types(PredictedObject)
 
-    def _screen(self):
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.x.tolist() + self.y.tolist())):
+            raise ValueError("x and y must be finite")
         if not all(0 <= confidence < math.inf for confidence in self.confidence.tolist()):
             raise ValueError("confidence must be finite and non-negative")
 
@@ -208,12 +159,11 @@ class MetricsReport:
 _PAIR_BUDGET = 1 << 14  # pairs built at once, unless one ground-truth row has more
 
 
-def _stack(frames: Sequence[_Columns], kind: type) -> List[np.ndarray]:
+def _stack(frames: Sequence[Frame], kind: type) -> List[np.ndarray]:
     """The rows of a sequence of frames of type kind, as the frame number of
-    each row, then one column per field."""
+    each row, then one column per field (typed, for no frames, by an empty frame)."""
     rows = [np.repeat(np.arange(len(frames)), [len(frame.x) for frame in frames])]
-    return rows + [np.concatenate([np.empty(0, dtype), *(getattr(frame, name) for frame in frames)])
-                   for name, dtype in kind._dtypes.items()]
+    return rows + [np.concatenate(columns) for columns in zip(kind(0).columns, *(frame.columns for frame in frames))]
 
 
 def _prepare(gts, preds, num_frames: int, dist_threshold: float):

@@ -25,15 +25,15 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import AssociationResult, Checked, CostWeights, DetectionBatch, Track, TrackTable, greedy_associate
-from .association import _DTYPES, checked_frame_index, checked_timestamp
+from .association import AssociationResult, Checked, CostWeights, DetectionBatch, Frame, Track, TrackTable, as_column
+from .association import checked_frame_index, checked_timestamp, field_types, greedy_associate
 # expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
 from .geometry import CameraModel, image_to_vehicle
@@ -69,7 +69,7 @@ class FrameInput:
                     raise ValueError(f"radar row {i}: expected 5 values (x, y, z, vx, vy), got {len(row)}")
         elif radar.size and radar.shape[1:] != (5,):
             raise ValueError(f"radar rows must hold 5 values (x, y, z, vx, vy), got an array of shape {radar.shape}")
-        radar = np.array(radar, dtype=np.float64, order="C").reshape(len(radar), 5)
+        radar = as_column("radar", radar, float, 5)
         if not np.isfinite(radar).all():  # RadarPoint states why the first refused row is refused
             RadarPoint(*radar[~np.isfinite(radar).all(1)][0].tolist())
             raise ValueError("a radar row that RadarPoint accepts fails the finite screen")
@@ -77,6 +77,8 @@ class FrameInput:
         object.__setattr__(self, "radar", radar)
         object.__setattr__(self, "timestamp", checked_timestamp(self.timestamp))
         object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
+
+    __setstate__ = lambda self, state: self.__init__(**state)  # a copy or an unpickled frame is built, and checked, again
 
     def _key(self) -> tuple:  # the frame's values; rows() never reads the NaN boxes of unboxed rows
         return self.frame_index, self.timestamp, tuple(self.detections.rows()), tuple(self.radar.ravel().tolist())
@@ -142,11 +144,8 @@ class TrackSnapshot(NamedTuple):
 _snapshot_from_row = partial(tuple.__new__, TrackSnapshot)
 
 
-_COLUMNS = (*TrackSnapshot._fields[:10], "position", "has_position")  # a FrameResult's columns
-
-
 @dataclass(frozen=True, init=False)
-class FrameResult:
+class FrameResult(Frame):
     """Tracks reported for one frame: matched or newly spawned this frame
     (coasting tracks are withheld until they are seen again).
 
@@ -156,33 +155,23 @@ class FrameResult:
     frame_index, timestamp, tracks) takes any iterable of snapshots. tracks
     builds the snapshots again on each access: keep it in a local variable."""
 
-    frame_index: int
     timestamp: float
-    # A field, so that dataclass equality and repr go through the snapshots.
+    # A field, so that dataclass equality and repr go through the snapshots; objects gives them too.
     tracks: Tuple[TrackSnapshot, ...] = property(lambda self: tuple(map(_snapshot_from_row, zip(
-        *(getattr(self, name).tolist() for name in _COLUMNS[:10]),
+        *(column.tolist() for column in self.columns[:10]),
         [tuple(p) if has else None for p, has in zip(self.position.tolist(), self.has_position.tolist())]))))
+    objects: tuple = field(default=tracks, repr=False, compare=False)
+    _types = {**field_types(TrackSnapshot), "position": (float, 3), "has_position": (bool, 0)}
 
     def __init__(self, frame_index: int, timestamp: float, tracks: Iterable[TrackSnapshot]):
-        tracks = tuple(tracks)
-        position = np.array([(math.nan,) * 3 if t.position is None else t.position for t in tracks], float)
-        self._fill(frame_index, timestamp, *(np.fromiter(map(attrgetter(name), tracks), _DTYPES.get(name, float))
-                                             for name in _COLUMNS[:10]),
-                   position.reshape(len(tracks), 3), np.array([t.position is not None for t in tracks], dtype=bool))
-
-    def _fill(self, frame_index: int, timestamp: float, *columns: np.ndarray) -> "FrameResult":
-        """Take over the columns, arrays in _COLUMNS order, read-only, and check the result; returns it."""
-        self.__dict__.update(frame_index=frame_index, timestamp=timestamp, **dict(zip(_COLUMNS, columns)))
-        for column in columns:
-            column.flags.writeable = False
-        self.__post_init__()
-        return self
+        *columns, position = [*zip(*map(attrgetter(*TrackSnapshot._fields), tracks))] or [()] * 11
+        columns += [(math.nan,) * 3 if p is None else p for p in position], [p is not None for p in position]
+        self._build(frame_index, columns, timestamp=timestamp)
 
     def __hash__(self):  # equal results hold equal ids; a NaN value, never equal to itself, keeps the hash stable
         return hash((self.frame_index, self.timestamp, self.track_id.tobytes()))
 
     def __post_init__(self):
-        object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
         object.__setattr__(self, "timestamp", checked_timestamp(self.timestamp))
         ids = self.track_id  # ascending, as a step reports them, they are unique
         if not (ids[1:] > ids[:-1]).all() and len(set(ids.tolist())) != ids.size:
@@ -298,11 +287,11 @@ class Tracker:
         """The tracks seen in this frame (matched or born), by track id: the detection each took."""
         tracks = self._tracks
         seen = np.flatnonzero(tracks.last_seen == frame.frame_index)
-        columns = [getattr(tracks, name)[seen] for name in _COLUMNS[:10]]
+        columns = [getattr(tracks, name)[seen] for name in TrackSnapshot._fields[:10]]
         known = self.camera is not None
         position = image_to_vehicle(*columns[1:4], self.camera) if known else np.full((seen.size, 3), math.nan)
-        return FrameResult.__new__(FrameResult)._fill(frame.frame_index, frame.timestamp, *columns, position,
-                                                      np.full(seen.size, known))
+        return FrameResult.__new__(FrameResult)._take(frame.frame_index, *columns, position, np.full(seen.size, known),
+                                                      timestamp=frame.timestamp)
 
 
 def run_sequence(

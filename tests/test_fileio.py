@@ -15,7 +15,8 @@ import pytest
 import yaml
 
 from fusetrack import fileio
-from fusetrack.association import CostWeights, Detection, DetectionBatch
+from fusetrack.association import AssociationResult, CostWeights, Detection, DetectionBatch, Track, cost_matrix
+from fusetrack.association import greedy_associate
 from fusetrack.fileio import (
     ParseError,
     config_to_dict,
@@ -38,7 +39,6 @@ from fusetrack.fileio import (
 from fusetrack.fusion import PillarDims, RadarPoint
 from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
 from fusetrack.simulator import crossing_scenario, generate
-from fusetrack.tracker import _COLUMNS as _RESULT_COLUMNS
 from fusetrack.tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, run_sequence
 from reader_fuzz import MUTATIONS, Invalid, fuzz_lines, reference_record
 
@@ -82,25 +82,54 @@ def test_frame_numbers_are_kept_as_int_and_float(tmp_path, kind, index, time):
     assert _READERS[kind](path) == [frame]
 
 
+_FRAME_NUMBER = "^(timestamp|frame_index) must be "
+_SNAPSHOT = TrackSnapshot(1, 400.0, 200.0, 20.0, 0.0, 0.0, 0, 0.5, 1, False, (20.0, 0.0, 0.0))
+
+
+def _detection(**values):
+    return Detection(**{"u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class_id": 0, "confidence": 0.9,
+                        "bbox": (90.0, 310.0, 110.0, 330.0), **values})
+
+
+def _track(**values):
+    return Track(**{"track_id": 1, "u": 100.0, "v": 320.0, "depth": 20.0, "vx": 0.0, "vy": 0.0, "class_id": 0,
+                    "confidence": 0.9, "last_seen": 0, **values})
+
+
 @pytest.mark.parametrize(
-    "make",
+    "make, message",
     [
-        lambda: FrameInput(0, True, ()),
-        lambda: FrameInput(True, 0.0, ()),
-        lambda: FrameInput(0, np.bool_(False), ()),
-        lambda: FrameResult(0, True, ()),
-        lambda: FrameResult(np.bool_(True), 0.0, ()),
-        lambda: GroundTruthFrame(True, ()),
-        lambda: GroundTruthFrame(2**63, ()),
-        lambda: FrameResult(0, math.nan, ()),
+        (lambda: FrameInput(0, True, ()), _FRAME_NUMBER),
+        (lambda: FrameInput(True, 0.0, ()), _FRAME_NUMBER),
+        (lambda: FrameInput(0, np.bool_(False), ()), _FRAME_NUMBER),
+        (lambda: FrameResult(0, True, ()), _FRAME_NUMBER),
+        (lambda: FrameResult(np.bool_(True), 0.0, ()), _FRAME_NUMBER),
+        (lambda: GroundTruthFrame(True, ()), _FRAME_NUMBER),
+        (lambda: GroundTruthFrame(2**63, ()), _FRAME_NUMBER),
+        (lambda: FrameResult(0, math.nan, ()), _FRAME_NUMBER),
+        (lambda: FrameInput(0, 0.0, [_detection(class_id=2.5)]), "^class_id must hold int values in the int64 range"),
+        (lambda: FrameInput(0, 0.0, [_detection(u=True)]), "^u must hold float values in the float64 range, no bool$"),
+        (lambda: FrameInput(0, 0.0, [_detection(bbox=(90.0, 310.0, 110.0, True))]), "^bbox must hold rows of 4 float values"),
+        (lambda: FrameInput(0, 0.0, (), [RadarPoint(True, 0.0, 0.0, 0.0, 0.0)]), "^radar must hold rows of 5 float values"),
+        (lambda: FrameResult(0, 0.0, [_SNAPSHOT._replace(age=2.0)]), "^age must hold int values"),
+        (lambda: FrameResult(0, 0.0, [_SNAPSHOT._replace(fused=1)]), "^fused must hold bool values$"),
+        (lambda: FrameResult(0, 0.0, [_SNAPSHOT._replace(position=(1.0, 2.0)), _SNAPSHOT._replace(track_id=2, position=(1.0,) * 4)]),
+         "^position must hold rows of 3 float values"),
+        (lambda: greedy_associate([], [_track(track_id=1.5)], CostWeights()), "^track_id must hold int values"),
+        (lambda: cost_matrix([], [_track(class_id=True)], CostWeights()), "^class_id must hold int values"),
+        (lambda: AssociationResult(((0, 1.5),), (), ()), "^track ids must hold int values"),
     ],
     ids=["replay-time", "replay-frame", "replay-np-time", "result-time", "result-frame", "truth-frame", "truth-int64",
-         "result-nan"],
+         "result-nan", "detection-float-class", "detection-bool-u", "detection-bool-box", "radar-bool-x",
+         "result-float-age", "result-int-fused", "result-positions-of-2-and-4", "track-float-id", "track-bool-class", "association-float-id"],
 )
-def test_frames_refuse_what_their_writer_cannot_write(make):
+def test_frames_refuse_what_their_writer_cannot_write(make, message):
     """A bool time or frame, an index beyond int64 and a non-finite time
-    are refused when the frame is built, before any writer sees them."""
-    with pytest.raises(ValueError, match="^(timestamp|frame_index) must be "):
+    are refused when the frame is built, before any writer sees them; so is
+    a value that its column would store as another (as_column), in a
+    detection, a radar return or a track, or in the tracks that association
+    reads or reports."""
+    with pytest.raises(ValueError, match=message):
         make()
 
 
@@ -1077,7 +1106,7 @@ def test_plain_lines_are_typed_fast_as_the_column_reader_types_them(tmp_path, mo
         field_reads.clear()
         assert type(fast) is type(slow) and fast == slow
         if kind == "result_frame":
-            for a, b in zip(*([getattr(frame, name) for name in _RESULT_COLUMNS] for frame in (fast, slow))):
+            for a, b in zip(fast.columns, slow.columns):
                 assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False)
             assert fast.has_position.tolist() == ["x" in item for item in record.get(key, [])]
             assert type(fast.timestamp) is float
@@ -1221,22 +1250,38 @@ def test_every_ground_truth_frame_is_written_and_read_back_equal(tmp_path):
         "id-numpy-uint64-max", "id-string", "id-none", "class-1.5", "class-false", "class-2**70", "x-true",
         "x-numpy-true", "x-nan", "x-inf", "y-minus-inf", "y-numpy-float32-nan", "y-10**400", "x-string", "y-none",
         "x-complex"])
-@pytest.mark.parametrize("kind", ["ground_truth", "predicted"])
+@pytest.mark.parametrize("kind", ["ground_truth", "predicted", "result"])
 def test_a_frame_refuses_what_its_file_refuses(kind, field, value):
     """A frame takes only what its file kind can hold: ids and classes
     integers (no bool) in the signed 64-bit range, x and y finite numbers
     (no bool). Each refused value raises ValueError when the frame is built
-    from objects or from columns, and a good frame's columns are read-only."""
-    frame, names = {"ground_truth": (GroundTruthFrame, ("gt_id", "x", "y", "class_id")),
-                    "predicted": (PredictedFrame, ("track_id", "x", "y", "class_id", "confidence"))}[kind]
-    row = dict(zip(names, (1, 0.5, -0.5, 0, 0.25)))
-    row[{"id": names[0], "class": "class_id"}.get(field, field)] = value
-    with pytest.raises(ValueError):
-        frame(0, [SimpleNamespace(**row)])
-    with pytest.raises(ValueError):
-        frame.from_columns(0, *([v] for v in row.values()))
-    with pytest.raises(ValueError):
-        frame.from_columns(0, *(np.array([v]) if isinstance(v, (float, np.generic)) else [v] for v in row.values()))
-    good = frame.from_columns(0, *([v] for v in dict(zip(names, (1, 0.5, -0.5, 0, 0.25))).values()))
-    assert [c.dtype for c in good.columns] == [np.int64, np.float64, np.float64, np.int64, np.float64][:len(names)]
-    assert not any(c.flags.writeable for c in good.columns)
+    from objects or from columns, and a good frame's columns are read-only.
+    A result keeps a non-finite position, apart from a missing one, and
+    encode_result refuses it."""
+    names, dtypes = {"ground_truth": (("gt_id", "x", "y", "class_id"), [np.int64, np.float64, np.float64, np.int64]),
+                     "predicted": (("track_id", "x", "y", "class_id", "confidence"),
+                                   [np.int64, np.float64, np.float64, np.int64, np.float64]),
+                     "result": (("track_id", "x", "y", "class_id"),
+                                [np.int64, *[np.float64] * 5, np.int64, np.float64, np.int64, bool, np.float64, bool])}[kind]
+    good = dict(zip(names, (1, 0.5, -0.5, 0, 0.25)))
+    row = {**good, {"id": names[0], "class": "class_id"}.get(field, field): value}
+    wraps = [lambda v: [v], lambda v: np.array([v]) if isinstance(v, (float, np.generic)) else [v]]
+
+    def builds(row):
+        """Builds of the row's frame: from an object, from list columns and from numpy columns."""
+        if kind != "result":
+            frame = {"ground_truth": GroundTruthFrame, "predicted": PredictedFrame}[kind]
+            return [lambda: frame(0, [SimpleNamespace(**row)])] + [
+                lambda wrap=wrap: frame.from_columns(0, *map(wrap, row.values())) for wrap in wraps]
+        track = _SNAPSHOT._replace(track_id=row["track_id"], class_id=row["class_id"], position=(row["x"], row["y"], 0.0))
+        return [lambda: FrameResult(0, 0.0, [track])] + [
+            lambda wrap=wrap: FrameResult.from_columns(0, *map(wrap, track[:10]), [track.position], [True], timestamp=0.0)
+            for wrap in wraps]
+
+    for build in builds(row):
+        with pytest.raises(ValueError):
+            encode_result(build()) if kind == "result" else build()
+    for build in builds(good):
+        frame = build()
+        assert [c.dtype for c in frame.columns] == dtypes
+        assert not any(c.flags.writeable for c in frame.columns)

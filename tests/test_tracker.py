@@ -1,6 +1,8 @@
 """Tracker lifecycle: spawning, identity, coasting, fusion plumbing."""
 
+import copy
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -10,6 +12,7 @@ from fusetrack.association import Detection, DetectionBatch, TrackTable
 from fusetrack.fileio import read_replay, write_replay
 from fusetrack.fusion import Pillar, RadarPoint
 from fusetrack.geometry import CameraModel, image_to_vehicle
+from fusetrack.metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame, PredictedObject
 from fusetrack.simulator import crossing_scenario, generate
 from fusetrack.tracker import (
     FrameInput,
@@ -481,3 +484,28 @@ def test_result_from_any_iterable_is_frozen_and_hashable():
     (kept, missing) = nan.tracks
     assert math.isnan(kept.position[0]) and missing.position is None
     assert hash(nan) == hash(nan)
+
+
+def test_copies_of_frames_are_equal_read_only_and_screened():
+    """copy.copy, copy.deepcopy and a pickle round trip of a frame input, a
+    result, a ground-truth frame and a predicted frame give an equal frame
+    with an equal hash, every column read-only; a copy of a frame broken in
+    place is screened again and refused."""
+    snapshots = [TrackSnapshot(3, 1.0, 2.0, 3.0, 0.0, -0.0, 1, 0.5, 2, True, (1.0, -2.0, 3.0)),
+                 TrackSnapshot(4, 4.0, 5.0, 6.0, 0.5, 0.25, 0, 0.75, 1, False, None)]
+    frames = [
+        FrameInput(2, 0.2, [det(400.0, 224.0, bbox=(380.0, 204.0, 420.0, 244.0)), det(100.0, 100.0, cls=2)],
+                   [RadarPoint(19.0, 0.0, 0.0, 3.0, 1.0)]),
+        FrameResult(2, 0.2, snapshots),
+        GroundTruthFrame(2, [GroundTruthObject(1, 0.5, -1.0, 0), GroundTruthObject(2, 3.0, 4.0, 1)]),
+        PredictedFrame(2, [PredictedObject(7, 0.5, -1.0, 0, 0.9), PredictedObject(7, 3.0, 4.0, 1, 0.0)]),
+    ]
+    for original in frames:
+        for copied in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            assert copied == original and hash(copied) == hash(original)
+            columns = [*copied.detections.columns(), copied.radar] if type(copied) is FrameInput else copied.columns
+            assert len(columns) >= 4 and not any(column.flags.writeable for column in columns), type(copied).__name__
+    state = copy.copy(frames[2].__dict__)
+    state["gt_id"] = np.array([1, 1])  # a state that the frame's screen refuses
+    with pytest.raises(ValueError, match="duplicate ground-truth ids"):
+        GroundTruthFrame.__new__(GroundTruthFrame).__setstate__(state)
