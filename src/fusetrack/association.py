@@ -16,11 +16,11 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from numbers import Integral, Real
 from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -170,7 +170,13 @@ class Frame:
 
     @classmethod
     def from_columns(cls, frame_index: int, *columns: Iterable, **other):
-        """A frame from its columns in column order, one value (or row) per object, and its other fields."""
+        """A frame from its columns in column order, one value (or row) per object, and its other fields by
+        keyword: each one with no default is required. A missing or an unknown keyword raises TypeError."""
+        names = {f.name for f in fields(cls)[1:] if type(f.default) is not property}  # the fields no property builds
+        for name in sorted(names ^ other.keys()):  # a field not given takes its default, if it has one
+            if name in other or not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}.from_columns() {'got an unexpected' if name in other else 'missing the'} "
+                                f"keyword argument {name!r}")
         return cls.__new__(cls)._build(frame_index, columns, **other)
 
     def _build(self, frame_index: int, columns: Sequence[Iterable], **other) -> "Frame":
@@ -183,7 +189,7 @@ class Frame:
         """Take over new arrays of the column types, in column order, read-only, and the other fields; screen the frame."""
         self.__dict__.update(zip(self._types, columns), frame_index=checked_frame_index(frame_index), **other)
         for column in columns:
-            column.flags.writeable = False
+            column.setflags(write=False)
         self.__post_init__()
         return self
 
@@ -193,75 +199,71 @@ class Frame:
 
 
 _DETECTION_VALUES = attrgetter(*(f.name for f in fields(Detection)))
-_FLOAT_COLUMNS = ("u", "v", "depth", "vx", "vy", "confidence", "du", "dv")
-# Detection's rules as the closed (lowest, highest) range of each float column: finite, depth > 0 (at
-# least the least positive float) and confidence in [0, 1]. NaN lies in no range.
+# Detection's rules as the closed range of each of the first 9 batch columns (an int64 class_id is finite as
+# a float): finite, depth > 0 (at least the least positive float), confidence in [0, 1]. NaN lies in no range.
 _MAX = np.finfo(np.float64).max
-_FLOAT_RANGES = np.array([(-_MAX, -_MAX, 5e-324, -_MAX, -_MAX, 0.0, -_MAX, -_MAX), (_MAX,) * 5 + (1.0, _MAX, _MAX)])[..., None]
+_LOW, _HIGH = np.array([[-_MAX] * 9, [_MAX] * 9])[..., None]
+_LOW[2], _LOW[6], _HIGH[6] = 5e-324, 0.0, 1.0
+
+
+def _detection_columns(items) -> list:
+    """The batch columns of a DetectionBatch, a NaN box where a row is not
+    boxed, or, as lists, of Detection objects or of rows of their values."""
+    if isinstance(items, DetectionBatch):
+        for name, column in zip(items.__slots__, items.columns()):
+            if len(column) != len(items):
+                raise ValueError(f"detection column {name!r} holds {len(column)} rows, column 'u' {len(items)}")
+        *columns, bbox, boxed = items.columns()
+        boxed = as_column("boxed", boxed, bool)
+        return [*columns, np.where(boxed[:, None], as_column("bbox", bbox, float, 4), math.nan), boxed]
+    rows = [_DETECTION_VALUES(d) if isinstance(d, Detection) else d for d in items]
+    for i, row in enumerate(rows):
+        if len(row) != 10:
+            raise ValueError(f"detection row {i}: expected 10 values, got {len(row)}")
+        if row[9] is not None and len(row[9]) != 4:
+            raise ValueError(f"detection row {i}: bbox must hold 4 values, got {len(row[9])}")
+    *columns, boxes = list(zip(*rows)) or [()] * 10
+    return [*columns, [(math.nan,) * 4 if b is None else b for b in boxes], [b is not None for b in boxes]]
+
+
+def _screen_detections(columns: Sequence[np.ndarray]) -> None:
+    """Detection's rule on the typed columns of a batch, in batch order, bbox a finite row exactly where
+    boxed is set: the first row that Detection refuses raises RowError with Detection's message."""
+    numbers = np.array(columns[:9], np.float64)
+    valid = ((numbers >= _LOW) & (numbers <= _HIGH)).all(0) & (np.isfinite(columns[9]).all(1) == columns[10])
+    if not valid.all():  # the first refused row: Detection states why
+        row = int(np.argmin(valid))
+        try:
+            Detection(*DetectionBatch(*columns).take([row]).rows()[0])
+        except ValueError as error:
+            raise RowError(str(error), row) from None
+        raise RowError("a detection row that Detection accepts fails the batch screen", row)
 
 
 class DetectionBatch(_Columns):
     """Detections as columns named like the Detection fields, one row each.
 
     bbox is (N, 4) with a NaN row where a detection has no box, and boxed
-    marks the rows that have one. The tracker gives its own batch, which
-    shares a frame's read-only columns, fused copies of depth and velocity.
+    marks the rows that have one. A FrameInput's detections are a batch
+    over its read-only columns, to which the tracker gives fused copies of
+    depth and velocity.
     """
 
-    __slots__ = ("u", "v", "depth", "vx", "vy", "class_id", "confidence", "du", "dv", "bbox", "boxed")
+    _types = {**field_types(Detection), "bbox": (float, 4), "boxed": (bool, 0)}
+    __slots__ = tuple(_types)
 
     @classmethod
     def from_detections(cls, items: Sequence) -> "DetectionBatch":
-        """The checked_copy of Detection objects or of rows of their values."""
-        rows = [_DETECTION_VALUES(d) if isinstance(d, Detection) else d for d in items]
-        for i, row in enumerate(rows):
-            if len(row) != 10:
-                raise ValueError(f"detection row {i}: expected 10 values, got {len(row)}")
-            if row[9] is not None and len(row[9]) != 4:
-                raise ValueError(f"detection row {i}: bbox must hold 4 values, got {len(row[9])}")
-        *columns, boxes = list(zip(*rows)) or [()] * 10
-        return cls(*columns, [(math.nan,) * 4 if b is None else b for b in boxes], [b is not None for b in boxes]).checked_copy()
+        """Detection objects or rows of their values as typed columns, screened as a FrameInput's are."""
+        columns = zip(cls._types.items(), _detection_columns(items))
+        batch = cls(*(as_column(name, values, *kind) for (name, kind), values in columns))
+        _screen_detections(batch.columns())
+        return batch
 
     def rows(self) -> List[tuple]:
         """The field values of each row, bbox None for an unboxed row."""
         *columns, bbox, boxed = (column.tolist() for column in self.columns())
         return list(zip(*columns, [tuple(box) if ok else None for box, ok in zip(bbox, boxed)]))
-
-    def checked_copy(self) -> "DetectionBatch":
-        """A read-only copy in the column types and shapes, screened (see
-        screened). A column whose length is not that of u raises ValueError."""
-        n = len(self)
-        for name, column in zip(self.__slots__, self.columns()):
-            if len(column) != n:
-                raise ValueError(f"detection column {name!r} holds {len(column)} rows, column 'u' {n}")
-        floats = np.stack([as_column(name, getattr(self, name), float) for name in _FLOAT_COLUMNS])
-        bbox, boxed = as_column("bbox", self.bbox, float, 4), as_column("boxed", self.boxed, bool)
-        bbox[~boxed] = math.nan
-        return screened(floats, as_column("class_id", self.class_id, int), bbox, boxed)
-
-
-class Checked(NamedTuple):  # a batch that screened built: FrameInput keeps it as it is, with no copy or second screen
-    batch: DetectionBatch
-
-
-def screened(floats: np.ndarray, class_id: np.ndarray, bbox: np.ndarray, boxed: np.ndarray) -> DetectionBatch:
-    """The read-only batch of new arrays: floats the (8, N) rows of
-    _FLOAT_COLUMNS, class_id (N,), bbox (N, 4) with a NaN row where boxed
-    (N,) is unset. The first row that Detection refuses raises RowError with
-    Detection's message."""
-    for column in (floats, class_id, bbox, boxed):
-        column.flags.writeable = False
-    batch = DetectionBatch(*floats[:5], class_id, *floats[5:], bbox, boxed)
-    valid = ((floats >= _FLOAT_RANGES[0]) & (floats <= _FLOAT_RANGES[1])).all(0)
-    valid &= np.isfinite(bbox).all(1) == boxed  # a box, finite, where boxed
-    if not valid.all():  # the first refused row: Detection states why
-        row = int(np.argmin(valid))
-        try:
-            Detection(*batch.take([row]).rows()[0])
-        except ValueError as error:
-            raise RowError(str(error), row) from None
-        raise RowError("a detection row that Detection accepts fails the batch screen", row)
-    return batch
 
 
 class TrackTable(_Columns):
@@ -314,7 +316,9 @@ class AssociationResult:
     that new-track ids assigned from them are reproducible;
     unmatched_track_rows keep input order; track_ids[row] is a row's id.
     Track rows count positions in the tracks given, or, in a result built
-    from its three tuples, the matched ids and then the unmatched ones.
+    from its three tuples, the matched ids and then the unmatched ones; such
+    a result is one that an association gives, or ValueError: detection
+    indices are not negative, and no index or id appears twice.
 
     matches ((detection index, track id) pairs), unmatched_detections and
     unmatched_tracks (ids) are tuples of the same values, built again on
@@ -328,7 +332,14 @@ class AssociationResult:
     def __init__(self, matches, unmatched_detections, unmatched_tracks):
         ids = as_column("track ids", [track_id for _, track_id in matches] + list(unmatched_tracks), int)
         pairs = as_column("matches", [(i, row) for row, (i, _) in enumerate(matches)], int, 2)
-        self._take(pairs, as_column("unmatched_detections", unmatched_detections, int), np.arange(len(pairs), len(ids)), ids)
+        unmatched = as_column("unmatched_detections", unmatched_detections, int)
+        indices = pairs[:, 0].tolist() + unmatched.tolist()
+        if min(indices, default=0) < 0:
+            raise ValueError(f"detection index {min(indices)} is negative")
+        for what, values in (("detection index", indices), ("track id", ids.tolist())):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{what} {max(values, key=values.count)} appears twice")
+        self._take(pairs, unmatched, np.arange(len(pairs), len(ids)), ids)
 
     def _take(self, *arrays: np.ndarray) -> "AssociationResult":
         """Take over the arrays, in __slots__ order."""

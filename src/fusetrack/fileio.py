@@ -40,7 +40,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
-from .association import Checked, RowError, screened
+from .association import RowError
 from .metrics import GroundTruthFrame, GroundTruthObject, PredictedFrame
 from .tracker import FrameInput, FrameResult, TrackerConfig, TrackSnapshot, _snapshot_from_row
 
@@ -157,8 +157,8 @@ class _Kind:
     """A record kind compiled from its field table. make builds an object
     from its field values in table order. fast(record), if given, types a
     line in the plain form the writers write in a few passes, into what
-    read_line gives; on any other line it raises, having built no object,
-    and read_line reads the line field by field."""
+    read_line gives; on any other line, or one whose frame refuses it, it
+    raises, and read_line reads the line field by field."""
 
     def __init__(self, make: Callable, rows, fast: Optional[Callable] = None):
         self.make, self.rows, self.fast = make, rows, fast
@@ -213,7 +213,7 @@ _RADAR_ROW = _Kind(lambda *row: row, (
     ("vx", "vx", NUMBER, REQUIRED),
     ("vy", "vy", NUMBER, REQUIRED),
 ))
-_DETECTION_NUMBERS = itemgetter(*(key for key, _, t, _ in _DETECTION_ROW.rows if t is NUMBER))  # in _FLOAT_COLUMNS order
+_DETECTION_NUMBERS = itemgetter(*(key for key, _, t, _ in _DETECTION_ROW.rows if t is NUMBER))
 _NO_BOX = [math.nan] * 4
 
 
@@ -225,22 +225,23 @@ def _replay_frame(*values) -> FrameInput:
 
 
 def _typed_replay_frame(record: dict) -> FrameInput:
-    """A replay line's fast reader: its numbers typed as one flat list, the detections screened once."""
+    """A replay line's fast reader: its numbers typed as one flat list, which the frame takes as columns."""
     frame, time, dets, radar = record["frame"], record["time"], record.get("detections", []), record.get("radar", [])
-    if not (type(frame) is int and frame in _INT64 and type(time) in (float, int) and type(dets) is type(radar) is list):
+    if not type(dets) is type(radar) is list:  # the frame checks its index and time
         raise TypeError("not a plain replay line")
     boxes = [_NO_BOX if d.get("bbox") is None else d["bbox"] for d in dets]
     classes = [d["class"] for d in dets]
     values = list(chain(*map(_DETECTION_NUMBERS, dets), *boxes, *map(_RADAR_ROW.values, radar)))
-    if not ({list} >= set(map(type, boxes)) and {4} >= set(map(len, boxes)) and {int} >= set(map(type, classes))
+    if not ({4} >= set(map(len, boxes)) and {int} >= set(map(type, classes))
             and {float, int} >= set(map(type, values))):
-        raise TypeError("not a box, a class or a number")
+        raise TypeError("not a box of 4 numbers, a class or a number")
     values, n = np.fromiter(values, np.float64, len(values)), len(dets)
-    if not (math.isfinite(time) and np.isfinite(values[12 * n :]).all()):  # FrameInput would refuse them
-        raise ValueError("a time or a radar number that is not finite")
+    # Copies: a view would keep the line's radar numbers alive beside the array the frame types them into.
     floats, bbox = values[: 8 * n].reshape(n, 8).T.copy(), values[8 * n : 12 * n].reshape(n, 4).copy()
-    batch = screened(floats, np.array(classes, np.int64), bbox, np.array([box is not _NO_BOX for box in boxes], bool))
-    return FrameInput(frame, float(time), Checked(batch), values[12 * n :].reshape(len(radar), 5))
+    boxed = np.array([box is not _NO_BOX for box in boxes], bool)
+    return FrameInput.__new__(FrameInput)._take(
+        frame, *floats[:5], np.array(classes, np.int64), *floats[5:], bbox, boxed, timestamp=time,
+        radar=values[12 * n :].reshape(len(radar), 5))
 
 
 _REPLAY_FRAME = _Kind(_replay_frame, (
@@ -380,14 +381,13 @@ def encode_result(result: FrameResult) -> str:
 
 def _replay_line(frame: FrameInput) -> str:
     """A replay frame's JSON text, encode_record's bytes for its record, formatted from its columns."""
-    dets, radar = frame.detections, frame.radar
-    columns = [getattr(dets, attr) for _, attr, _, _ in _DETECTION_ROW.rows[:9]]
-    if not np.isfinite(np.concatenate([*columns, dets.bbox[dets.boxed].ravel(), radar.ravel()])).all():
+    (*columns, bbox, boxed), radar = frame.columns, frame.radar  # the columns in detection table order
+    if not np.isfinite(np.concatenate([*columns, bbox[boxed].ravel(), radar.ravel()])).all():
         raise ValueError("Out of range float values are not JSON compliant")  # FrameInput forbids it
-    rows = zip(*(column.tolist() for column in columns), *dets.bbox.T.tolist())
-    detections = ",".join(map(_DETECTION_TEXTS.__getitem__, dets.boxed.tolist())) % tuple(chain.from_iterable(rows))
+    rows = zip(*(column.tolist() for column in columns), *bbox.T.tolist())
+    dets = ",".join(map(_DETECTION_TEXTS.__getitem__, boxed.tolist())) % tuple(chain.from_iterable(rows))
     radar_rows = ",".join(repeat(_RADAR_TEXT, len(radar))) % tuple(radar.ravel().tolist())
-    return _REPLAY_TEXT % (frame.frame_index, frame.timestamp, detections, radar_rows)
+    return _REPLAY_TEXT % (frame.frame_index, frame.timestamp, dets, radar_rows)
 
 
 def iter_replay(path: str) -> Iterator[FrameInput]:

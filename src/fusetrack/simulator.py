@@ -37,7 +37,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .association import Checked, screened
 from .fileio import config_from_dict, config_to_dict
 from .geometry import CameraModel, image_to_vehicle, project_points
 from .metrics import GroundTruthFrame
@@ -309,8 +308,9 @@ def generate(cfg: ScenarioConfig) -> Scene:
             gt_frames.append(GroundTruthFrame.from_columns(k, seen, *centers[f, seen, :2].T, class_ids[seen]))
             rows = np.flatnonzero(in_image[f] & ~occluded[f] & ~dropped[f])
             columns, box_rows = values[f][:, rows], boxed[f, rows]  # new arrays, screened once
-            dets = screened(columns[:8], class_ids[rows], np.where(box_rows[:, None], columns[8:].T, np.nan), box_rows)
-            frames.append(FrameInput(k, k * cfg.frame_dt, Checked(dets), radar[f][returns[f]]))
+            columns = [*columns[:5], class_ids[rows], *columns[5:8], np.where(box_rows[:, None], columns[8:].T, np.nan)]
+            frames.append(FrameInput.__new__(FrameInput)._take(k, *columns, box_rows, timestamp=k * cfg.frame_dt,
+                                                               radar=radar[f][returns[f]]))
             provenance.append(tuple(rows.tolist()))
 
     return Scene(cfg, tuple(frames), tuple(gt_frames), tuple(provenance))

@@ -32,35 +32,35 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .association import AssociationResult, Checked, CostWeights, DetectionBatch, Frame, Track, TrackTable, as_column
-from .association import checked_frame_index, checked_timestamp, field_types, greedy_associate
+from .association import AssociationResult, CostWeights, DetectionBatch, Frame, Track, TrackTable, as_column
+from .association import _detection_columns, _screen_detections, checked_timestamp, field_types, greedy_associate
 # expand_pillars is not called here; bench/probes.py wraps it under this name.
 from .fusion import PillarDims, RadarPoint, associate_boxes, expand_pillars
 from .geometry import CameraModel, image_to_vehicle
 
 
-@dataclass(frozen=True)
-class FrameInput:
-    """One frame of sensor input, checked once when built. detections
-    (Detections, rows, a DetectionBatch, or a Checked one, kept as it is) is
-    kept as a read-only checked DetectionBatch; only boxed rows take part in
-    radar fusion. radar (RadarPoints, rows or an array) is kept as a
-    read-only (N, 5) float64 copy of finite (x, y, z, vx, vy) vehicle-frame
-    rows. frame_index and timestamp are kept as int and float
-    (checked_frame_index, checked_timestamp)."""
+@dataclass(frozen=True, init=False)
+class FrameInput(Frame):
+    """One frame of sensor input, screened when built, copied or unpickled:
+    its detections (Detections, rows or a DetectionBatch) as read-only batch
+    columns, of which detections is a new batch on each access (only boxed
+    rows take part in radar fusion); radar (RadarPoints, rows or an array)
+    as a read-only (N, 5) float64 array of finite (x, y, z, vx, vy) vehicle
+    rows; an int frame_index and a float timestamp. Frames are equal when
+    their detection rows, radar values, index and time are."""
 
-    frame_index: int
     timestamp: float
-    detections: DetectionBatch
-    radar: np.ndarray = ()
+    detections: DetectionBatch = field(compare=False, default=property(lambda self: DetectionBatch(*self.columns)))
+    radar: np.ndarray = field(default=(), compare=False)
+    objects: tuple = field(repr=False, default=property(  # equality and hash; rows() never reads an unboxed row's box
+        lambda self: (*self.detections.rows(), *self.radar.ravel().tolist())))
+    _types = DetectionBatch._types
+
+    def __init__(self, frame_index: int, timestamp: float, detections, radar=()):
+        self._build(frame_index, _detection_columns(detections), timestamp=timestamp, radar=radar)
 
     def __post_init__(self):
-        dets = self.detections
-        if type(dets) is Checked:
-            dets = dets.batch
-        else:
-            dets = dets.checked_copy() if isinstance(dets, DetectionBatch) else DetectionBatch.from_detections(dets)
-        object.__setattr__(self, "detections", dets)
+        _screen_detections(self.columns)
         radar = self.radar
         if not isinstance(radar, np.ndarray):
             radar = [(p.x, p.y, p.z, p.vx, p.vy) if isinstance(p, RadarPoint) else p for p in radar]
@@ -73,21 +73,8 @@ class FrameInput:
         if not np.isfinite(radar).all():  # RadarPoint states why the first refused row is refused
             RadarPoint(*radar[~np.isfinite(radar).all(1)][0].tolist())
             raise ValueError("a radar row that RadarPoint accepts fails the finite screen")
-        radar.flags.writeable = False
-        object.__setattr__(self, "radar", radar)
-        object.__setattr__(self, "timestamp", checked_timestamp(self.timestamp))
-        object.__setattr__(self, "frame_index", checked_frame_index(self.frame_index))
-
-    __setstate__ = lambda self, state: self.__init__(**state)  # a copy or an unpickled frame is built, and checked, again
-
-    def _key(self) -> tuple:  # the frame's values; rows() never reads the NaN boxes of unboxed rows
-        return self.frame_index, self.timestamp, tuple(self.detections.rows()), tuple(self.radar.ravel().tolist())
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is FrameInput else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+        radar.setflags(write=False)
+        self.__dict__.update(radar=radar, timestamp=checked_timestamp(self.timestamp))
 
 
 def check_order(previous: Optional[FrameInput], frame: FrameInput) -> None:
@@ -248,8 +235,9 @@ class Tracker:
         check_order(self._last_frame, frame)
         self._last_frame, cfg = frame, self.config
 
-        dets = frame.detections  # confidences lie in [0, 1], so a floor of 0 keeps every row
-        dets = dets.take(dets.confidence >= cfg.min_confidence) if cfg.min_confidence > 0.0 else DetectionBatch(*dets.columns())
+        dets = frame.detections  # a new batch; confidences lie in [0, 1], so a floor of 0 keeps every row
+        if cfg.min_confidence > 0.0:
+            dets = dets.take(dets.confidence >= cfg.min_confidence)
         fused = self._fuse(dets, frame.radar) if cfg.fusion_enabled else np.zeros(len(dets), dtype=bool)
 
         tracks = self._tracks

@@ -486,9 +486,10 @@ def _batch_of_rows(rows):
 
 def test_detection_rule_agrees_with_the_batch_check():
     """Detection.__post_init__ states the detection rule for one object and
-    DetectionBatch.checked_copy for columns. Each seeded case breaks one
-    field of one row among valid ones; both forms raise the same message,
-    whether the frame is built from rows or from columns."""
+    FrameInput's screen for columns. Each seeded case breaks one field of
+    one row among valid ones; both forms raise the same message, and the
+    frame names the row, whether it is built from rows, from a batch or
+    from columns."""
     rng = random.Random(29)
     float_fields = (0, 1, 2, 3, 4, 6, 7, 8)  # u, v, depth, vx, vy, confidence, du, dv
     kinds = {"non-finite": 0, "box": 0, "depth": 0, "confidence": 0}
@@ -509,11 +510,12 @@ def test_detection_rule_agrees_with_the_batch_check():
         with pytest.raises(ValueError) as scalar:
             Detection(*row)
         rows = [_valid_row(rng) for _ in range(rng.randrange(4))]
-        rows.insert(rng.randrange(len(rows) + 1), row)
-        for given in (rows, _batch_of_rows(rows)):
+        rows.insert(at := rng.randrange(len(rows) + 1), row)
+        for build in (lambda: FrameInput(0, 0.0, rows), lambda: FrameInput(0, 0.0, _batch_of_rows(rows)),
+                      lambda: FrameInput.from_columns(0, *_batch_of_rows(rows).columns(), timestamp=0.0)):
             with pytest.raises(ValueError) as vectorised:
-                FrameInput(0, 0.0, given)
-            assert str(vectorised.value) == str(scalar.value), (kind, row)
+                build()
+            assert (str(vectorised.value), vectorised.value.row) == (str(scalar.value), at), (kind, row)
     assert min(kinds.values()) > 50
 
     edges = [
@@ -524,6 +526,7 @@ def test_detection_rule_agrees_with_the_batch_check():
     objects = [Detection(*row) for row in edges]
     for given in (objects, edges, _batch_of_rows(edges)):
         assert FrameInput(0, 0.0, given).detections.rows() == edges
+    assert FrameInput.from_columns(0, *_batch_of_rows(edges).columns(), timestamp=0.0).detections.rows() == edges
 
 
 def _finite_radar_row(rng):
@@ -535,7 +538,7 @@ def test_radar_rule_agrees_with_the_frame_check():
     FrameInput screens its (N, 5) array. Each seeded case puts a non-finite
     value in one field of one row among finite ones; FrameInput raises
     RadarPoint's message whether the rows come as RadarPoints and rows, as
-    rows or as an array."""
+    rows or as an array, to the constructor or to from_columns."""
     rng = random.Random(31)
     broken = [0] * 5
     for _ in range(400):
@@ -551,14 +554,17 @@ def test_radar_rule_agrees_with_the_frame_check():
         rows.insert(at, row)
         points.insert(at, row)
         for given in (points, rows, np.array(rows)):
-            with pytest.raises(ValueError) as vectorised:
-                FrameInput(0, 0.0, (), given)
-            assert str(vectorised.value) == str(scalar.value), (field, row)
+            for build in (lambda: FrameInput(0, 0.0, (), given),
+                          lambda: FrameInput.from_columns(0, *[[]] * 11, timestamp=0.0, radar=given)):
+                with pytest.raises(ValueError) as vectorised:
+                    build()
+                assert str(vectorised.value) == str(scalar.value), (field, row)
     assert min(broken) > 50
 
     edges = [(1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0, 0.0)]
     for given in ([RadarPoint(*edges[0])], edges, np.array(edges)):
         assert FrameInput(0, 0.0, (), given).radar.tolist() == [list(edges[0])]
+        assert FrameInput.from_columns(0, *[[]] * 11, timestamp=0.0, radar=given).radar.tolist() == [list(edges[0])]
 
 
 def test_a_row_the_screen_refuses_is_never_passed(monkeypatch):

@@ -118,18 +118,30 @@ def _track(**values):
         (lambda: greedy_associate([], [_track(track_id=1.5)], CostWeights()), "^track_id must hold int values"),
         (lambda: cost_matrix([], [_track(class_id=True)], CostWeights()), "^class_id must hold int values"),
         (lambda: AssociationResult(((0, 1.5),), (), ()), "^track ids must hold int values"),
+        (lambda: AssociationResult(((-1, 2),), (5, 5), (3,)), "^detection index -1 is negative$"),
+        (lambda: AssociationResult(((0, 2), (1, 2)), (), ()), "^track id 2 appears twice$"),
+        (lambda: AssociationResult(((0, 2),), (0,), (2,)), "^detection index 0 appears twice$"),
+        (lambda: AssociationResult(((0, 2),), (5, 5), (3,)), "^detection index 5 appears twice$"),
+        (lambda: FrameResult.from_columns(0, *[[]] * 12), r"^FrameResult.from_columns\(\) missing the keyword argument 'timestamp'$"),
+        (lambda: FrameInput.from_columns(0, *[[]] * 11), r"^FrameInput.from_columns\(\) missing the keyword argument 'timestamp'$"),
+        (lambda: GroundTruthFrame.from_columns(0, *[[]] * 4, timestamp=0.0),
+         r"^GroundTruthFrame.from_columns\(\) got an unexpected keyword argument 'timestamp'$"),
     ],
     ids=["replay-time", "replay-frame", "replay-np-time", "result-time", "result-frame", "truth-frame", "truth-int64",
          "result-nan", "detection-float-class", "detection-bool-u", "detection-bool-box", "radar-bool-x",
-         "result-float-age", "result-int-fused", "result-positions-of-2-and-4", "track-float-id", "track-bool-class", "association-float-id"],
+         "result-float-age", "result-int-fused", "result-positions-of-2-and-4", "track-float-id", "track-bool-class", "association-float-id",
+         "association-negative-detection", "association-track-twice", "association-matched-unmatched-detection",
+         "association-detection-unmatched-twice", "result-columns-no-time", "replay-columns-no-time", "truth-columns-time"],
 )
 def test_frames_refuse_what_their_writer_cannot_write(make, message):
     """A bool time or frame, an index beyond int64 and a non-finite time
     are refused when the frame is built, before any writer sees them; so is
     a value that its column would store as another (as_column), in a
     detection, a radar return or a track, or in the tracks that association
-    reads or reports."""
-    with pytest.raises(ValueError, match=message):
+    reads or reports, and an association result that no association gives.
+    from_columns names a field that it misses or does not know, with the
+    TypeError of a call."""
+    with pytest.raises(TypeError if "keyword argument" in message else ValueError, match=message):
         make()
 
 
@@ -389,9 +401,9 @@ def test_detection_rows_are_written_as_the_json_encoder_writes_them(tmp_path):
         encode_record({"u": math.nan})
     for name, bad in (("u", math.nan), ("dv", -math.inf), ("bbox", math.inf)):
         frame = FrameInput(0, 0.0, detections)
-        column = getattr(frame.detections, name).copy()
+        column = getattr(frame, name).copy()
         column[0] = bad  # row 0 is boxed
-        setattr(frame.detections, name, column)
+        object.__setattr__(frame, name, column)  # past the frame's screen
         with pytest.raises(ValueError) as err:
             write_replay(str(path), [frame])
         assert str(encoder.value).startswith(str(err.value)) and str(err.value).endswith("JSON compliant"), name
@@ -1054,7 +1066,7 @@ def test_a_plain_line_fails_as_the_column_reader_fails(tmp_path, monkeypatch, wh
     for detection in record["detections"]:
         detection.update(du=0.0, dv=0.0)
     path = _write_lines(tmp_path, record)
-    built = _counting(monkeypatch, FrameInput, "__post_init__")
+    built = _counting(monkeypatch, FrameInput, "__init__")
     with pytest.raises(ParseError) as fast:
         read_replay(path)
     assert len(built) <= 1
